@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import DEFAULT_BUDGETS, Acceptance, Automaton, Budgets, Verdict, bits
+from .core import DEFAULT_BUDGETS, Acceptance, Automaton, Budgets, Verdict, as_mask, bits
 from .errors import BudgetExceededError, InputError
 from .formats import DFA
 from .graphs import reachable_mask
 from .linked import layer_rows
-from .semantics import _as_mask, propagate, rel_image, sharp_power, support_step
+from .semantics import propagate, rel_image, sharp_power, support_step
 from .supportgraph import ExtendedSupportGraph
 
 
@@ -38,7 +38,7 @@ def _start_mask(a: Automaton, start) -> int:
         if m == 0:
             raise InputError("start distribution has empty support")
         return m
-    return _as_mask(a, start)
+    return as_mask(a, start)
 
 
 def is_sharp_reduction(a: Automaton, A, B, rho) -> bool:
@@ -48,8 +48,8 @@ def is_sharp_reduction(a: Automaton, A, B, rho) -> bool:
     Requires A and B nonempty and disjoint, A+B stable under rho, and the
     #-power of A+B on rho equal to B exactly.
     """
-    amask = _as_mask(a, A)
-    bmask = _as_mask(a, B)
+    amask = as_mask(a, A)
+    bmask = as_mask(a, B)
     if amask == 0 or bmask == 0 or amask & bmask:
         return False
     both = amask | bmask
@@ -97,7 +97,7 @@ def check_lemma5_bound(a: Automaton, q, rho) -> bool:
     least eps**(2**(2n)), with eps the smallest positive transition entry.
     The comparison is exact; the exponent is a big integer.
     """
-    qmask = _as_mask(a, q)
+    qmask = as_mask(a, q)
     if qmask == 0 or qmask & (qmask - 1):
         raise InputError("a single start state is required")
     cr = is_chain_recurrent(a, qmask, rho)

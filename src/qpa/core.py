@@ -345,6 +345,11 @@ def as_weights(a: Automaton, vec: Sequence[Fraction]) -> dict[str, Fraction]:
     return {a.states[i]: p for i, p in enumerate(vec) if p != 0}
 
 
+def as_mask(a: Automaton, S: int | Iterable[str]) -> int:
+    """A state set given as a bitmask or by names (see Automaton.mask), as a bitmask."""
+    return S if isinstance(S, int) else a.mask(S)
+
+
 def support_mask(vec: Sequence[Fraction]) -> int:
     m = 0
     for i, p in enumerate(vec):

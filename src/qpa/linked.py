@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import Automaton, bits
+from .core import Automaton, as_mask, bits
 from .errors import InputError
 from .graphs import bottom_scc_masks, reachable_mask
 
@@ -128,13 +128,9 @@ def concat(lg1: LinkedGraph, lg2: LinkedGraph) -> LinkedGraph:
     return LinkedGraph(lg1.n, lg1.layers + lg2.layers)
 
 
-def _as_mask(a: Automaton, S) -> int:
-    return S if isinstance(S, int) else a.mask(S)
-
-
 def linked_graph_of_word(a: Automaton, A, word) -> LinkedGraph:
     """Layered positive-transition graph of a word from the support A."""
-    start = _as_mask(a, A)
+    start = as_mask(a, A)
     if start == 0:
         raise InputError("empty starting support")
     w = a.word(word)

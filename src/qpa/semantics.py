@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import Acceptance, Automaton, Matrix, as_vector, as_weights, bits
+from .core import Acceptance, Automaton, Matrix, as_mask, as_vector, as_weights, bits
 from .errors import InputError
 from .graphs import bottom_scc_masks, bottom_states_mask
 from .profiles import class_minima, profile_of_word
@@ -74,13 +74,9 @@ def word_relation(a: Automaton, word: Sequence[int]) -> tuple[int, ...]:
     return rows
 
 
-def _as_mask(a: Automaton, S) -> int:
-    return S if isinstance(S, int) else a.mask(S)
-
-
 def support_step(a: Automaton, S, word) -> int:
     """S . word: the support of delta(S, word), as a bitmask."""
-    mask = _as_mask(a, S)
+    mask = as_mask(a, S)
     for k in a.word(word):
         mask = rel_image(a.relation(k), mask)
     return mask
@@ -92,7 +88,7 @@ def sharp_power(a: Automaton, S, word) -> int:
     Requires S stable (S . word = S); computed as the union of bottom SCCs
     of the positive-transition digraph of the word restricted to S.
     """
-    mask = _as_mask(a, S)
+    mask = as_mask(a, S)
     w = a.word(word)
     if support_step(a, mask, w) != mask:
         raise InputError("S not rho-stable")
@@ -147,7 +143,7 @@ class ChainAnalysis:
 
 def chain_analysis(a: Automaton, G, word) -> ChainAnalysis:
     """Classes, transient part and exact absorption probabilities of (G, word)."""
-    mask = _as_mask(a, G)
+    mask = as_mask(a, G)
     w = a.word(word)
     if not w:
         raise InputError("empty word defines no chain")
@@ -196,7 +192,7 @@ def chain_parity_almost(a: Automaton, G, word, priorities=None) -> tuple[bool, t
     word path between class states recurs infinitely often almost surely,
     so min p(Inf) equals the minimum profile entry over the class.
     """
-    mask = _as_mask(a, G)
+    mask = as_mask(a, G)
     w = a.word(word)
     if not w:
         raise InputError("empty word defines no chain")
@@ -213,7 +209,7 @@ def make_accepting_absorbing(a: Automaton, F=None) -> Automaton:
     Used to reduce reachability to Buchi: once F is absorbing, visiting F
     at all and visiting it infinitely often are the same event.
     """
-    mask = a.acceptance_mask() if F is None else _as_mask(a, F)
+    mask = a.acceptance_mask() if F is None else as_mask(a, F)
     if mask == 0:
         return a
     one, zero = Fraction(1), Fraction(0)

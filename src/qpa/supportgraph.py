@@ -31,6 +31,7 @@ from .core import (
     Budgets,
     LassoWord,
     Verdict,
+    as_mask,
     bits,
 )
 from .errors import BudgetExceededError, InputError
@@ -45,10 +46,6 @@ from .linked import (
 )
 from .profiles import build_profile_monoid, profile_image
 from .semantics import chain_parity_almost, propagate_vector, rel_image, sharp_power
-
-
-def _as_mask(a: Automaton, S) -> int:
-    return S if isinstance(S, int) else a.mask(S)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +105,7 @@ def build_support_graph(
     else:
         start = [a.initial_support]
         for s in seeds or []:
-            m = _as_mask(a, s)
+            m = as_mask(a, s)
             if m == 0:
                 raise InputError("empty seed support")
             if m not in start:
@@ -500,7 +497,7 @@ def build_extended_support_graph(
     else:
         start = [a.initial_support]
         for s in seeds or []:
-            m = _as_mask(a, s)
+            m = as_mask(a, s)
             if m == 0:
                 raise InputError("empty seed support")
             if m not in start:
@@ -510,7 +507,7 @@ def build_extended_support_graph(
 
 def replay_steps(a: Automaton, start, steps: Sequence[Step]) -> int:
     """Fold replay steps through layered graphs; returns the final support mask."""
-    cur = _as_mask(a, start)
+    cur = as_mask(a, start)
     for word, borders, cut in steps:
         lg = border_chain(linked_graph_of_word(a, cur, word), borders)
         cur = lg.boundary(cut)
@@ -541,7 +538,7 @@ def sharp_reachable(
     steps are re-executed through the layered graphs before being returned;
     a mismatch would be an internal error, never a wrong answer.
     """
-    cmask, dmask = _as_mask(a, C), _as_mask(a, D)
+    cmask, dmask = as_mask(a, C), as_mask(a, D)
     if cmask == 0 or dmask == 0:
         raise InputError("empty support set")
     if graph is None:
@@ -639,7 +636,7 @@ def synthesize_limit_word(
     bound = Fraction(eps)
     if bound <= 0 or bound >= 1:
         raise InputError("eps must satisfy 0 < eps < 1")
-    tmask = _as_mask(a, target)
+    tmask = as_mask(a, target)
     if tmask == 0:
         raise InputError("empty target set")
     if a.initial_support & ~tmask == 0:
@@ -691,7 +688,9 @@ def decide_limit_parity_structsimple(
     Yes iff some #-reachable support A admits a word whose relation maps A
     into A and whose induced chain on A accepts almost surely.  The witness
     reports the stable support, the period word, and, when synthesis
-    succeeds, a pumped prefix with its exact lasso acceptance probability.
+    succeeds, a pumped prefix with its exact lasso acceptance probability;
+    when synthesis stops on a budget or an input error, prefix and
+    probability are None and prefix_error says why.
     """
     priorities = a.priorities()
     _require_structurally_simple(a, budgets)
@@ -714,9 +713,9 @@ def decide_limit_parity_structsimple(
             }
             try:
                 prefix = synthesize_limit_word(a, node, Fraction(1, 10), budgets)
-            except (BudgetExceededError, InputError):
-                prefix = None
-            if prefix is not None:
+            except (BudgetExceededError, InputError) as exc:
+                witness["prefix_error"] = f"{type(exc).__name__}: {exc}"
+            else:
                 from .lasso import lasso_acceptance_probability
 
                 p = lasso_acceptance_probability(a, LassoWord(prefix, period))

@@ -343,6 +343,16 @@ def test_limit_parity_decisions(ex2):
     assert v2.answer == "no"
 
 
+def test_limit_parity_reports_why_synthesis_failed(ex2):
+    b = ex2.with_acceptance(Acceptance.buchi(["4"]))
+    v = decide_limit_parity_structsimple(b, Budgets(pump_doublings=0))
+    assert v.answer == "yes"
+    assert v.witness["support"] == ["4"]
+    assert v.witness["prefix"] is None and v.witness["probability"] is None
+    assert v.witness["prefix_error"].startswith("BudgetExceededError: pumping budget exhausted")
+    assert "prefix_error" not in decide_limit_parity_structsimple(b).witness
+
+
 # -- rendering -------------------------------------------------------------------
 
 
