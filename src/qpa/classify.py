@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .core import DEFAULT_BUDGETS, Acceptance, Automaton, Budgets, Verdict, as_mask, bits
-from .errors import BudgetExceededError, InputError
+from .errors import InputError
 from .formats import DFA
 from .graphs import reachable_mask
 from .linked import layer_rows
@@ -208,13 +208,8 @@ def is_structurally_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
     a support A admitting a word that #-returns to C while its plain image
     differs from C; the witness replays that word with its borders.
     """
-    if a.n > budgets.extended_states:
-        raise BudgetExceededError(
-            f"extended support graph allows at most {budgets.extended_states} "
-            f"states (automaton has {a.n}); raise the budget to override"
-        )
     n = a.n
-    g = ExtendedSupportGraph(a, budgets, list(range(1, 1 << n)), track_plain=True)
+    g = ExtendedSupportGraph(a, budgets, range(1, 1 << n), track_plain=True)
     shrinkable: set[int] = set()
     returners: dict[int, dict[int, int]] = {}
     for eid in range(g.edge_count):

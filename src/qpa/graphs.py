@@ -1,14 +1,43 @@
-"""Small graph helpers: reachability and strongly connected components.
+"""Small graph helpers: image tables, reachability and strongly connected components.
 
 Two digraph flavors are used in this package: bitmask digraphs on state
 indices (rows[i] = successor mask) and dict digraphs on hashable nodes
-(support sets, product states).
+(support sets, product states).  A bitmask digraph is also a boolean
+relation; image_table is the one kernel that applies such a relation to a
+mask, and every relational composition in the package goes through it.
 """
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .core import bits
+
+Image = Callable[[int], int]
+
+
+def image_table(rows: Sequence[int]) -> Image:
+    """img(m) = union of rows[i] over the states i in m, by table lookup.
+
+    One table per 8-bit chunk of a mask, each with at most 256 entries, so
+    the tables stay small at any state count.
+    """
+    tables = []
+    for base in range(0, len(rows), 8):
+        table = [0]
+        for r in rows[base:base + 8]:
+            table += [m | r for m in table]
+        tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+
+    def img(mask: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[mask & 0xFF]
+            mask >>= 8
+        return out
+
+    return img
 
 
 def reachable_mask(rows: Iterable[int] | tuple[int, ...], seeds: int, node_mask: int = -1) -> int:

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 from .core import Automaton, as_mask, bits
 from .errors import InputError
-from .graphs import bottom_scc_masks, reachable_mask
+from .graphs import bottom_scc_masks, image_table, reachable_mask
 
 
 def layer_rows(layer: int, n: int) -> tuple[int, ...]:
@@ -62,14 +62,10 @@ def layer_of_pairs(pairs, n: int) -> int:
 
 def compose_layers(x: int, y: int, n: int) -> int:
     """Relational composition of two bipartite layer masks."""
-    yrows = layer_rows(y, n)
+    img = image_table(layer_rows(y, n))
     out = 0
-    for i in range(n):
-        row = x >> (i * n) & ((1 << n) - 1)
-        img = 0
-        for j in bits(row):
-            img |= yrows[j]
-        out |= img << (i * n)
+    for i, row in enumerate(layer_rows(x, n)):
+        out |= img(row) << (i * n)
     return out
 
 

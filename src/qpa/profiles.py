@@ -32,13 +32,12 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 from .core import Automaton, bits
 from .errors import BudgetExceededError, InputError
-from .graphs import bottom_scc_masks
+from .graphs import Image, bottom_scc_masks, image_table
 
 INF = 1 << 30
 
 Profile = tuple[tuple[int, ...], ...]
 SafeProfile = tuple[tuple[int, ...], int]
-Image = Callable[[int], int]
 
 T = TypeVar("T")
 
@@ -56,31 +55,6 @@ def normalize_priorities(a: Automaton, p: Mapping[str, int] | Sequence[int] | No
     if len(vec) != a.n:
         raise InputError("priority vector length differs from state count")
     return vec
-
-
-def image_table(rows: Sequence[int]) -> Image:
-    """img(m) = union of rows[i] over the states i in m, by table lookup.
-
-    One table per 8-bit chunk of a mask, each with at most 256 entries, so
-    the tables stay small at any state count.
-    """
-    tables = []
-    for base in range(0, len(rows), 8):
-        table = [0]
-        for r in rows[base:base + 8]:
-            table += [m | r for m in table]
-        tables.append(table)
-    if len(tables) == 1:
-        return tables[0].__getitem__
-
-    def img(mask: int) -> int:
-        out = 0
-        for table in tables:
-            out |= table[mask & 0xFF]
-            mask >>= 8
-        return out
-
-    return img
 
 
 def _letter_index(a: Automaton, letter: str | int) -> int:

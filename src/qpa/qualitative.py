@@ -290,11 +290,12 @@ def decide(a: Automaton, problem: str, mode: str, budgets: Budgets = DEFAULT_BUD
         return decide_positive_simple(a, budgets)
     if kind == "safety":
         return decide_safety(a, "limit", budgets)
-    from .supportgraph import decide_limit_parity_structsimple, decide_limit_reach_structsimple
+    # The gate above is the one the public limit procedures would repeat.
+    from .supportgraph import _limit_parity, _limit_reach
 
     if kind == "reach":
-        return decide_limit_reach_structsimple(a, budgets)
-    return decide_limit_parity_structsimple(a, budgets)
+        return _limit_reach(a, budgets)
+    return _limit_parity(a, budgets)
 
 
 def _structural_gate(a: Automaton, budgets: Budgets) -> Verdict:

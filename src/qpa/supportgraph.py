@@ -11,6 +11,15 @@ its continuation through e2.  Destinations shrink below anything a plain
 word can reach; that is what makes limit reachability decidable for
 structurally simple automata.
 
+The closure is a worklist over edges.  Each edge keeps the image table
+(graphs.image_table) of its relation, of its plain relation when plain
+relations are tracked, and of its funnel when it can serve as a border
+segment, so composing two edges costs one table lookup per source row.
+Each chained pair of edges is combined once, at the pop of whichever edge
+is popped first.  Those first combinations keep their order: edge ids
+follow the order in which results first appear, and provenance, replay
+steps and the edge at which a budget stop is raised all hang on the ids.
+
 Every derived edge carries a derivation tree.  Trees flatten, when the
 shape allows, into replay steps (word, borders, cut): concrete layered
 graphs on which the claimed destination is recomputed from scratch.
@@ -35,15 +44,14 @@ from .core import (
     bits,
 )
 from .errors import BudgetExceededError, InputError
-from .graphs import bottom_scc_masks, has_cycle_ignoring_self_loops, reachable_mask
-from .linked import (
-    border_chain,
-    layer_dests,
-    layer_of_rows,
-    layer_rows,
-    layer_sources,
-    linked_graph_of_word,
+from .graphs import (
+    Image,
+    bottom_scc_masks,
+    has_cycle_ignoring_self_loops,
+    image_table,
+    reachable_mask,
 )
+from .linked import border_chain, layer_of_rows, layer_rows, linked_graph_of_word
 from .profiles import build_profile_monoid, profile_image
 from .semantics import chain_parity_almost, propagate_vector, rel_image, sharp_power
 
@@ -154,19 +162,16 @@ def is_sharp_acyclic(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
 
 _ST_NONE, _ST_MULTI, _ST_CUT, _ST_FULL = 0, 1, 2, 3
 
-_BITS_MEMO: dict[int, tuple[int, ...]] = {}
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """Memoized bit positions; row masks recur heavily in the closure."""
-    got = _BITS_MEMO.get(mask)
-    if got is None:
-        got = _BITS_MEMO[mask] = tuple(bits(mask))
-    return got
-
 # A replay step is (word, borders, cut): letter indices, border pairs in
 # application order, and the boundary index to read the result from.
 Step = tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]
+
+# The nonzero rows of a relation as (row offset i*n, row mask) pairs.
+RowPairs = tuple[tuple[int, int], ...]
+
+
+def _row_pairs(rows: Sequence[int], n: int) -> RowPairs:
+    return tuple((i * n, row) for i, row in enumerate(rows) if row)
 
 
 class ExtendedSupportGraph:
@@ -175,27 +180,52 @@ class ExtendedSupportGraph:
     Edges are keyed by their relation label (the source and destination are
     the label's left and right projections).  Each edge stores the first
     derivation that produced it, upgraded when a later derivation admits a
-    better word-level replay.
+    better word-level replay.  An automaton with more than
+    budgets.extended_states states is refused before any seed is read.
+
+    A pair (e, f) with dst(e) = src(f) is met twice when both edges exist
+    before the first of them is popped: in e's outgoing loop and in f's
+    incoming loop.  Only the first meeting combines them.  The second would
+    repeat the same insertion with the same statuses (letter edges are full,
+    and composing or bordering full edges gives full edges, so no status
+    ever changes), and such a repeat finds its result already present.
+    Skipping it leaves every first insertion, and so every edge id, where
+    combining at both meetings puts it.
     """
 
     def __init__(self, a: Automaton, budgets: Budgets, seeds: Sequence[int], track_plain: bool = False):
+        if a.n > budgets.extended_states:
+            raise BudgetExceededError(
+                f"extended support graph allows at most {budgets.extended_states} states"
+                f" (automaton has {a.n}); raise the budget to override"
+            )
         self.automaton = a
         self.budgets = budgets
         self.track_plain = track_plain
         n = a.n
         self._n = n
-        self._keys: dict = {}
+        # an edge's key is its label, below its plain relation when tracked
+        self._nn = n * n
+        self._keys: dict[int, int] = {}
         self._label: list[int] = []
         self._plain: list[int] = []
         self._src: list[int] = []
         self._dst: list[int] = []
         self._prov: list[tuple] = []
         self._status: list[int] = []
-        self._rows: list[tuple[int, ...]] = []
-        self._prows: list[tuple[int, ...]] = []
-        # rewiring data of an edge used as a border segment; None when the
-        # edge's destinations leave its sources, so no border applies
-        self._funnel: list[list[int] | None] = []
+        # composition data: source rows and image table of the label, the
+        # same for the plain relation, and the table of the funnel that a
+        # border through the edge applies; None when the edge's destinations
+        # leave its sources, so no border applies
+        self._row_pairs: list[RowPairs] = []
+        self._image: list[Image] = []
+        self._plain_pairs: list[RowPairs] = []
+        self._plain_image: list[Image] = []
+        self._funnel_image: list[Image | None] = []
+        # edge count when a popped edge's outgoing / incoming loop started;
+        # 0 until the edge is popped
+        self._out_at: list[int] = []
+        self._in_at: list[int] = []
         self._by_src: dict[int, list[int]] = {}
         self._by_dst: dict[int, list[int]] = {}
         self._nodes: list[int] = []
@@ -224,7 +254,7 @@ class ExtendedSupportGraph:
             self._add(label, self._letter_plain[k], ("word", k), _ST_FULL)
 
     def _add(self, label: int, plain: int, prov: tuple, status: int) -> None:
-        key = (label, plain) if self.track_plain else label
+        key = plain << self._nn | label if self.track_plain else label
         found = self._keys.get(key)
         if found is not None:
             # Keep the derivation with the best replay shape, but only when its
@@ -248,82 +278,98 @@ class ExtendedSupportGraph:
         self._label.append(label)
         self._plain.append(plain)
         rows = layer_rows(label, n)
-        self._rows.append(rows)
-        self._prows.append(layer_rows(plain, n) if self.track_plain else ())
-        src = layer_sources(label, self._n)
-        dst = layer_dests(label, self._n)
+        src = dst = 0
+        for i, row in enumerate(rows):
+            if row:
+                src |= 1 << i
+                dst |= row
         self._src.append(src)
         self._dst.append(dst)
+        self._row_pairs.append(_row_pairs(rows, n))
+        self._image.append(image_table(rows))
+        if self.track_plain:
+            prows = layer_rows(plain, n)
+            self._plain_pairs.append(_row_pairs(prows, n))
+            self._plain_image.append(image_table(prows))
         if dst & ~src:
-            self._funnel.append(None)
+            self._funnel_image.append(None)
         else:
             rec = 0
             for m in bottom_scc_masks(rows, src):
                 rec |= m
-            self._funnel.append(
-                [
-                    reachable_mask(rows, 1 << y, src) & rec if src >> y & 1 else 0
-                    for y in range(n)
-                ]
+            self._funnel_image.append(
+                image_table(
+                    [
+                        reachable_mask(rows, 1 << y, src) & rec if src >> y & 1 else 0
+                        for y in range(n)
+                    ]
+                )
             )
         self._prov.append(prov)
         self._status.append(status)
+        self._out_at.append(0)
+        self._in_at.append(0)
         self._add_node(dst)
         self._by_src[src].append(eid)
         self._by_dst[dst].append(eid)
         self._pending.append(eid)
 
     def _run(self) -> None:
+        # Skip a partner whose earlier pop already met this edge in its loop
+        # snapshot.  Pops do not follow edge ids (_add_node queues letter
+        # edges ahead of the edge that created the node), so "earlier" is read
+        # from the loop start counts, never from ids.
+        out_at, in_at = self._out_at, self._in_at
         while self._pending:
             eid = self._pending.popleft()
+            out_at[eid] = len(self._label)
             for f in list(self._by_src[self._dst[eid]]):
-                self._combine(eid, f)
+                if eid >= in_at[f]:
+                    self._combine(eid, f)
+            in_at[eid] = len(self._label)
             for e in list(self._by_dst[self._src[eid]]):
-                if e != eid:
+                if e != eid and eid >= out_at[e]:
                     self._combine(e, eid)
 
     def _combine(self, i1: int, i2: int) -> None:
-        n = self._n
-        rows1, rows2 = self._rows[i1], self._rows[i2]
-        s1, s2 = self._status[i1], self._status[i2]
+        # Most results are edges already present with a status at least as
+        # good; they are recognised here without building a provenance.
+        keys, status = self._keys, self._status
+        s1, s2 = status[i1], status[i2]
+        pairs = self._row_pairs[i1]
+        img = self._image[i2]
         comp = 0
-        for x in _bits(self._src[i1]):
-            img = 0
-            for y in _bits(rows1[x]):
-                img |= rows2[y]
-            comp |= img << (x * n)
+        for off, row in pairs:
+            comp |= img(row) << off
+        plain = 0
         if self.track_plain:
-            prows2 = self._prows[i2]
-            plain = 0
-            for x, row in enumerate(self._prows[i1]):
-                img = 0
-                for y in _bits(row):
-                    img |= prows2[y]
-                plain |= img << (x * n)
-        else:
-            plain = 0
+            img = self._plain_image[i2]
+            for off, row in self._plain_pairs[i1]:
+                plain |= img(row) << off
+        high = plain << self._nn
         if s1 == _ST_NONE or s2 == _ST_NONE:
             st = _ST_NONE
         elif s1 == _ST_FULL:
             st = s2 if s2 in (_ST_FULL, _ST_CUT) else _ST_MULTI
         else:
             st = _ST_MULTI
-        self._add(comp, plain, ("compose", i1, i2), st)
-        funnel = self._funnel[i2]
-        if funnel is None:
+        found = keys.get(high | comp)
+        if found is None or st > status[found]:
+            self._add(comp, plain, ("compose", i1, i2), st)
+        img = self._funnel_image[i2]
+        if img is None:
             return
         # Funnelled destinations are closed under the segment relation, so
         # reading the bordered graph at the border's start or at its end
         # yields the same relation; one edge covers both boundaries.
         rewired = 0
-        for x in _bits(self._src[i1]):
-            img = 0
-            for y in _bits(rows1[x]):
-                img |= funnel[y]
-            rewired |= img << (x * n)
+        for off, row in pairs:
+            rewired |= img(row) << off
         mergeable = s1 == _ST_FULL and s2 in (_ST_FULL, _ST_CUT)
         st2 = (_ST_FULL if s2 == _ST_FULL else _ST_CUT) if mergeable else _ST_NONE
-        self._add(rewired, plain, ("border", i1, i2, 2), st2)
+        found = keys.get(high | rewired)
+        if found is None or st2 > status[found]:
+            self._add(rewired, plain, ("border", i1, i2, 2), st2)
 
     # -- views -------------------------------------------------------------
 
@@ -487,13 +533,8 @@ def build_extended_support_graph(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> ExtendedSupportGraph:
     """Close the graph from Supp(alpha) (or the given seeds) to its fixpoint."""
-    if a.n > budgets.extended_states:
-        raise BudgetExceededError(
-            f"extended support graph allows at most {budgets.extended_states} states"
-            f" (automaton has {a.n}); raise the budget to override"
-        )
     if full:
-        start = list(range(1, 1 << a.n))
+        start = range(1, 1 << a.n)
     else:
         start = [a.initial_support]
         for s in seeds or []:
@@ -583,6 +624,11 @@ def decide_limit_reach_structsimple(
     if acc is None or acc.kind != "reach":
         raise InputError("reach acceptance required")
     _require_structurally_simple(a, budgets)
+    return _limit_reach(a, budgets)
+
+
+def _limit_reach(a: Automaton, budgets: Budgets) -> Verdict:
+    """decide_limit_reach_structsimple past its input checks and gate."""
     fmask = a.acceptance_mask()
     graph = build_extended_support_graph(a, budgets=budgets)
     reach = graph.reachable_with_steps(a.initial_support)
@@ -692,8 +738,14 @@ def decide_limit_parity_structsimple(
     when synthesis stops on a budget or an input error, prefix and
     probability are None and prefix_error says why.
     """
-    priorities = a.priorities()
+    a.priorities()  # InputError unless the acceptance has a parity encoding
     _require_structurally_simple(a, budgets)
+    return _limit_parity(a, budgets)
+
+
+def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
+    """decide_limit_parity_structsimple past its input checks and gate."""
+    priorities = a.priorities()
     graph = build_extended_support_graph(a, budgets=budgets)
     reach = graph.reachable_with_steps(a.initial_support)
     monoid = build_profile_monoid(a, None, budgets.monoid)

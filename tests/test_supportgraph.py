@@ -1,6 +1,7 @@
 """Support graphs, extended closure, #-reachability, and limit procedures."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,15 @@ from conftest import random_automaton
 from qpa.core import DEFAULT_BUDGETS, Acceptance, Budgets
 from qpa.errors import BudgetExceededError, InputError
 from qpa.formats import parse_automaton
+from qpa.linked import (
+    LinkedGraph,
+    compose_layers,
+    layer_dests,
+    layer_of_rows,
+    layer_sources,
+    rec_from,
+)
+from qpa.qualitative import decide
 from qpa.semantics import propagate
 from qpa.supportgraph import (
     ExtendedSupportGraph,
@@ -242,6 +252,150 @@ def test_extended_edge_cap(ex2):
         build_extended_support_graph(ex2, budgets=Budgets(path_cap=3))
 
 
+class _ReferenceClosure:
+    """The extended closure on its first schedule and kernel.
+
+    Every chained pair is combined at the pop of each of its two edges,
+    relations compose through linked.compose_layers, and a border segment's
+    funnel is read off linked.rec_from on the segment's one-layer graph.
+    Edges are [label, prov, status, src, dst, plain].
+    """
+
+    NONE, MULTI, CUT, FULL = 0, 1, 2, 3
+
+    def __init__(self, a, seeds, track_plain=False, path_cap=DEFAULT_BUDGETS.path_cap):
+        self.a, self.n, self.track_plain, self.path_cap = a, a.n, track_plain, path_cap
+        self.keys, self.edges, self.funnel = {}, [], []
+        self.by_src, self.by_dst, self.nodes = {}, {}, []
+        self.pending = deque()
+        for s in seeds:
+            self.add_node(s)
+        while self.pending:
+            eid = self.pending.popleft()
+            for f in list(self.by_src[self.edges[eid][4]]):
+                self.combine(eid, f)
+            for e in list(self.by_dst[self.edges[eid][3]]):
+                if e != eid:
+                    self.combine(e, eid)
+
+    def add_node(self, s):
+        if s in self.by_src:
+            return
+        self.nodes.append(s)
+        self.by_src[s], self.by_dst[s] = [], []
+        for k in range(len(self.a.alphabet)):
+            rows = self.a.relation(k)
+            plain = layer_of_rows(rows, self.a.full_mask, self.n)
+            self.add(layer_of_rows(rows, s, self.n), plain, ("word", k), self.FULL)
+
+    def add(self, label, plain, prov, status):
+        key = (label, plain) if self.track_plain else label
+        found = self.keys.get(key)
+        if found is not None:
+            e = self.edges[found]
+            if prov[0] != "word" and status > e[2] and prov[1] < found and prov[2] < found:
+                e[1], e[2] = prov, status
+            return
+        if len(self.edges) >= self.path_cap:
+            raise BudgetExceededError(f"extended support graph exceeded {self.path_cap} edges")
+        eid = len(self.edges)
+        self.keys[key] = eid
+        src, dst = layer_sources(label, self.n), layer_dests(label, self.n)
+        self.edges.append([label, prov, status, src, dst, plain])
+        funnel = None
+        if dst & ~src == 0:
+            segment = LinkedGraph(self.n, (label,))
+            funnel = 0
+            for y in range(self.n):
+                if src >> y & 1:
+                    funnel |= rec_from(y, segment) << (y * self.n)
+        self.funnel.append(funnel)
+        self.add_node(dst)
+        self.by_src[src].append(eid)
+        self.by_dst[dst].append(eid)
+        self.pending.append(eid)
+
+    def combine(self, i1, i2):
+        e1, e2 = self.edges[i1], self.edges[i2]
+        s1, s2 = e1[2], e2[2]
+        plain = compose_layers(e1[5], e2[5], self.n) if self.track_plain else 0
+        if self.NONE in (s1, s2):
+            st = self.NONE
+        elif s1 == self.FULL:
+            st = s2 if s2 in (self.FULL, self.CUT) else self.MULTI
+        else:
+            st = self.MULTI
+        self.add(compose_layers(e1[0], e2[0], self.n), plain, ("compose", i1, i2), st)
+        if self.funnel[i2] is not None:
+            mergeable = s1 == self.FULL and s2 in (self.FULL, self.CUT)
+            st2 = (self.FULL if s2 == self.FULL else self.CUT) if mergeable else self.NONE
+            rewired = compose_layers(e1[0], self.funnel[i2], self.n)
+            self.add(rewired, plain, ("border", i1, i2, 2), st2)
+
+    def witness_steps(self):
+        """Replay steps of every edge, in id order: operands precede an edge."""
+        out = []
+        for _, prov, *_ in self.edges:
+            if prov[0] == "word":
+                out.append([((prov[1],), (), 1)])
+                continue
+            s1, s2 = out[prov[1]], out[prov[2]]
+            if s1 is None or s2 is None:
+                out.append(None)
+                continue
+            whole = len(s1) == 1 and s1[0][2] == len(s1[0][0])
+            if prov[0] == "compose" and not whole:
+                out.append(s1 + s2)
+                continue
+            if prov[0] == "border" and not (whole and len(s2) == 1):
+                out.append(None)
+                continue
+            (w1, b1, _), (w2, b2, c2) = s1[0], s2[0]
+            off = len(w1)
+            borders = b1 + tuple((x + off, y + off) for x, y in b2)
+            if prov[0] == "compose":
+                out.append([(w1 + w2, borders, off + c2)] + s2[1:])
+            else:
+                out.append([(w1 + w2, borders + ((off, off + c2),), off + c2)])
+        return out
+
+
+def _assert_same_closure(a, seeds, track_plain):
+    ref = _ReferenceClosure(a, seeds, track_plain)
+    g = ExtendedSupportGraph(a, DEFAULT_BUDGETS, seeds, track_plain=track_plain)
+    assert g.nodes == tuple(ref.nodes)
+    assert g.edge_count == len(ref.edges)
+    for eid, (edge, steps) in enumerate(zip(ref.edges, ref.witness_steps())):
+        label, prov, status, src, dst, plain = edge
+        assert g.edge_parts(eid) == (src, label, dst)
+        if track_plain:
+            assert g.edge_plain(eid) == plain
+        assert (g._prov[eid], g._status[eid]) == (prov, status)
+        assert g.witness_steps(eid) == steps
+
+
+def test_extended_closure_matches_reference_schedule():
+    rng = random.Random(1107)
+    for _ in range(12):
+        a = random_automaton(rng, rng.randrange(2, 5), 2)
+        for track_plain in (False, True):
+            _assert_same_closure(a, [a.initial_support], track_plain)
+            if a.n < 4:
+                _assert_same_closure(a, list(range(1, 1 << a.n)), track_plain)
+
+
+def test_extended_edge_cap_matches_reference(ex2):
+    seeds = [ex2.initial_support]
+    full = _ReferenceClosure(ex2, seeds).edges
+    for cap in (3, len(full) - 1):
+        with pytest.raises(BudgetExceededError) as want:
+            _ReferenceClosure(ex2, seeds, path_cap=cap)
+        with pytest.raises(BudgetExceededError) as got:
+            ExtendedSupportGraph(ex2, Budgets(path_cap=cap), seeds)
+        assert str(got.value) == str(want.value)
+    assert ExtendedSupportGraph(ex2, Budgets(path_cap=len(full)), seeds).edge_count == len(full)
+
+
 # -- #-reachability -------------------------------------------------------------
 
 
@@ -351,6 +505,27 @@ def test_limit_parity_reports_why_synthesis_failed(ex2):
     assert v.witness["prefix"] is None and v.witness["probability"] is None
     assert v.witness["prefix_error"].startswith("BudgetExceededError: pumping budget exhausted")
     assert "prefix_error" not in decide_limit_parity_structsimple(b).witness
+
+
+def test_struct_simple_limit_runs_the_gate_once(monkeypatch, ex1, ex2):
+    import qpa.classify as classify
+
+    real = classify.is_structurally_simple
+    calls = []
+
+    def counting(a, budgets=DEFAULT_BUDGETS):
+        calls.append(a)
+        return real(a, budgets)
+
+    monkeypatch.setattr(classify, "is_structurally_simple", counting)
+    for acc in (Acceptance.reach(["4"]), Acceptance.buchi(["4"])):
+        calls.clear()
+        assert decide(ex2.with_acceptance(acc), "limit", "struct-simple").answer == "yes"
+        assert len(calls) == 1
+    with pytest.raises(InputError, match="structurally simple"):
+        decide_limit_reach_structsimple(ex1.with_acceptance(Acceptance.reach(["u"])))
+    with pytest.raises(InputError, match="structurally simple"):
+        decide_limit_parity_structsimple(ex1.with_acceptance(Acceptance.buchi(["u"])))
 
 
 # -- rendering -------------------------------------------------------------------
