@@ -313,14 +313,6 @@ def validate_automaton(a: Automaton) -> list[str]:
     return out
 
 
-def checked(a: Automaton) -> Automaton:
-    """Return the automaton unchanged, raising InputError on any violation."""
-    problems = validate_automaton(a)
-    if problems:
-        raise InputError("; ".join(problems))
-    return a
-
-
 def as_vector(a: Automaton, beta: Mapping[str, Fraction | int | str] | Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Normalize a distribution given by name or by index to an exact vector."""
     if isinstance(beta, Mapping):

@@ -174,16 +174,3 @@ def sccs(succ: Mapping[Hashable, Iterable[Hashable]]) -> list[list[Hashable]]:
 def has_cycle_ignoring_self_loops(succ: Mapping[Hashable, Iterable[Hashable]]) -> bool:
     """True iff the digraph has a cycle through at least two distinct nodes."""
     return any(len(c) > 1 for c in sccs(succ))
-
-
-def closure(seeds: Iterable[Hashable], succ: Callable[[Hashable], Iterable[Hashable]]) -> set[Hashable]:
-    """All nodes reachable from the seeds under a successor function."""
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        v = frontier.pop()
-        for w in succ(v):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen

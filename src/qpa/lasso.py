@@ -15,20 +15,21 @@ from fractions import Fraction
 from math import gcd, lcm, log, sqrt
 from typing import Sequence
 
-from .core import Acceptance, Automaton, LassoWord, Matrix, bits, support_mask
+from .core import Automaton, LassoWord, Matrix, bits, support_mask
 from .errors import BudgetExceededError, InputError
 from .graphs import bottom_scc_masks
 from .profiles import class_minima, profile_of_word
 from .semantics import (
     ChainAnalysis,
     chain_analysis,
-    identity_matrix,
-    make_accepting_absorbing,
-    mat_mul,
-    propagate_vector,
+    int_mul,
+    int_pow,
+    matrix_product,
+    reach_as_buchi,
+    scaled,
     solve_linear,
     support_step,
-    vec_mat,
+    vector_product,
 )
 
 
@@ -96,11 +97,9 @@ class JetDecomposition:
         prefix = a.word(self.word.prefix)
         period = a.word(self.word.period)
         if n <= len(prefix):
-            return propagate_vector(a, a.initial, prefix[:n])
-        vec = propagate_vector(a, a.initial, prefix)
-        for t in range(n - len(prefix)):
-            vec = vec_mat(vec, a.matrices[period[t % len(period)]])
-        return vec
+            return vector_product(a.initial, a.matrices, prefix[:n])
+        rest = [period[t % len(period)] for t in range(n - len(prefix))]
+        return vector_product(a.initial, a.matrices, prefix + tuple(rest))
 
     def j0_mass(self, n: int) -> Fraction:
         vec = self.distribution(n)
@@ -126,8 +125,7 @@ class JetDecomposition:
             mass = sum((vec[i] for i in bits(self.j0.at(n))), Fraction(0))
             if mass < eps:
                 return n
-            for t in range(m):
-                vec = vec_mat(vec, a.matrices[period[(n - prefix_len + t) % m]])
+            vec = vector_product(vec, a.matrices, [period[(n - prefix_len + t) % m] for t in range(m)])
             n += m
             steps += m
             if steps > max_steps:
@@ -148,7 +146,7 @@ def build_lasso_chain(a: Automaton, w: LassoWord) -> LassoChain:
     prefix = a.word(w.prefix)
     period = a.word(w.period)
     m = len(period)
-    vec0 = propagate_vector(a, a.initial, prefix)
+    vec0 = vector_product(a.initial, a.matrices, prefix)
     g = _closure(a, support_mask(vec0), period)
     analysis = chain_analysis(a, g, period)
     sups, _, _ = _support_run(a, support_mask(vec0), period)
@@ -179,8 +177,7 @@ def lasso_acceptance_probability(a: Automaton, w: LassoWord) -> Fraction:
     if acc is None:
         raise InputError("acceptance condition required")
     if acc.kind == "reach":
-        b = make_accepting_absorbing(a).with_acceptance(Acceptance.buchi(acc.states))
-        return lasso_acceptance_probability(b, w)
+        return lasso_acceptance_probability(reach_as_buchi(a), w)
     if acc.kind == "safety":
         return _safety_probability(a, w)
     chain = build_lasso_chain(a, w)
@@ -214,11 +211,8 @@ def _safety_probability(a: Automaton, w: LassoWord) -> Fraction:
     n = a.n
     restricted = [_restricted(mat, fmask, n) for mat in a.matrices]
     vec = tuple(a.initial[i] if fmask >> i & 1 else Fraction(0) for i in range(n))
-    for k in a.word(w.prefix):
-        vec = vec_mat(vec, restricted[k])
-    r = identity_matrix(n)
-    for k in a.word(w.period):
-        r = mat_mul(r, restricted[k])
+    vec = vector_product(vec, restricted, a.word(w.prefix))
+    r = matrix_product(restricted, a.word(w.period), n)
     rows = tuple(
         sum(1 << j for j in range(n) if r[i][j] > 0) if fmask >> i & 1 else 0
         for i in range(n)
@@ -248,34 +242,10 @@ def _safety_probability(a: Automaton, w: LassoWord) -> Fraction:
 # -- jet decomposition -------------------------------------------------------
 
 
-def _dense_pow(mat: list[list[Fraction]], e: int) -> list[list[Fraction]]:
-    size = len(mat)
-    out = [[Fraction(1) if i == j else Fraction(0) for j in range(size)] for i in range(size)]
-    base = [row[:] for row in mat]
-    while e:
-        if e & 1:
-            out = _dense_mul(out, base)
-        e >>= 1
-        if e:
-            base = _dense_mul(base, base)
-    return out
-
-
-def _dense_mul(x: list[list[Fraction]], y: list[list[Fraction]]) -> list[list[Fraction]]:
-    size = len(x)
-    yt = list(zip(*y))
-    return [
-        [sum(xi[k] * yj[k] for k in range(size)) for yj in yt] for xi in x
-    ]
-
-
-def _min_positive(mat: list[list[Fraction]]) -> Fraction | None:
-    best: Fraction | None = None
-    for row in mat:
-        for v in row:
-            if v > 0 and (best is None or v < best):
-                best = v
-    return best
+def _min_positive(rows: Sequence[Sequence[int]], den: int) -> Fraction | None:
+    """Least positive entry of the matrix rows/den."""
+    best = min((v for row in rows for v in row if v > 0), default=None)
+    return None if best is None else Fraction(best, den)
 
 
 @dataclass
@@ -329,6 +299,15 @@ def _analyze_class(
     t_start: int,
     p_sup: int,
 ) -> _ClassInfo:
+    """Period, cyclic blocks, stabilizing power, floor and active alignments
+    of one recurrent class of the product chain.
+
+    The one-step class matrix is scaled once to integer rows over one
+    denominator den.  Its d-th power, that power's kstar-th power and the
+    d - 1 walk steps after it stay integer rows over den**e for their
+    exponent e; positivity is read from the integer signs, and only each
+    least positive entry is unscaled, to Fraction(numerator, den**e).
+    """
     n = a.n
     m = len(period)
     states = list(bits(cmask))
@@ -351,7 +330,7 @@ def _analyze_class(
     for x in states:
         blocks[cyc[x]] |= 1 << pos[x]
     # exact one-step matrix inside the class
-    dense = [[Fraction(0)] * len(states) for _ in states]
+    dense: list[list[Fraction | int]] = [[0] * len(states) for _ in states]
     for x in states:
         phase, q = divmod(x, n)
         row = a.matrices[period[phase]][q]
@@ -359,7 +338,8 @@ def _analyze_class(
         for qq in range(n):
             if row[qq] > 0:
                 dense[pos[x]][pos[shift + qq]] = row[qq]
-    td = _dense_pow(dense, d)
+    one_step, den = scaled(dense)
+    td = int_pow(one_step, d)
     # smallest power of the d-step matrix that is positive on every block
     rel_td = [sum(1 << j for j in range(len(states)) if td[i][j] > 0) for i in range(len(states))]
     power = list(rel_td)
@@ -372,12 +352,13 @@ def _analyze_class(
         kstar += 1
         if kstar > cap:
             raise RuntimeError("cyclic block power failed to stabilize")
-    stabilized = _dense_pow(td, kstar)
-    eps = _min_positive(stabilized)
-    walk = stabilized
+    walk = int_pow(td, kstar)
+    walk_den = den ** (d * kstar)
+    eps = _min_positive(walk, walk_den)
     for _ in range(d - 1):
-        walk = _dense_mul(walk, dense)
-        step_min = _min_positive(walk)
+        walk = int_mul(walk, one_step)
+        walk_den *= den
+        step_min = _min_positive(walk, walk_den)
         if step_min is not None and step_min < eps:
             eps = step_min
     # alignments that ever receive absorbed mass all appear within one
@@ -440,9 +421,7 @@ def lasso_jet_decomposition(a: Automaton, w: LassoWord) -> JetDecomposition:
     n_t = t0 + max(info.d * info.kstar for info in infos)
     n_t += (-n_t) % m
     big_n = len(prefix) + n_t
-    vec = chain.prefix_vector
-    for t in range(t0):
-        vec = vec_mat(vec, a.matrices[period[t % m]])
+    vec = vector_product(chain.prefix_vector, a.matrices, [period[t % m] for t in range(t0)])
     lam: Fraction | None = None
     for info in infos:
         for alignment in info.actives:
@@ -511,13 +490,12 @@ def simulate_runs(a: Automaton, w: LassoWord, samples: int, seed: int) -> dict[s
     if acc is None:
         raise InputError("acceptance condition required")
     if acc.kind == "reach":
-        b = make_accepting_absorbing(a).with_acceptance(Acceptance.buchi(acc.states))
-        return simulate_runs(b, w, samples, seed)
+        return simulate_runs(reach_as_buchi(a), w, samples, seed)
     prefix = a.word(w.prefix)
     period = a.word(w.period)
     n = a.n
     m = len(period)
-    vec0 = propagate_vector(a, a.initial, prefix)
+    vec0 = vector_product(a.initial, a.matrices, prefix)
     sups, t_start, p_sup = _support_run(a, support_mask(vec0), period)
     reach = 0
     g0 = 0

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import deque
 
 from .core import (
-    Acceptance,
     Automaton,
     Budgets,
     DEFAULT_BUDGETS,
@@ -30,7 +29,7 @@ from .profiles import (
     profile_image,
     safe_identity,
 )
-from .semantics import make_accepting_absorbing, support_step
+from .semantics import reach_as_buchi, support_step
 
 PROBLEMS = ("positive", "almost", "limit")
 MODES = ("simple", "general", "lasso", "struct-simple")
@@ -91,7 +90,7 @@ def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
     if acc.kind == "safety":
         return decide_safety(a, "almost", budgets)
     if acc.kind == "reach":
-        b = make_accepting_absorbing(a).with_acceptance(Acceptance.buchi(acc.states))
+        b = reach_as_buchi(a)
         v = decide_almost_simple(b, budgets)
         if v.answer == "yes":
             w = LassoWord(tuple(v.witness["prefix"]), tuple(v.witness["period"]))
@@ -123,7 +122,7 @@ def decide_positive_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
     if acc.kind == "safety":
         return decide_safety(a, "positive", budgets)
     if acc.kind == "reach":
-        b = make_accepting_absorbing(a).with_acceptance(Acceptance.buchi(acc.states))
+        b = reach_as_buchi(a)
         v = decide_positive_simple(b, budgets)
         if v.answer == "yes":
             w = LassoWord(tuple(v.witness["prefix"]), tuple(v.witness["period"]))

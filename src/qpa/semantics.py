@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .core import Acceptance, Automaton, Matrix, as_mask, as_vector, as_weights, bits
@@ -13,46 +15,87 @@ from .graphs import bottom_scc_masks, bottom_states_mask
 from .profiles import class_minima, profile_of_word
 
 
-def mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    n = len(x)
+IntRows = list[tuple[int, ...]]
+
+
+def scaled(mat: Sequence[Sequence[Fraction | int]]) -> tuple[IntRows, int]:
+    """An exact matrix as integer rows over one common denominator.
+
+    The denominator is the lcm of the entry denominators, so the rows times
+    1/den give back the matrix exactly.
+    """
+    den = lcm(*(v.denominator for row in mat for v in row))
+    return [tuple(v.numerator * (den // v.denominator) for v in row) for row in mat], den
+
+
+def unscaled(rows: Sequence[Sequence[int]], den: int) -> Matrix:
+    """The Fraction matrix rows/den, every entry normalized."""
+    return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
+
+
+def int_mul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> IntRows:
+    """Dense integer product.  The product of (X, dx) and (Y, dy) is
+    (int_mul(X, Y), dx * dy), left unnormalized: this is the one dense
+    matrix kernel of the library."""
     yt = tuple(zip(*y))
-    return tuple(
-        tuple(sum(xi[m] * yj[m] for m in range(n)) for yj in yt) for xi in x
-    )
+    return [tuple(sum(map(mul, xi, yj)) for yj in yt) for xi in x]
 
 
-def identity_matrix(n: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+def int_pow(x: Sequence[Sequence[int]], e: int) -> IntRows:
+    """x**e for e >= 1 by repeated squaring; the denominator becomes den**e."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else int_mul(out, x)
+        e >>= 1
+        if not e:
+            return out
+        x = int_mul(x, x)
+
+
+def _compose(rows: Sequence[Sequence[int]], den: int, mats: Sequence[Matrix], word: Sequence[int]) -> tuple[IntRows, int]:
+    """(rows, den) times mats[word[0]] ... mats[word[-1]], in integers; each
+    letter matrix is scaled once and the denominators multiply."""
+    factors = {k: scaled(mats[k]) for k in set(word)}
+    for k in word:
+        x, dx = factors[k]
+        rows = int_mul(rows, x)
+        den *= dx
+    return rows, den
+
+
+def matrix_product(mats: Sequence[Matrix], word: Sequence[int], n: int) -> Matrix:
+    """Exact product mats[word[0]] ... mats[word[-1]]; identity for no letters.
+
+    The word is composed as integer rows over the product of the letter
+    denominators and unscaled once, at the end.
+    """
+    if not word:
+        return unscaled([[int(i == j) for j in range(n)] for i in range(n)], 1)
+    return unscaled(*_compose(*scaled(mats[word[0]]), mats, word[1:]))
+
+
+def vector_product(vec: Sequence[Fraction], mats: Sequence[Matrix], word: Sequence[int]) -> tuple[Fraction, ...]:
+    """Exact row vector vec . mats[word[0]] ... mats[word[-1]].
+
+    The vector is scaled to one integer row, composed like matrix_product,
+    and unscaled once, at the end.
+    """
+    return unscaled(*_compose(*scaled([vec]), mats, word))[0]
 
 
 def word_matrix(a: Automaton, word) -> Matrix:
-    """Exact product of the letter matrices; the empty word gives the identity."""
-    w = a.word(word)
-    out = identity_matrix(a.n)
-    for k in w:
-        out = mat_mul(out, a.matrices[k])
-    return out
+    """Exact product of the letter matrices; the empty word gives the identity.
 
-
-def vec_mat(vec: Sequence[Fraction], m: Matrix) -> tuple[Fraction, ...]:
-    n = len(vec)
-    return tuple(sum(vec[i] * m[i][j] for i in range(n)) for j in range(n))
+    Composed as integer rows over one common denominator (`matrix_product`)
+    and unscaled to normalized Fractions only at the end.
+    """
+    return matrix_product(a.matrices, a.word(word), a.n)
 
 
 def propagate(a: Automaton, beta: Mapping[str, Fraction] | Sequence[Fraction], word) -> dict[str, Fraction]:
     """Push a distribution through a finite word; exact, zero entries omitted."""
-    vec = as_vector(a, beta)
-    for k in a.word(word):
-        vec = vec_mat(vec, a.matrices[k])
-    return as_weights(a, vec)
-
-
-def propagate_vector(a: Automaton, vec: Sequence[Fraction], word: Sequence[int]) -> tuple[Fraction, ...]:
-    out = tuple(vec)
-    for k in word:
-        out = vec_mat(out, a.matrices[k])
-    return out
+    return as_weights(a, vector_product(as_vector(a, beta), a.matrices, a.word(word)))
 
 
 def rel_image(rows: Sequence[int], mask: int) -> int:
@@ -223,3 +266,13 @@ def make_accepting_absorbing(a: Automaton, F=None) -> Automaton:
                 rows.append(mat[i])
         mats.append(tuple(rows))
     return Automaton(a.states, a.alphabet, mats, a.initial, a.acceptance)
+
+
+def reach_as_buchi(a: Automaton) -> Automaton:
+    """The reach condition of a as Buchi on the same target, made absorbing.
+
+    Acceptance probabilities of every word are preserved; see
+    make_accepting_absorbing.
+    """
+    acc = a.acceptance
+    return make_accepting_absorbing(a).with_acceptance(Acceptance.buchi(acc.states))

@@ -53,7 +53,7 @@ from .graphs import (
 )
 from .linked import border_chain, layer_of_rows, layer_rows, linked_graph_of_word
 from .profiles import build_profile_monoid, profile_image
-from .semantics import chain_parity_almost, propagate_vector, rel_image, sharp_power
+from .semantics import chain_parity_almost, rel_image, sharp_power, vector_product
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +688,18 @@ def synthesize_limit_word(
     if a.initial_support & ~tmask == 0:
         return ()
     graph = build_extended_support_graph(a, budgets=budgets)
-    reach = graph.reachable_with_steps(a.initial_support)
+    return _pumped_word(a, graph.reachable_with_steps(a.initial_support), tmask, bound, budgets)
+
+
+def _pumped_word(
+    a: Automaton,
+    reach: dict[int, list[Step] | None],
+    tmask: int,
+    bound: Fraction,
+    budgets: Budgets,
+) -> tuple[str, ...]:
+    """synthesize_limit_word past its input checks, on the nodes #-reachable
+    from the initial support of the seeded extended graph."""
     steps: list[Step] | None = None
     reachable_at_all = False
     for t, st in reach.items():
@@ -715,7 +726,7 @@ def synthesize_limit_word(
             raise BudgetExceededError(
                 f"pumped word length {len(word)} exceeds cap; best probability {best}"
             )
-        vec = propagate_vector(a, a.initial, word)
+        vec = vector_product(a.initial, a.matrices, word)
         p = sum((vec[i] for i in bits(tmask)), Fraction(0))
         if p >= threshold:
             return tuple(a.alphabet[x] for x in word)
@@ -764,7 +775,7 @@ def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
                 "probability": None,
             }
             try:
-                prefix = synthesize_limit_word(a, node, Fraction(1, 10), budgets)
+                prefix = _pumped_word(a, reach, node, Fraction(1, 10), budgets)
             except (BudgetExceededError, InputError) as exc:
                 witness["prefix_error"] = f"{type(exc).__name__}: {exc}"
             else:

@@ -1,0 +1,211 @@
+"""The integer dense kernel against Fraction references, on non-dyadic weights.
+
+Every other random generator in the suite draws dyadic weights, under which
+a wrong power of the common denominator can cancel against a power of 2;
+weights w/total with w in 1..5 make the denominators 3, 5, 7, ... too.
+"""
+import random
+from fractions import Fraction
+from math import gcd, lcm
+
+import pytest
+
+import qpa.lasso as lasso
+import qpa.semantics as semantics
+from qpa.core import Acceptance, Automaton, LassoWord, bits
+from qpa.lasso import lasso_acceptance_probability, lasso_jet_decomposition
+from qpa.semantics import word_matrix
+
+from oracles import omatmul, oword_matrix
+
+
+def _weighted_row(rng: random.Random, n: int, dests: list[int]) -> list[Fraction]:
+    weights = [rng.randrange(1, 6) for _ in dests]
+    total = sum(weights)
+    row = [Fraction(0)] * n
+    for d, w in zip(dests, weights):
+        row[d] += Fraction(w, total)
+    return row
+
+
+def nondyadic_lasso(rng: random.Random, n: int, period_len: int) -> tuple[Automaton, LassoWord]:
+    """A transient part leaking into two or three closed blocks, and a lasso."""
+    sizes = [rng.randrange(1, 4) for _ in range(rng.choice((2, 2, 3)))]
+    while sum(sizes) > n - 1:
+        sizes[sizes.index(max(sizes))] -= 1
+    sizes = [s for s in sizes if s]
+    blocks, nxt = [], n - sum(sizes)
+    for s in sizes:
+        blocks.append(list(range(nxt, nxt + s)))
+        nxt += s
+    transient = list(range(n - sum(sizes)))
+    mats = []
+    for _ in range(2):
+        rows = []
+        for i in range(n):
+            block = next((b for b in blocks if i in b), None)
+            if block is not None:
+                dests = [rng.choice(block) for _ in range(rng.choice((2, 3)))]
+            else:
+                dests = [rng.choice(transient)] + [rng.choice(b) for b in blocks[:2]]
+            rows.append(_weighted_row(rng, n, dests))
+        mats.append(rows)
+    states = [f"q{i}" for i in range(n)]
+    init = [Fraction(0)] * n
+    init[rng.choice(transient)] = Fraction(1)
+    kind = rng.choice(("parity", "buchi", "cobuchi", "reach", "safety"))
+    if kind == "parity":
+        acc = Acceptance.parity({q: rng.randrange(4) for q in states})
+    else:
+        acc = Acceptance(kind, frozenset(rng.sample(states, rng.randrange(1, n + 1))))
+    prefix = tuple(rng.choice("ab") for _ in range(rng.randrange(4)))
+    period = tuple(rng.choice("ab") for _ in range(period_len))
+    return Automaton(states, ["a", "b"], mats, init, acc), LassoWord(prefix, period)
+
+
+# -- the Fraction kernel and class analysis the integer kernel replaced --------
+
+
+def _ref_matrix_product(mats, word, n):
+    out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in word:
+        out = omatmul(out, mats[k])
+    return tuple(tuple(row) for row in out)
+
+
+def _ref_vector_product(vec, mats, word):
+    out = tuple(vec)
+    for k in word:
+        out = tuple(sum(out[i] * mats[k][i][j] for i in range(len(out))) for j in range(len(out)))
+    return out
+
+
+def _ref_dense_mul(x, y):
+    size = len(x)
+    yt = list(zip(*y))
+    return [[sum(xi[k] * yj[k] for k in range(size)) for yj in yt] for xi in x]
+
+
+def _ref_dense_pow(mat, e):
+    size = len(mat)
+    out = [[Fraction(1) if i == j else Fraction(0) for j in range(size)] for i in range(size)]
+    base = [row[:] for row in mat]
+    while e:
+        if e & 1:
+            out = _ref_dense_mul(out, base)
+        e >>= 1
+        if e:
+            base = _ref_dense_mul(base, base)
+    return out
+
+
+def _ref_min_positive(mat):
+    best = None
+    for row in mat:
+        for v in row:
+            if v > 0 and (best is None or v < best):
+                best = v
+    return best
+
+
+def _ref_analyze_class(a, period, prod_rows, cmask, sups, t_start, p_sup):
+    n = a.n
+    m = len(period)
+    states = list(bits(cmask))
+    pos = {x: i for i, x in enumerate(states)}
+    level = {states[0]: 0}
+    queue = [states[0]]
+    while queue:
+        u = queue.pop(0)
+        for v in bits(prod_rows[u] & cmask):
+            if v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    d = 0
+    for u in states:
+        for v in bits(prod_rows[u] & cmask):
+            d = gcd(d, abs(level[u] + 1 - level[v]))
+    cyc = {x: level[x] % d for x in states}
+    blocks = [0] * d
+    for x in states:
+        blocks[cyc[x]] |= 1 << pos[x]
+    dense = [[Fraction(0)] * len(states) for _ in states]
+    for x in states:
+        phase, q = divmod(x, n)
+        row = a.matrices[period[phase]][q]
+        shift = ((phase + 1) % m) * n
+        for qq in range(n):
+            if row[qq] > 0:
+                dense[pos[x]][pos[shift + qq]] = row[qq]
+    td = _ref_dense_pow(dense, d)
+    rel_td = [sum(1 << j for j in range(len(states)) if td[i][j] > 0) for i in range(len(states))]
+    power = list(rel_td)
+    kstar = 1
+    while any(power[i] != blocks[cyc[states[i]]] for i in range(len(states))):
+        power = [lasso._or_rows(power[i], rel_td) for i in range(len(states))]
+        kstar += 1
+    stabilized = _ref_dense_pow(td, kstar)
+    eps = _ref_min_positive(stabilized)
+    walk = stabilized
+    for _ in range(d - 1):
+        walk = _ref_dense_mul(walk, dense)
+        step_min = _ref_min_positive(walk)
+        if step_min is not None and step_min < eps:
+            eps = step_min
+    horizon = t_start + lcm(p_sup, d)
+    first_seen = {}
+    for t in range(horizon + 1):
+        sup = sups[t] if t < len(sups) else sups[t_start + (t - t_start) % p_sup]
+        inter = (sup << ((t % m) * n)) & cmask
+        for x in bits(inter):
+            first_seen.setdefault((cyc[x] - t) % d, t)
+    actives = sorted(first_seen)
+    t_full = max(first_seen.values())
+    return lasso._ClassInfo(
+        cmask, lasso._slice0(cmask, n), states, d, kstar, eps, blocks, cyc, actives, t_full
+    )
+
+
+def _fraction_kernel(monkeypatch):
+    monkeypatch.setattr(semantics, "matrix_product", _ref_matrix_product)
+    monkeypatch.setattr(lasso, "matrix_product", _ref_matrix_product)
+    monkeypatch.setattr(lasso, "vector_product", _ref_vector_product)
+    monkeypatch.setattr(lasso, "_analyze_class", _ref_analyze_class)
+
+
+def _jets(d):
+    return (
+        [(j.head, j.cycle) for j in d.jets],
+        (d.j0.head, d.j0.cycle),
+        d.stabilization_index,
+        d.lambda_bound,
+        d.chain.analysis.absorption,
+    )
+
+
+# -- tests ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_word_matrix_matches_oracle_nondyadic(n):
+    rng = random.Random(5100 + n)
+    for period_len in range(1, 5):
+        a, _ = nondyadic_lasso(rng, n, period_len)
+        for wlen in (0, 1, 2, 5):
+            w = tuple(rng.randrange(2) for _ in range(wlen))
+            m = word_matrix(a, w)
+            assert [list(r) for r in m] == oword_matrix(a, w)
+            assert type(m) is tuple and all(type(row) is tuple for row in m)
+            assert all(type(v) is Fraction for row in m for v in row)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_lasso_values_match_fraction_kernel(monkeypatch, n):
+    rng = random.Random(5200 + n)
+    cases = [nondyadic_lasso(rng, n, period_len) for period_len in range(1, 5) for _ in range(2)]
+    got = [(lasso_acceptance_probability(a, w), _jets(lasso_jet_decomposition(a, w))) for a, w in cases]
+    _fraction_kernel(monkeypatch)
+    want = [(lasso_acceptance_probability(a, w), _jets(lasso_jet_decomposition(a, w))) for a, w in cases]
+    assert got == want
+    for p, (_, _, _, lam, _) in got:
+        assert type(p) is Fraction and type(lam) is Fraction

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from qpa.graphs import (
     bottom_scc_masks,
     bottom_states_mask,
-    closure,
     has_cycle_ignoring_self_loops,
     reachable_mask,
     scc_masks,
@@ -47,10 +46,6 @@ def test_self_loop_cycle_conventions():
 def test_sccs_dict():
     comps = sccs({0: {1}, 1: {0}, 2: {0}})
     assert {frozenset(c) for c in comps} == {frozenset({0, 1}), frozenset({2})}
-
-
-def test_closure_function():
-    assert closure([1], lambda x: [x * 2] if x < 8 else []) == {1, 2, 4, 8}
 
 
 def _random_rows(rng, n):

@@ -507,6 +507,28 @@ def test_limit_parity_reports_why_synthesis_failed(ex2):
     assert "prefix_error" not in decide_limit_parity_structsimple(b).witness
 
 
+def test_limit_parity_builds_the_seeded_graph_once(monkeypatch, ex2):
+    import qpa.supportgraph as sg
+
+    real = sg.build_extended_support_graph
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sg, "build_extended_support_graph", counting)
+    v = decide_limit_parity_structsimple(ex2.with_acceptance(Acceptance.buchi(["4"])))
+    assert len(calls) == 1
+    # the same witness as when synthesis built a second graph of its own
+    assert v.witness == {
+        "support": ["4"],
+        "period": ["a"],
+        "prefix": (["a"] * 6 + ["b"]) * 6,
+        "probability": "4202122300929/4398046511104",
+    }
+
+
 def test_struct_simple_limit_runs_the_gate_once(monkeypatch, ex1, ex2):
     import qpa.classify as classify
 
