@@ -213,8 +213,6 @@ def is_structurally_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
     shrinkable: set[int] = set()
     returners: dict[int, dict[int, int]] = {}
     for eid in range(g.edge_count):
-        if not g.edge_is_full(eid):
-            continue
         src, _, dst = g.edge_parts(eid)
         if dst != src and dst & src == dst:
             shrinkable.add(src)
@@ -243,10 +241,7 @@ def is_structurally_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
             eid = back.get(s)
             if eid is None:
                 continue
-            steps = g.witness_steps(eid)
-            if steps is None or len(steps) != 1 or steps[0][2] != len(steps[0][0]):
-                raise RuntimeError("#-return witness does not replay as one graph")
-            word, borders, _ = steps[0]
+            ((word, borders, _),) = g.witness_steps(eid)
             plain = support_step(a, s, word)
             if plain == c:
                 raise RuntimeError("#-return witness lost its plain overshoot")

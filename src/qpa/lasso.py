@@ -22,7 +22,6 @@ from .profiles import class_minima, profile_of_word
 from .semantics import (
     ChainAnalysis,
     chain_analysis,
-    int_mul,
     int_pow,
     matrix_product,
     reach_as_buchi,
@@ -303,10 +302,14 @@ def _analyze_class(
     of one recurrent class of the product chain.
 
     The one-step class matrix is scaled once to integer rows over one
-    denominator den.  Its d-th power, that power's kstar-th power and the
-    d - 1 walk steps after it stay integer rows over den**e for their
-    exponent e; positivity is read from the integer signs, and only each
-    least positive entry is unscaled, to Fraction(numerator, den**e).
+    denominator den.  Its d-th power and that power's kstar-th power stay
+    integer rows over den**e for their exponent e; positivity is read from
+    the integer signs, and only the floor eps, the least positive entry of
+    the stabilized power N^(d*kstar), is unscaled, to
+    Fraction(numerator, den**e).  No later power within a period goes
+    lower: the class rows are stochastic and N^(d*kstar) is positive on
+    every cyclic block, so an entry of N^(d*kstar+j) is either 0 or a
+    convex combination of positive entries of one column of N^(d*kstar).
     """
     n = a.n
     m = len(period)
@@ -352,15 +355,7 @@ def _analyze_class(
         kstar += 1
         if kstar > cap:
             raise RuntimeError("cyclic block power failed to stabilize")
-    walk = int_pow(td, kstar)
-    walk_den = den ** (d * kstar)
-    eps = _min_positive(walk, walk_den)
-    for _ in range(d - 1):
-        walk = int_mul(walk, one_step)
-        walk_den *= den
-        step_min = _min_positive(walk, walk_den)
-        if step_min is not None and step_min < eps:
-            eps = step_min
+    eps = _min_positive(int_pow(td, kstar), den ** (d * kstar))
     # alignments that ever receive absorbed mass all appear within one
     # common period of the support sequence and the class rotation
     horizon = t_start + lcm(p_sup, d)

@@ -255,6 +255,11 @@ def make_accepting_absorbing(a: Automaton, F=None) -> Automaton:
     mask = a.acceptance_mask() if F is None else as_mask(a, F)
     if mask == 0:
         return a
+    return Automaton(a.states, a.alphabet, _absorbing(a, mask), a.initial, a.acceptance)
+
+
+def _absorbing(a: Automaton, mask: int) -> list[tuple]:
+    """The letter matrices of a with every state in mask made a sink."""
     one, zero = Fraction(1), Fraction(0)
     mats = []
     for mat in a.matrices:
@@ -265,7 +270,7 @@ def make_accepting_absorbing(a: Automaton, F=None) -> Automaton:
             else:
                 rows.append(mat[i])
         mats.append(tuple(rows))
-    return Automaton(a.states, a.alphabet, mats, a.initial, a.acceptance)
+    return mats
 
 
 def reach_as_buchi(a: Automaton) -> Automaton:
@@ -274,5 +279,5 @@ def reach_as_buchi(a: Automaton) -> Automaton:
     Acceptance probabilities of every word are preserved; see
     make_accepting_absorbing.
     """
-    acc = a.acceptance
-    return make_accepting_absorbing(a).with_acceptance(Acceptance.buchi(acc.states))
+    buchi = Acceptance.buchi(a.acceptance.states)
+    return Automaton(a.states, a.alphabet, _absorbing(a, a.acceptance_mask()), a.initial, buchi)

@@ -20,11 +20,17 @@ is popped first.  Those first combinations keep their order: edge ids
 follow the order in which results first appear, and provenance, replay
 steps and the edge at which a budget stop is raised all hang on the ids.
 
-Every derived edge carries a derivation tree.  Trees flatten, when the
-shape allows, into replay steps (word, borders, cut): concrete layered
-graphs on which the claimed destination is recomputed from scratch.
+Every derived edge carries a derivation tree, and every tree flattens into
+one replay step (word, borders, cut): a concrete layered graph, read at its
+last boundary, on which the claimed destination is recomputed from scratch.
 Limit-word synthesis pumps each border segment of such a witness, doubling
 the repetition count until the exact probability passes the threshold.
+
+A "no" needs the closure's fixpoint, a "yes" only one reachable support
+that satisfies the query.  A seeded closure can therefore be given a stop
+predicate on supports: it then ends at the first edge insertion that makes
+a satisfying support #-reachable from its seed, and its edges are a prefix
+of the full closure's edges.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     DEFAULT_BUDGETS,
@@ -160,8 +166,6 @@ def is_sharp_acyclic(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
 # ---------------------------------------------------------------------------
 # Extended support graph
 
-_ST_NONE, _ST_MULTI, _ST_CUT, _ST_FULL = 0, 1, 2, 3
-
 # A replay step is (word, borders, cut): letter indices, border pairs in
 # application order, and the boundary index to read the result from.
 Step = tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]
@@ -174,26 +178,41 @@ def _row_pairs(rows: Sequence[int], n: int) -> RowPairs:
     return tuple((i * n, row) for i, row in enumerate(rows) if row)
 
 
+class _Stopped(Exception):
+    """Ends a closure whose stop predicate holds on a reachable node."""
+
+
 class ExtendedSupportGraph:
     """Fixpoint closure of source-restricted word relations under borders.
 
     Edges are keyed by their relation label (the source and destination are
-    the label's left and right projections).  Each edge stores the first
-    derivation that produced it, upgraded when a later derivation admits a
-    better word-level replay.  An automaton with more than
+    the label's left and right projections), and each stores the first
+    derivation that produced it.  An automaton with more than
     budgets.extended_states states is refused before any seed is read.
+
+    With stop, a predicate on supports, the graph keeps the set of nodes
+    #-reachable from its last seed (the origin) as edges are inserted; edges
+    are only ever added, so the set only grows.  The closure ends at the
+    insertion that makes a node satisfying stop reachable, before any
+    further edge, or before the first edge when the origin satisfies it.
+    Nothing else changes, so the edges are a prefix of the full closure's,
+    with the same ids and provenance, and a budget stop is raised only
+    when the budget is hit before the stop.
 
     A pair (e, f) with dst(e) = src(f) is met twice when both edges exist
     before the first of them is popped: in e's outgoing loop and in f's
-    incoming loop.  Only the first meeting combines them.  The second would
-    repeat the same insertion with the same statuses (letter edges are full,
-    and composing or bordering full edges gives full edges, so no status
-    ever changes), and such a repeat finds its result already present.
-    Skipping it leaves every first insertion, and so every edge id, where
-    combining at both meetings puts it.
+    incoming loop.  Only the first meeting combines them; the second would
+    repeat the same insertion and find its result already present.
     """
 
-    def __init__(self, a: Automaton, budgets: Budgets, seeds: Sequence[int], track_plain: bool = False):
+    def __init__(
+        self,
+        a: Automaton,
+        budgets: Budgets,
+        seeds: Sequence[int],
+        track_plain: bool = False,
+        stop: Callable[[int], bool] | None = None,
+    ):
         if a.n > budgets.extended_states:
             raise BudgetExceededError(
                 f"extended support graph allows at most {budgets.extended_states} states"
@@ -212,7 +231,6 @@ class ExtendedSupportGraph:
         self._src: list[int] = []
         self._dst: list[int] = []
         self._prov: list[tuple] = []
-        self._status: list[int] = []
         # composition data: source rows and image table of the label, the
         # same for the plain relation, and the table of the funnel that a
         # border through the edge applies; None when the edge's destinations
@@ -231,42 +249,59 @@ class ExtendedSupportGraph:
         self._nodes: list[int] = []
         self._node_set: set[int] = set()
         self._pending: deque[int] = deque()
-        self._steps_memo: dict[int, list[Step] | None] = {}
+        self._steps_memo: dict[int, Step] = {}
+        self._stop = stop
+        # nodes #-reachable from the origin; stays empty without stop
+        self._reached: set[int] = set()
         self._letter_plain = [
             layer_of_rows(a.relation(k), a.full_mask, n) for k in range(len(a.alphabet))
         ]
-        for s in seeds:
-            self._add_node(s)
-        self._run()
+        try:
+            if stop is not None:
+                self._reach(seeds[-1])
+            for s in seeds:
+                self._add_node(s)
+            self._run()
+        except _Stopped:
+            pass
 
     # -- construction ------------------------------------------------------
 
-    def _add_node(self, s: int) -> None:
-        if s in self._node_set:
-            return
-        self._node_set.add(s)
-        self._nodes.append(s)
-        self._by_src.setdefault(s, [])
-        self._by_dst.setdefault(s, [])
-        a = self.automaton
-        for k in range(len(a.alphabet)):
-            label = layer_of_rows(a.relation(k), s, self._n)
-            self._add(label, self._letter_plain[k], ("word", k), _ST_FULL)
+    def _add_node(self, s: int, reached: bool = False) -> None:
+        # s is registered, then marked reachable (which may end the closure),
+        # and only then, the first time, given its letter edges.
+        fresh = s not in self._node_set
+        if fresh:
+            self._node_set.add(s)
+            self._nodes.append(s)
+            self._by_src[s] = []
+            self._by_dst[s] = []
+        if reached and s not in self._reached:
+            self._reach(s)
+        if fresh:
+            a = self.automaton
+            for k in range(len(a.alphabet)):
+                label = layer_of_rows(a.relation(k), s, self._n)
+                self._add(label, self._letter_plain[k], ("word", k))
 
-    def _add(self, label: int, plain: int, prov: tuple, status: int) -> None:
+    def _reach(self, s: int) -> None:
+        """Mark s and every node reachable from it by present edges."""
+        reached, by_src, dst_of, stop = self._reached, self._by_src, self._dst, self._stop
+        reached.add(s)
+        todo = [s]
+        while todo:
+            t = todo.pop()
+            if stop(t):
+                raise _Stopped
+            for eid in by_src.get(t, ()):
+                d = dst_of[eid]
+                if d not in reached:
+                    reached.add(d)
+                    todo.append(d)
+
+    def _add(self, label: int, plain: int, prov: tuple) -> None:
         key = plain << self._nn | label if self.track_plain else label
-        found = self._keys.get(key)
-        if found is not None:
-            # Keep the derivation with the best replay shape, but only when its
-            # operands precede this edge: provenance then stays a DAG.
-            if (
-                prov[0] != "word"
-                and status > self._status[found]
-                and prov[1] < found
-                and prov[2] < found
-            ):
-                self._prov[found] = prov
-                self._status[found] = status
+        if key in self._keys:
             return
         if len(self._label) >= self.budgets.path_cap:
             raise BudgetExceededError(
@@ -306,11 +341,12 @@ class ExtendedSupportGraph:
                 )
             )
         self._prov.append(prov)
-        self._status.append(status)
         self._out_at.append(0)
         self._in_at.append(0)
-        self._add_node(dst)
+        # src is an older node, so the letter edges _add_node(dst) may add
+        # never leave it: registering eid first keeps the order of _by_src[src]
         self._by_src[src].append(eid)
+        self._add_node(dst, src in self._reached)
         self._by_dst[dst].append(eid)
         self._pending.append(eid)
 
@@ -332,10 +368,9 @@ class ExtendedSupportGraph:
                     self._combine(e, eid)
 
     def _combine(self, i1: int, i2: int) -> None:
-        # Most results are edges already present with a status at least as
-        # good; they are recognised here without building a provenance.
-        keys, status = self._keys, self._status
-        s1, s2 = status[i1], status[i2]
+        # Most results are edges already present; they are recognised here
+        # without building a provenance.
+        keys = self._keys
         pairs = self._row_pairs[i1]
         img = self._image[i2]
         comp = 0
@@ -347,15 +382,8 @@ class ExtendedSupportGraph:
             for off, row in self._plain_pairs[i1]:
                 plain |= img(row) << off
         high = plain << self._nn
-        if s1 == _ST_NONE or s2 == _ST_NONE:
-            st = _ST_NONE
-        elif s1 == _ST_FULL:
-            st = s2 if s2 in (_ST_FULL, _ST_CUT) else _ST_MULTI
-        else:
-            st = _ST_MULTI
-        found = keys.get(high | comp)
-        if found is None or st > status[found]:
-            self._add(comp, plain, ("compose", i1, i2), st)
+        if high | comp not in keys:
+            self._add(comp, plain, ("compose", i1, i2))
         img = self._funnel_image[i2]
         if img is None:
             return
@@ -365,11 +393,8 @@ class ExtendedSupportGraph:
         rewired = 0
         for off, row in pairs:
             rewired |= img(row) << off
-        mergeable = s1 == _ST_FULL and s2 in (_ST_FULL, _ST_CUT)
-        st2 = (_ST_FULL if s2 == _ST_FULL else _ST_CUT) if mergeable else _ST_NONE
-        found = keys.get(high | rewired)
-        if found is None or st2 > status[found]:
-            self._add(rewired, plain, ("border", i1, i2, 2), st2)
+        if high | rewired not in keys:
+            self._add(rewired, plain, ("border", i1, i2, 2))
 
     # -- views -------------------------------------------------------------
 
@@ -397,15 +422,11 @@ class ExtendedSupportGraph:
             raise InputError("graph was built without plain-relation tracking")
         return self._plain[eid]
 
-    def edge_is_full(self, eid: int) -> bool:
-        """True when the edge replays as one bordered graph read at its last
-        boundary, so its destination is a plain #-destination of the word."""
-        return self._status[eid] == _ST_FULL
-
     # -- witness flattening --------------------------------------------------
 
-    def witness_steps(self, eid: int) -> list[Step] | None:
-        """Replay steps for an edge, or None when its derivation does not flatten."""
+    def witness_steps(self, eid: int) -> list[Step]:
+        """Replay steps for an edge: one bordered graph, read at its last
+        boundary, whose destination there is the edge's destination."""
         memo = self._steps_memo
         stack = [eid]
         while stack:
@@ -415,55 +436,35 @@ class ExtendedSupportGraph:
                 continue
             prov = self._prov[e]
             if prov[0] == "word":
-                memo[e] = [((prov[1],), (), 1)]
+                memo[e] = ((prov[1],), (), 1)
                 stack.pop()
                 continue
-            subs = prov[1:3]
-            missing = [x for x in subs if x not in memo]
+            missing = [x for x in prov[1:3] if x not in memo]
             if missing:
                 stack.extend(missing)
                 continue
             stack.pop()
-            s1, s2 = memo[subs[0]], memo[subs[1]]
-            if s1 is None or s2 is None:
-                memo[e] = None
-            elif prov[0] == "compose":
-                if len(s1) == 1 and s1[0][2] == len(s1[0][0]):
-                    memo[e] = [_merge(s1[0], s2[0])] + s2[1:]
-                else:
-                    memo[e] = s1 + s2
-            else:
-                memo[e] = _border_step(s1, s2, prov[3])
-        return memo[eid]
+            (w1, b1, _), (w2, b2, c2) = memo[prov[1]], memo[prov[2]]
+            off = len(w1)
+            borders = b1 + tuple((x + off, y + off) for x, y in b2)
+            if prov[0] == "border":
+                borders += ((off, off + c2),)
+            memo[e] = (w1 + w2, borders, off + c2)
+        return [memo[eid]]
 
     # -- reachability ---------------------------------------------------------
 
-    def reachable_with_steps(self, start: int) -> dict[int, list[Step] | None]:
-        """Nodes reachable from start; values are replay steps where available.
-
-        A first pass walks only edges whose derivations flatten, so every node
-        found there carries a concrete witness; a second pass adds the rest
-        with value None.
-        """
-        out: dict[int, list[Step] | None] = {start: []}
+    def reachable_with_steps(self, start: int) -> dict[int, list[Step]]:
+        """Nodes #-reachable from start, each with the replay steps of a
+        shortest path to it, in breadth-first order."""
+        out: dict[int, list[Step]] = {start: []}
         queue = deque([start])
         while queue:
             s = queue.popleft()
             for eid in self._by_src.get(s, ()):
-                steps = self.witness_steps(eid)
                 d = self._dst[eid]
-                if steps is not None and d not in out:
-                    out[d] = out[s] + steps
-                    queue.append(d)
-        seen = set(out)
-        queue = deque(out)
-        while queue:
-            s = queue.popleft()
-            for eid in self._by_src.get(s, ()):
-                d = self._dst[eid]
-                if d not in seen:
-                    seen.add(d)
-                    out[d] = None
+                if d not in out:
+                    out[d] = out[s] + self.witness_steps(eid)
                     queue.append(d)
         return out
 
@@ -474,16 +475,9 @@ class ExtendedSupportGraph:
             lines.append(f'  "{_set_label(a, s)}";')
         rendered = []
         for eid in range(len(self._label)):
-            steps = self.witness_steps(eid)
-            if steps is None:
-                label, bordered = "?", True
-            elif len(steps) == 1:
-                label = _step_label(a, steps[0])
-                bordered = bool(steps[0][1])
-            else:
-                label = " ; ".join(_step_label(a, st) for st in steps)
-                bordered = any(st[1] for st in steps)
-            style = ", style=dashed" if bordered else ""
+            (step,) = self.witness_steps(eid)
+            label = _step_label(a, step)
+            style = ", style=dashed" if step[1] else ""
             rendered.append(
                 f'  "{_set_label(a, self._src[eid])}" -> '
                 f'"{_set_label(a, self._dst[eid])}" [label="{label}"{style}];'
@@ -500,30 +494,11 @@ def _word_text(a: Automaton, word: tuple[int, ...]) -> str:
 
 
 def _step_label(a: Automaton, step: Step) -> str:
-    word, borders, cut = step
+    word, borders, _ = step
     text = _word_text(a, word)
     if borders:
         text += " " + "".join(f"({x},{y})" for x, y in borders)
-    if cut < len(word):
-        text += f" cut {cut}"
     return text
-
-
-def _merge(first: Step, second: Step) -> Step:
-    w1, b1, _ = first
-    w2, b2, c2 = second
-    off = len(w1)
-    return (w1 + w2, b1 + tuple((x + off, y + off) for x, y in b2), off + c2)
-
-
-def _border_step(s1: list[Step], s2: list[Step], cut: int) -> list[Step] | None:
-    if len(s1) != 1 or s1[0][2] != len(s1[0][0]) or len(s2) != 1:
-        return None
-    w1, b1, _ = s1[0]
-    w2, b2, c2 = s2[0]
-    off = len(w1)
-    borders = b1 + tuple((x + off, y + off) for x, y in b2) + ((off, off + c2),)
-    return [(w1 + w2, borders, off if cut == 1 else off + c2)]
 
 
 def build_extended_support_graph(
@@ -531,19 +506,31 @@ def build_extended_support_graph(
     seeds: Iterable | None = None,
     full: bool = False,
     budgets: Budgets = DEFAULT_BUDGETS,
+    *,
+    stop: Callable[[int], bool] | None = None,
 ) -> ExtendedSupportGraph:
-    """Close the graph from Supp(alpha) (or the given seeds) to its fixpoint."""
+    """Close the graph from Supp(alpha) (or the given seeds) to its fixpoint.
+
+    With stop, a predicate on supports, the closure ends as soon as a
+    support satisfying it is #-reachable from the origin: the one given
+    seed, or Supp(alpha) when none is given (see ExtendedSupportGraph).
+    """
     if full:
+        if stop is not None:
+            raise InputError("a stop predicate needs the seeded form")
         start = range(1, 1 << a.n)
     else:
         start = [a.initial_support]
-        for s in seeds or []:
+        seeds = list(seeds or [])
+        if stop is not None and len(seeds) > 1:
+            raise InputError("a stop predicate allows at most one seed")
+        for s in seeds:
             m = as_mask(a, s)
             if m == 0:
                 raise InputError("empty seed support")
             if m not in start:
                 start.append(m)
-    return ExtendedSupportGraph(a, budgets, start)
+    return ExtendedSupportGraph(a, budgets, start, stop=stop)
 
 
 def replay_steps(a: Automaton, start, steps: Sequence[Step]) -> int:
@@ -575,23 +562,24 @@ def sharp_reachable(
 ) -> Verdict:
     """Is D #-reachable from C?  Yes-verdicts carry replayed witness steps.
 
-    C -> C holds by the trivial path convention (empty step list).  Witness
-    steps are re-executed through the layered graphs before being returned;
-    a mismatch would be an internal error, never a wrong answer.
+    C -> C holds by the trivial path convention (empty step list).  Without
+    a prebuilt graph, the graph seeded at C closes only until D becomes
+    #-reachable, so a "yes" costs a prefix of the closure and a "no" the
+    whole of it.  Witness steps, one per edge of a shortest path in that
+    graph, are re-executed through the layered graphs before being
+    returned; a mismatch would be an internal error, never a wrong answer.
     """
     cmask, dmask = as_mask(a, C), as_mask(a, D)
     if cmask == 0 or dmask == 0:
         raise InputError("empty support set")
     if graph is None:
-        graph = build_extended_support_graph(a, seeds=[cmask], budgets=budgets)
+        graph = build_extended_support_graph(
+            a, seeds=[cmask], budgets=budgets, stop=dmask.__eq__
+        )
     reach = graph.reachable_with_steps(cmask)
     if dmask not in reach:
         return Verdict("no", reason="not reachable in the extended support graph")
     steps = reach[dmask]
-    if steps is None:
-        return Verdict(
-            "yes", {"steps": None, "note": "derivation does not flatten to replay steps"}
-        )
     got = replay_steps(a, cmask, steps)
     if got != dmask:
         raise RuntimeError(
@@ -630,27 +618,14 @@ def decide_limit_reach_structsimple(
 def _limit_reach(a: Automaton, budgets: Budgets) -> Verdict:
     """decide_limit_reach_structsimple past its input checks and gate."""
     fmask = a.acceptance_mask()
-    graph = build_extended_support_graph(a, budgets=budgets)
-    reach = graph.reachable_with_steps(a.initial_support)
-    best: tuple[int, list[Step] | None] | None = None
-    for t, steps in reach.items():
-        if t & ~fmask:
-            continue
-        if best is None or (best[1] is None and steps is not None):
-            best = (t, steps)
-        if best[1] is not None:
-            break
-    if best is None:
-        return Verdict(
-            "no", reason="no subset of the target is #-reachable from the initial support"
-        )
-    t, steps = best
+    graph = build_extended_support_graph(a, budgets=budgets, stop=lambda s: s & ~fmask == 0)
+    for t, steps in graph.reachable_with_steps(a.initial_support).items():
+        if t & ~fmask == 0:
+            return Verdict(
+                "yes", {"support": list(a.names(t)), "steps": _steps_payload(a, steps)}
+            )
     return Verdict(
-        "yes",
-        {
-            "support": list(a.names(t)),
-            "steps": None if steps is None else _steps_payload(a, steps),
-        },
+        "no", reason="no subset of the target is #-reachable from the initial support"
     )
 
 
@@ -676,8 +651,12 @@ def synthesize_limit_word(
 ) -> tuple[str, ...]:
     """A word pushing at least 1 - eps of the mass into the target set, exactly.
 
-    Each border segment of the #-reachability witness is repeated k times;
-    k doubles until the exactly computed probability passes the threshold.
+    The graph seeded at Supp(alpha) closes only until some subset of the
+    target becomes #-reachable; the witness is a shortest path to the first
+    such subset in breadth-first order.  Each border segment of the
+    witness is repeated k times; k doubles until the exactly computed
+    probability passes the threshold.  InputError when no subset of the
+    target is #-reachable, which the full closure shows.
     """
     bound = Fraction(eps)
     if bound <= 0 or bound >= 1:
@@ -687,33 +666,21 @@ def synthesize_limit_word(
         raise InputError("empty target set")
     if a.initial_support & ~tmask == 0:
         return ()
-    graph = build_extended_support_graph(a, budgets=budgets)
+    graph = build_extended_support_graph(a, budgets=budgets, stop=lambda s: s & ~tmask == 0)
     return _pumped_word(a, graph.reachable_with_steps(a.initial_support), tmask, bound, budgets)
 
 
 def _pumped_word(
     a: Automaton,
-    reach: dict[int, list[Step] | None],
+    reach: dict[int, list[Step]],
     tmask: int,
     bound: Fraction,
     budgets: Budgets,
 ) -> tuple[str, ...]:
     """synthesize_limit_word past its input checks, on the nodes #-reachable
     from the initial support of the seeded extended graph."""
-    steps: list[Step] | None = None
-    reachable_at_all = False
-    for t, st in reach.items():
-        if t & ~tmask:
-            continue
-        reachable_at_all = True
-        if st is not None:
-            steps = st
-            break
+    steps = next((st for t, st in reach.items() if t & ~tmask == 0), None)
     if steps is None:
-        if reachable_at_all:
-            raise BudgetExceededError(
-                "witness for the target does not flatten into a pumpable word"
-            )
         raise InputError("no subset of the target is #-reachable from the initial support")
     threshold = 1 - bound
     best = Fraction(0)

@@ -11,6 +11,7 @@ from qpa.semantics import (
     chain_parity_almost,
     make_accepting_absorbing,
     propagate,
+    reach_as_buchi,
     sharp_power,
     support_step,
     word_matrix,
@@ -110,6 +111,16 @@ def test_make_accepting_absorbing(ex1):
     c = make_accepting_absorbing(acc)
     assert c.acceptance == acc.acceptance
     assert c.matrices[1][iu][iu] == 1
+
+
+def test_reach_as_buchi_matches_two_step_rewrite():
+    rng = random.Random(1107)
+    for _ in range(20):
+        a = random_automaton(rng, rng.randrange(1, 6))
+        target = [q for q in a.states if rng.random() < 0.5]
+        r = a.with_acceptance(Acceptance.reach(target))
+        want = make_accepting_absorbing(r).with_acceptance(Acceptance.buchi(target))
+        assert reach_as_buchi(r) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -206,9 +206,8 @@ def test_extended_every_edge_replays_as_one_bordered_read():
         g = ExtendedSupportGraph(a, DEFAULT_BUDGETS, list(range(1, 1 << a.n)))
         for eid in range(g.edge_count):
             src, _, dst = g.edge_parts(eid)
-            assert g.edge_is_full(eid)
             steps = g.witness_steps(eid)
-            assert steps is not None and len(steps) == 1
+            assert len(steps) == 1
             word, _, cut = steps[0]
             assert cut == len(word)
             assert replay_steps(a, src, steps) == dst
@@ -258,10 +257,8 @@ class _ReferenceClosure:
     Every chained pair is combined at the pop of each of its two edges,
     relations compose through linked.compose_layers, and a border segment's
     funnel is read off linked.rec_from on the segment's one-layer graph.
-    Edges are [label, prov, status, src, dst, plain].
+    Edges are [label, prov, src, dst, plain].
     """
-
-    NONE, MULTI, CUT, FULL = 0, 1, 2, 3
 
     def __init__(self, a, seeds, track_plain=False, path_cap=DEFAULT_BUDGETS.path_cap):
         self.a, self.n, self.track_plain, self.path_cap = a, a.n, track_plain, path_cap
@@ -272,9 +269,9 @@ class _ReferenceClosure:
             self.add_node(s)
         while self.pending:
             eid = self.pending.popleft()
-            for f in list(self.by_src[self.edges[eid][4]]):
+            for f in list(self.by_src[self.edges[eid][3]]):
                 self.combine(eid, f)
-            for e in list(self.by_dst[self.edges[eid][3]]):
+            for e in list(self.by_dst[self.edges[eid][2]]):
                 if e != eid:
                     self.combine(e, eid)
 
@@ -286,22 +283,18 @@ class _ReferenceClosure:
         for k in range(len(self.a.alphabet)):
             rows = self.a.relation(k)
             plain = layer_of_rows(rows, self.a.full_mask, self.n)
-            self.add(layer_of_rows(rows, s, self.n), plain, ("word", k), self.FULL)
+            self.add(layer_of_rows(rows, s, self.n), plain, ("word", k))
 
-    def add(self, label, plain, prov, status):
+    def add(self, label, plain, prov):
         key = (label, plain) if self.track_plain else label
-        found = self.keys.get(key)
-        if found is not None:
-            e = self.edges[found]
-            if prov[0] != "word" and status > e[2] and prov[1] < found and prov[2] < found:
-                e[1], e[2] = prov, status
+        if key in self.keys:
             return
         if len(self.edges) >= self.path_cap:
             raise BudgetExceededError(f"extended support graph exceeded {self.path_cap} edges")
         eid = len(self.edges)
         self.keys[key] = eid
         src, dst = layer_sources(label, self.n), layer_dests(label, self.n)
-        self.edges.append([label, prov, status, src, dst, plain])
+        self.edges.append([label, prov, src, dst, plain])
         funnel = None
         if dst & ~src == 0:
             segment = LinkedGraph(self.n, (label,))
@@ -317,20 +310,11 @@ class _ReferenceClosure:
 
     def combine(self, i1, i2):
         e1, e2 = self.edges[i1], self.edges[i2]
-        s1, s2 = e1[2], e2[2]
-        plain = compose_layers(e1[5], e2[5], self.n) if self.track_plain else 0
-        if self.NONE in (s1, s2):
-            st = self.NONE
-        elif s1 == self.FULL:
-            st = s2 if s2 in (self.FULL, self.CUT) else self.MULTI
-        else:
-            st = self.MULTI
-        self.add(compose_layers(e1[0], e2[0], self.n), plain, ("compose", i1, i2), st)
+        plain = compose_layers(e1[4], e2[4], self.n) if self.track_plain else 0
+        self.add(compose_layers(e1[0], e2[0], self.n), plain, ("compose", i1, i2))
         if self.funnel[i2] is not None:
-            mergeable = s1 == self.FULL and s2 in (self.FULL, self.CUT)
-            st2 = (self.FULL if s2 == self.FULL else self.CUT) if mergeable else self.NONE
             rewired = compose_layers(e1[0], self.funnel[i2], self.n)
-            self.add(rewired, plain, ("border", i1, i2, 2), st2)
+            self.add(rewired, plain, ("border", i1, i2, 2))
 
     def witness_steps(self):
         """Replay steps of every edge, in id order: operands precede an edge."""
@@ -366,11 +350,11 @@ def _assert_same_closure(a, seeds, track_plain):
     assert g.nodes == tuple(ref.nodes)
     assert g.edge_count == len(ref.edges)
     for eid, (edge, steps) in enumerate(zip(ref.edges, ref.witness_steps())):
-        label, prov, status, src, dst, plain = edge
+        label, prov, src, dst, plain = edge
         assert g.edge_parts(eid) == (src, label, dst)
         if track_plain:
             assert g.edge_plain(eid) == plain
-        assert (g._prov[eid], g._status[eid]) == (prov, status)
+        assert g._prov[eid] == prov
         assert g.witness_steps(eid) == steps
 
 
@@ -396,33 +380,156 @@ def test_extended_edge_cap_matches_reference(ex2):
     assert ExtendedSupportGraph(ex2, Budgets(path_cap=len(full)), seeds).edge_count == len(full)
 
 
+def _first_hit(g, origin, sat):
+    """Fewest leading edges of g after which a node satisfying sat is
+    #-reachable from origin, or None when not even all of them do it."""
+    edges = g.edges
+
+    def hit(k):
+        succ = {}
+        for src, _, dst in edges[:k]:
+            succ.setdefault(src, []).append(dst)
+        seen, todo = {origin}, [origin]
+        while todo:
+            for d in succ.get(todo.pop(), ()):
+                if d not in seen:
+                    seen.add(d)
+                    todo.append(d)
+        return any(sat(x) for x in seen)
+
+    if not hit(len(edges)):
+        return None
+    lo, hi = 0, len(edges)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if hit(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _assert_stops_at_first_witness(a, seed, sat):
+    seeds = [] if seed is None else [seed]
+    origin = a.initial_support if seed is None else seed
+    full = build_extended_support_graph(a, seeds=seeds)
+    g = build_extended_support_graph(a, seeds=seeds, stop=sat)
+    k = g.edge_count
+    assert g.edges == full.edges[:k]
+    assert g._prov == full._prov[:k]
+    want = _first_hit(full, origin, sat)
+    assert k == (full.edge_count if want is None else want)
+    reach = g.reachable_with_steps(origin)
+    hits = [t for t in reach if sat(t)]
+    assert bool(hits) == (want is not None)
+    for t in hits:
+        assert _oracle_replay(a, origin, reach[t]) == t
+    capped = build_extended_support_graph(a, seeds=seeds, budgets=Budgets(path_cap=k), stop=sat)
+    assert capped.edges == g.edges
+    return hits
+
+
+def test_stop_needs_the_seeded_form_with_one_seed(ex2):
+    with pytest.raises(InputError, match="seeded form"):
+        build_extended_support_graph(ex2, full=True, stop=bool)
+    with pytest.raises(InputError, match="at most one seed"):
+        build_extended_support_graph(ex2, seeds=["1", "2"], stop=bool)
+
+
+def test_stopped_closure_is_a_prefix_of_the_full_closure():
+    # the three stop predicates the callers use: node == D from a seed C
+    # (sharp_reachable), and node within a target from Supp(alpha)
+    # (synthesize_limit_word and limit reach); about half of the targets
+    # are drawn among the reachable supports
+    import qpa.supportgraph as sg
+
+    rng = random.Random(2091)
+    answers = []
+    for _ in range(50):
+        a = random_automaton(rng, rng.randrange(2, 5), 2)
+        c = rng.randrange(1, 1 << a.n)
+        nodes = list(build_extended_support_graph(a, seeds=[c]).reachable_with_steps(c))
+        d = rng.choice(nodes) if rng.random() < 0.5 else rng.randrange(1, 1 << a.n)
+        _assert_stops_at_first_witness(a, c, d.__eq__)
+        v = sharp_reachable(a, c, d)
+        answers.append(v.answer)
+        assert v.answer == ("yes" if d in nodes else "no")
+        if v.answer == "yes":
+            assert _oracle_replay(a, c, _payload_steps(a, v.witness["steps"])) == d
+        nodes = list(build_extended_support_graph(a).reachable_with_steps(a.initial_support))
+        t = rng.choice(nodes) if rng.random() < 0.5 else rng.randrange(1, 1 << a.n)
+        hits = _assert_stops_at_first_witness(a, None, lambda s: s & ~t == 0)
+        names = list(a.names(t))
+        v = sg._limit_reach(a.with_acceptance(Acceptance.reach(names)), DEFAULT_BUDGETS)
+        answers.append(v.answer)
+        assert v.answer == ("yes" if hits else "no")
+        if v.answer == "yes":
+            got = _oracle_replay(a, a.initial_support, _payload_steps(a, v.witness["steps"]))
+            assert got == a.mask(" ".join(v.witness["support"])) and got & ~t == 0
+        try:
+            word = synthesize_limit_word(a, names, Fraction(1, 10))
+        except InputError:
+            assert not hits
+        except BudgetExceededError:
+            assert hits  # pumping may fail to converge off the struct-simple class
+        else:
+            dist = propagate(a, a.initial, a.word(word))
+            assert sum((dist.get(q, Fraction(0)) for q in names), Fraction(0)) >= Fraction(9, 10)
+    assert answers.count("yes") >= 60 and answers.count("no") >= 5
+
+
 # -- #-reachability -------------------------------------------------------------
 
 
+def _oracle_replay(a, start, steps):
+    """Fold replay steps through the oracle's layered graphs, each read at
+    its cut, from the start mask; returns the final mask."""
+    cur = start
+    for word, borders, cut in steps:
+        org = frozenset(O.obits(cur))
+        layers = O.olayers(a, org, word)
+        for border in borders:
+            layers = O.oapply_border(org, layers, tuple(border))
+        cur = sum(1 << i for i in O.oboundaries(org, layers)[cut])
+    return cur
+
+
+def _payload_steps(a, payload):
+    return [
+        (tuple(a.letter_index[x] for x in st["word"]), st["borders"], st["cut"])
+        for st in payload
+    ]
+
+
 def test_sharp_reachable_ex2_pin(ex2):
+    # the closure stops once {4} is reachable, where the shortest path has
+    # two edges; the full closure also holds the one-edge path
     v = sharp_reachable(ex2, "1", "4")
     assert v.answer == "yes"
     steps = v.witness["steps"]
     assert steps == [
+        {"word": ["a", "a", "b", "a"], "borders": [[1, 2]], "cut": 4},
         {
-            "word": ["a", "a", "b", "a", "a", "b"],
-            "borders": [[1, 2], [4, 5], [3, 6]],
-            "cut": 6,
-        }
+            "word": ["a", "a", "b", "a", "a"],
+            "borders": [[1, 2], [4, 5], [2, 5]],
+            "cut": 5,
+        },
     ]
+    assert _oracle_replay(ex2, ex2.mask("1"), _payload_steps(ex2, steps)) == ex2.mask("4")
 
 
 def test_sharp_reachable_witness_replays_through_oracle(ex2):
-    # independent replay: oracle layered graphs, same border order, last boundary
+    # independent replay: oracle layered graphs, same border order, each
+    # step read at its cut and the next one started from there
     v = sharp_reachable(ex2, "1", "4")
-    (step,) = v.witness["steps"]
-    word = tuple(ex2.letter_index[x] for x in step["word"])
-    org = frozenset([ex2.state_index["1"]])
-    layers = O.olayers(ex2, org, word)
-    for border in step["borders"]:
-        layers = O.oapply_border(org, layers, tuple(border))
-    final = {j for _, j in layers[step["cut"] - 1]}
-    assert final == {ex2.state_index["4"]}
+    cur = frozenset([ex2.state_index["1"]])
+    for step in v.witness["steps"]:
+        word = tuple(ex2.letter_index[x] for x in step["word"])
+        layers = O.olayers(ex2, cur, word)
+        for border in step["borders"]:
+            layers = O.oapply_border(cur, layers, tuple(border))
+        cur = frozenset(j for _, j in layers[step["cut"] - 1])
+    assert cur == {ex2.state_index["4"]}
 
 
 def test_sharp_reachable_trivial_and_negative(ex2):
