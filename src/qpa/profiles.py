@@ -21,6 +21,12 @@ priority at most v_c and img the letter's successor relation.  img is read
 from per-letter tables over 8-bit chunks of a mask, so the monoid closure
 runs on table lookups alone.
 
+The closure is breadth first and lazy: iter_profile_monoid yields each
+profile with its shortest word as it is discovered, so a search can stop at
+its first witness without materializing the monoid, and the budget trips
+only if the search runs that far.  build_profile_monoid and
+build_safe_monoid collect the whole closure into a dict in the same order.
+
 A safe profile, for a fixed set F, stores the state pairs connected by
 positive paths that remain inside F throughout, together with the set of
 states whose entire positive tree stays inside F for the word.
@@ -28,7 +34,7 @@ states whose entire positive tree stays inside F for the word.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 from .core import Automaton, bits
 from .errors import BudgetExceededError, InputError
@@ -92,28 +98,6 @@ class _PriorityLetters:
         return tuple(out)
 
 
-def letter_profile(a: Automaton, priorities: Mapping[str, int] | Sequence[int] | None, letter: str | int) -> Profile:
-    """Profile of a single letter: entry (q,q') = min(p(q), p(q')) on positive moves."""
-    return _PriorityLetters(a, priorities).letter(_letter_index(a, letter))
-
-
-def compose_profiles(x: Profile, y: Profile) -> Profile:
-    """Profile of the concatenated words.
-
-    Layer c of xy relates q to q'' iff some middle state q' has one half at
-    most v_c and the other finite: L_c(xy)[i] = F_y(L_c x[i]) | L_c y(F x[i]).
-    """
-    if x[0] != y[0]:
-        raise InputError("profiles of different priority levels do not compose")
-    finite_y = image_table(y[-1])
-    finite_x = x[-1]
-    out = [x[0]]
-    for layer_x, layer_y in zip(x[1:], y[1:]):
-        img_y = image_table(layer_y)
-        out.append(tuple(finite_y(m) | img_y(f) for m, f in zip(layer_x, finite_x)))
-    return tuple(out)
-
-
 def profile_of_word(a: Automaton, priorities, word) -> Profile:
     """Profile of a nonempty word, right-multiplying letter by letter."""
     w = a.word(word)
@@ -160,18 +144,19 @@ def class_minima(profile: Profile, mask: int) -> list[tuple[int, int]]:
     return out
 
 
-def monoid_closure(
-    generators: Sequence[T],
-    compose: Callable[[T, T], T],
-    budget: int,
-    what: str = "monoid",
-) -> dict[T, tuple[int, ...]]:
-    """Close generators under composition, mapping each element to a witness word.
+def _letter_closure(
+    generators: list[T], times_letter: Callable[[T, int], T], budget: int, what: str
+) -> Iterator[tuple[T, tuple[int, ...]]]:
+    """Elements generated by the letters, each with its shortest word, as discovered.
 
-    The witness is the shortest generating word as a tuple of generator
-    indices, ties broken by generator order (BFS in length-lexicographic
-    order).  Raises BudgetExceededError before the element count passes the
-    budget.
+    Breadth first from the letter generators, composing on the right with
+    each letter in alphabet order, so elements come in length-lexicographic
+    order of their words and each word is the first generating one.  A
+    letter whose generator repeats an earlier one adds no element but still
+    composes; its step equals the earlier letter's.  The generators are not
+    counted against the budget; discovering a further element once the
+    count has reached it raises BudgetExceededError, so a caller that stops
+    early never pays for the rest.
     """
     elems: dict[T, tuple[int, ...]] = {}
     queue: deque[T] = deque()
@@ -179,35 +164,31 @@ def monoid_closure(
         if g not in elems:
             elems[g] = (k,)
             queue.append(g)
+            yield g, (k,)
+    letters = range(len(generators))
     while queue:
         e = queue.popleft()
         w = elems[e]
-        for k, g in enumerate(generators):
-            c = compose(e, g)
+        for k in letters:
+            c = times_letter(e, k)
             if c not in elems:
                 if len(elems) >= budget:
                     raise BudgetExceededError(f"{what} closure exceeded {budget} elements")
-                elems[c] = w + (k,)
+                elems[c] = wk = w + (k,)
                 queue.append(c)
-    return elems
+                yield c, wk
 
 
-def _letter_closure(
-    generators: list[T], times_letter: Callable[[T, int], T], budget: int, what: str
-) -> dict[T, tuple[int, ...]]:
-    """monoid_closure where composing with a generator is a step by its letter.
-
-    Letters with equal generators act alike, so either letter's step serves.
-    """
-    letter_of = {g: k for k, g in enumerate(generators)}
-    return monoid_closure(generators, lambda e, g: times_letter(e, letter_of[g]), budget, what)
+def iter_profile_monoid(a: Automaton, priorities=None, budget: int = 1_000_000) -> Iterator[tuple[Profile, tuple[int, ...]]]:
+    """The profiles of all nonempty words in BFS order, each with its shortest word."""
+    letters = _PriorityLetters(a, priorities)
+    gens = [letters.letter(k) for k in range(len(a.alphabet))]
+    return _letter_closure(gens, letters.times_letter, budget, "priority profile")
 
 
 def build_profile_monoid(a: Automaton, priorities=None, budget: int = 1_000_000) -> dict[Profile, tuple[int, ...]]:
     """Closure of the letter profiles; maps profile -> shortest generating word."""
-    letters = _PriorityLetters(a, priorities)
-    gens = [letters.letter(k) for k in range(len(a.alphabet))]
-    return _letter_closure(gens, letters.times_letter, budget, "priority profile")
+    return dict(iter_profile_monoid(a, priorities, budget))
 
 
 def letter_safe_profile(a: Automaton, safe_mask: int, letter: str | int) -> SafeProfile:
@@ -229,11 +210,6 @@ def _safe_times(x: SafeProfile, img: Image, yfull: int) -> SafeProfile:
     return tuple(map(img, xrows)), full
 
 
-def compose_safe_profiles(x: SafeProfile, y: SafeProfile) -> SafeProfile:
-    yrows, yfull = y
-    return _safe_times(x, image_table(yrows), yfull)
-
-
 def safe_identity(a: Automaton, safe_mask: int) -> SafeProfile:
     """Safe profile of the empty word: stay put, inside F."""
     rows = tuple(1 << i if safe_mask >> i & 1 else 0 for i in range(a.n))
@@ -244,4 +220,4 @@ def build_safe_monoid(a: Automaton, safe_mask: int, budget: int = 1_000_000) -> 
     """Closure of the letter safe-profiles for the set F given as a mask."""
     gens = [letter_safe_profile(a, safe_mask, k) for k in range(len(a.alphabet))]
     steps = [(image_table(rows), full) for rows, full in gens]
-    return _letter_closure(gens, lambda x, k: _safe_times(x, *steps[k]), budget, "safe profile")
+    return dict(_letter_closure(gens, lambda x, k: _safe_times(x, *steps[k]), budget, "safe profile"))

@@ -21,14 +21,9 @@ from .core import (
     support_mask,
 )
 from .errors import BudgetExceededError, InputError
+from .graphs import image_table
 from .lasso import lasso_acceptance_probability
-from .profiles import (
-    build_profile_monoid,
-    build_safe_monoid,
-    class_minima,
-    profile_image,
-    safe_identity,
-)
+from .profiles import build_safe_monoid, class_minima, iter_profile_monoid, safe_identity
 from .semantics import reach_as_buchi, support_step
 
 PROBLEMS = ("positive", "almost", "limit")
@@ -83,6 +78,16 @@ def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
     into G with every bottom component of P's graph on G having an even
     internal minimum; the witness lasso glues the support word to P's
     generating word.
+
+    Profiles are scanned as the monoid closure discovers them, supports
+    inside each profile, so the witness is the first profile in BFS order
+    that admits a reachable support, with the first such support in the
+    subset BFS order.  The monoid budget raises only if it trips before
+    that profile is found; a "no" closes the whole monoid.  Since a bottom
+    component of P's graph that meets a closed G lies inside G and is a
+    bottom component of the graph on G, the parity check reads as G
+    missing every odd-minimum bottom component of P's whole graph, found
+    once per profile.
     """
     acc = a.acceptance
     if acc is None:
@@ -97,12 +102,18 @@ def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
             return _verified_yes(a, w, True, {"support": v.witness.get("support", [])})
         return v
     supports = reachable_supports(a, support_mask(a.initial), budgets.subset)
-    monoid = build_profile_monoid(a, None, budgets.monoid)
-    for g, rho1 in supports.items():
-        for prof, rho2 in monoid.items():
-            if profile_image(prof, g) & ~g:
+    for prof, rho2 in iter_profile_monoid(a, None, budgets.monoid):
+        img = image_table(prof[-1])
+        odd = None
+        for g, rho1 in supports.items():
+            if img(g) & ~g:
                 continue
-            if all(mn % 2 == 0 for _, mn in class_minima(prof, g)):
+            if odd is None:
+                odd = 0
+                for comp, mn in class_minima(prof, a.full_mask):
+                    if mn % 2:
+                        odd |= comp
+            if g & odd == 0:
                 return _verified_yes(
                     a, _lasso(a, rho1, rho2), True, {"support": list(a.names(g))}
                 )
@@ -114,7 +125,10 @@ def decide_positive_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
 
     Yes iff some profile has a bottom component C with even internal minimum
     that fits inside a reachable support; positive mass lands on C after the
-    support word and then never leaves it.
+    support word and then never leaves it.  Profiles are scanned as the
+    monoid closure discovers them, in BFS order, so the monoid budget raises
+    only if it trips before the witness profile is found; a "no" closes the
+    whole monoid.
     """
     acc = a.acceptance
     if acc is None:
@@ -129,8 +143,7 @@ def decide_positive_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
             return _verified_yes(a, w, False, {"class": v.witness.get("class", [])})
         return v
     supports = reachable_supports(a, support_mask(a.initial), budgets.subset)
-    monoid = build_profile_monoid(a, None, budgets.monoid)
-    for prof, rho2 in monoid.items():
+    for prof, rho2 in iter_profile_monoid(a, None, budgets.monoid):
         for comp, mn in class_minima(prof, a.full_mask):
             if mn % 2:
                 continue

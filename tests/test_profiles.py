@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +11,9 @@ from qpa.profiles import (
     build_profile_monoid,
     build_safe_monoid,
     class_minima,
-    compose_profiles,
-    compose_safe_profiles,
     image_table,
-    letter_profile,
+    iter_profile_monoid,
     letter_safe_profile,
-    monoid_closure,
     normalize_priorities,
     profile_digraph,
     profile_image,
@@ -43,6 +41,56 @@ def decode(profile):
         )
         for i in range(n)
     )
+
+
+def letter_profile(a, prios, k):
+    """Profile of the one-letter word k."""
+    return profile_of_word(a, prios, (k,))
+
+
+def compose_profiles(x, y):
+    """Profile of the concatenated words.
+
+    Layer c of xy relates q to q'' iff some middle state q' has one half at
+    most v_c and the other finite: L_c(xy)[i] = F_y(L_c x[i]) | L_c y(F x[i]).
+    """
+    assert x[0] == y[0]
+    out = [x[0]]
+    for layer_x, layer_y in zip(x[1:], y[1:]):
+        out.append(tuple(O.oimage(y[-1], m) | O.oimage(layer_y, f) for m, f in zip(layer_x, x[-1])))
+    return tuple(out)
+
+
+def compose_safe_profiles(x, y):
+    """Safe profile of the concatenated words: the rows compose as relations,
+    and a state keeps its whole tree in F iff it does under x and every state
+    x takes it to does under y."""
+    (xrows, xfull), (yrows, yfull) = x, y
+    full = sum(1 << i for i in O.obits(xfull) if xrows[i] & ~yfull == 0)
+    return O.ocompose_rows(xrows, yrows), full
+
+
+def monoid_closure(generators, compose, budget, what="monoid"):
+    """The eager closure: generators under composition, each element with its
+    shortest word (BFS, ties by generator order); raises BudgetExceededError
+    before the element count passes the budget, generators not counted."""
+    elems = {}
+    queue = deque()
+    for k, g in enumerate(generators):
+        if g not in elems:
+            elems[g] = (k,)
+            queue.append(g)
+    while queue:
+        e = queue.popleft()
+        w = elems[e]
+        for k, g in enumerate(generators):
+            c = compose(e, g)
+            if c not in elems:
+                if len(elems) >= budget:
+                    raise BudgetExceededError(f"{what} closure exceeded {budget} elements")
+                elems[c] = w + (k,)
+                queue.append(c)
+    return elems
 
 
 def as_dict(a, profile):
@@ -114,6 +162,76 @@ def test_monoid_closure_generic():
     elems = monoid_closure([1], add, budget=100, what="residues")
     assert set(elems) == {0, 1, 2, 3, 4}
     assert elems[2] == (0, 0)
+
+
+def drain(it):
+    """The pairs a closure yields before it ends or trips its budget, and whether it tripped."""
+    out = []
+    try:
+        for pair in it:
+            out.append(pair)
+    except BudgetExceededError:
+        return out, True
+    return out, False
+
+
+def drain_dict(build):
+    """The items of a built closure and False, or None and True if it tripped its budget."""
+    try:
+        return list(build().items()), False
+    except BudgetExceededError:
+        return None, True
+
+
+def check_lazy_closure_against_eager(rng, n, n_letters):
+    """The closures against the eager one: build_profile_monoid and
+    build_safe_monoid give its elements in its order with its words, and under
+    every budget below the full size iter_profile_monoid (for the safe monoid,
+    build_safe_monoid) yields its prefix and raises where it raises: once the
+    letters and the budget's worth of elements are out."""
+    a, prios, _ = gap_automaton(rng, n, n_letters, False)
+    safe = rng.randrange(1, 1 << n)
+    cases = [
+        (
+            lambda b: drain(iter_profile_monoid(a, prios, b)),
+            build_profile_monoid(a, prios),
+            [letter_profile(a, prios, k) for k in range(n_letters)],
+            compose_profiles,
+        ),
+        (
+            lambda b: drain_dict(lambda: build_safe_monoid(a, safe, b)),
+            build_safe_monoid(a, safe),
+            [letter_safe_profile(a, safe, k) for k in range(n_letters)],
+            compose_safe_profiles,
+        ),
+    ]
+    for under_budget, built, gens, compose in cases:
+        full = list(monoid_closure(gens, compose, budget=10**6).items())
+        assert list(built.items()) == full
+        distinct = len(set(gens))
+        for budget in range(1, len(full) + 1):
+            reached = max(budget, distinct)
+            got, raised = under_budget(budget)
+            assert raised == (reached < len(full))
+            if got is not None:
+                assert got == full[:reached]
+        with pytest.raises(BudgetExceededError) if distinct < len(full) else nullcontext():
+            monoid_closure(gens, compose, budget=distinct)
+
+
+def test_lazy_closure_matches_eager_seeded():
+    rng = random.Random(1107)
+    for _ in range(30):
+        check_lazy_closure_against_eager(rng, rng.randint(1, 5), rng.randint(1, 3))
+
+
+# two letters at most: every budget below the full size is a fresh closure, so
+# the cost grows with the square of the monoid, and three letters on five
+# states reach about a thousand profiles (the seeded draws include some)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 5), st.integers(1, 2))
+def test_lazy_closure_matches_eager(seed, n, n_letters):
+    check_lazy_closure_against_eager(random.Random(seed), n, n_letters)
 
 
 @settings(max_examples=50, deadline=None)
@@ -295,6 +413,35 @@ def test_class_minima_matches_brute_force_seeded():
 @given(st.integers(0, 10**9), st.integers(1, 4), st.booleans())
 def test_class_minima_matches_brute_force(seed, n, by_name):
     check_class_minima_by_brute_force(random.Random(seed), n, by_name)
+
+
+def check_odd_mask_on_closed_sets(rng, n):
+    """On a set g closed under a profile's digraph, the bottom components within
+    g are the whole digraph's bottom components inside g, so all of them have
+    even minima iff g misses every odd-minimum bottom component of the whole
+    digraph."""
+    a, prios, _ = gap_automaton(rng, n, 2, False)
+    for p in build_profile_monoid(a, prios):
+        odd = 0
+        for comp, mn in class_minima(p, a.full_mask):
+            if mn % 2:
+                odd |= comp
+        for g in range(1, 1 << n):
+            if profile_image(p, g) & ~g:
+                continue
+            assert (g & odd == 0) == all(mn % 2 == 0 for _, mn in class_minima(p, g))
+
+
+def test_odd_mask_matches_class_minima_seeded():
+    rng = random.Random(1107)
+    for _ in range(30):
+        check_odd_mask_on_closed_sets(rng, rng.randint(1, 5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 5))
+def test_odd_mask_matches_class_minima(seed, n):
+    check_odd_mask_on_closed_sets(random.Random(seed), n)
 
 
 @pytest.mark.parametrize("n", [9, 12, 17])

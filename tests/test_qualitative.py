@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qpa.core import Acceptance, Budgets, LassoWord
+from qpa.core import Acceptance, Budgets, LassoWord, support_mask
 from qpa.errors import BudgetExceededError, InputError
 from qpa.lasso import lasso_acceptance_probability
 from qpa.qualitative import (
@@ -13,10 +14,18 @@ from qpa.qualitative import (
     decide_safety,
     reachable_supports,
 )
-from qpa.semantics import make_accepting_absorbing
+from qpa.profiles import build_profile_monoid, class_minima, profile_image
+from qpa.semantics import make_accepting_absorbing, reach_as_buchi
 
 from conftest import random_automaton
 from oracles import LassoOracle
+
+
+def indices(a, verdict):
+    """The witness lasso's prefix and period as letter indices."""
+    return tuple(
+        tuple(a.alphabet.index(x) for x in verdict.witness[part]) for part in ("prefix", "period")
+    )
 
 
 def replay(a, verdict) -> Fraction:
@@ -118,9 +127,19 @@ def test_safety_input_checks(ex1):
 
 
 def test_budget_errors(ex1):
+    # the letter profile of a is already a witness, found before the monoid
+    # budget trips
     a = ex1.with_acceptance(Acceptance.parity({"s": 1, "t": 1, "u": 0}))
+    v = decide_almost_simple(a, Budgets(monoid=1))
+    assert v.answer == "yes"
+    assert (v.witness["prefix"], v.witness["period"]) == (["a", "a"], ["a"])
+    assert LassoOracle(a).verdict(*indices(a, v)) == (True, True)
+    # a "no" needs the whole monoid
+    odd = ex1.with_acceptance(Acceptance.parity({"s": 1, "t": 1, "u": 3}))
     with pytest.raises(BudgetExceededError):
-        decide_almost_simple(a, Budgets(monoid=1))
+        decide_almost_simple(odd, Budgets(monoid=1))
+    with pytest.raises(BudgetExceededError):
+        decide_positive_simple(odd, Budgets(monoid=1))
     with pytest.raises(BudgetExceededError):
         decide_positive_simple(a, Budgets(subset=1))
 
@@ -205,3 +224,98 @@ def test_bounded_completeness_random(seed):
     # an almost-surely accepting word is in particular positively accepting
     if almost.answer == "yes":
         assert positive.answer == "yes"
+
+
+# -- the on-the-fly scans against the eager scans they replace ------------------
+
+
+def eager_witnesses(a, supports, monoid):
+    """Per problem, the monoid positions of the profiles that witness "yes" in
+    the eager scans, each mapped to that profile's first witness: for almost,
+    the first support the profile maps into itself with only even bottom
+    minima; for positive, the first even bottom component inside a support."""
+    almost, positive = {}, {}
+    for pos, (prof, rho2) in enumerate(monoid.items()):
+        for g, rho1 in supports.items():
+            if profile_image(prof, g) & ~g == 0 and all(
+                mn % 2 == 0 for _, mn in class_minima(prof, g)
+            ):
+                almost.setdefault(pos, (rho1, rho2, g))
+        for comp, mn in class_minima(prof, a.full_mask):
+            if mn % 2:
+                continue
+            for s, rho1 in supports.items():
+                if comp & ~s == 0:
+                    positive.setdefault(pos, (rho1, rho2, comp))
+    return almost, positive
+
+
+def eager_almost(a, supports, monoid):
+    """The almost scan with supports outer and the whole monoid inner."""
+    for g, rho1 in supports.items():
+        for prof, rho2 in monoid.items():
+            if profile_image(prof, g) & ~g:
+                continue
+            if all(mn % 2 == 0 for _, mn in class_minima(prof, g)):
+                return rho1, rho2, g
+    return None
+
+
+def check_lazy_scans(rng):
+    kind = rng.choice(["parity", "buchi", "cobuchi", "reach"])
+    a = random_automaton(rng, rng.randint(2, 5), rng.randint(1, 3), acceptance=kind)
+    b = reach_as_buchi(a) if kind == "reach" else a
+    supports = reachable_supports(b, support_mask(b.initial), 1 << 16)
+    monoid = build_profile_monoid(b)
+    words = list(monoid.values())
+    almost_at, positive_at = eager_witnesses(b, supports, monoid)
+    oracle = LassoOracle(a)
+
+    def names(w):
+        return [a.alphabet[k] for k in w]
+
+    almost = decide_almost_simple(a)
+    assert almost.answer == ("yes" if eager_almost(b, supports, monoid) else "no")
+    assert (almost.answer == "yes") == bool(almost_at)
+    if almost_at:
+        rho1, rho2, g = almost_at[min(almost_at)]
+        assert almost.witness["prefix"] == names(rho1)
+        assert almost.witness["period"] == names(rho2)
+        assert almost.witness["support"] == list(b.names(g))
+        assert oracle.verdict(*indices(a, almost))[0]
+    positive = decide_positive_simple(a)
+    assert (positive.answer == "yes") == bool(positive_at)
+    if positive_at:
+        rho1, rho2, comp = positive_at[min(positive_at)]
+        assert positive.witness["prefix"] == names(rho1)
+        assert positive.witness["period"] == names(rho2)
+        assert positive.witness["class"] == list(b.names(comp))
+        assert oracle.verdict(*indices(a, positive))[1]
+    # under a monoid budget the scan sees the budget's prefix of the BFS order:
+    # the letters, then further profiles up to the budget
+    letters = sum(len(w) == 1 for w in words)
+    for budget in range(1, min(len(words), 40)):
+        seen = max(budget, letters)
+        for decide_fn, found, full in (
+            (decide_almost_simple, almost_at, almost),
+            (decide_positive_simple, positive_at, positive),
+        ):
+            if found and min(found) < seen:
+                assert decide_fn(a, Budgets(monoid=budget)).witness == full.witness
+            elif seen < len(words):
+                with pytest.raises(BudgetExceededError):
+                    decide_fn(a, Budgets(monoid=budget))
+            else:
+                assert decide_fn(a, Budgets(monoid=budget)).answer == "no"
+
+
+def test_lazy_scans_match_eager_seeded():
+    rng = random.Random(2091)
+    for _ in range(40):
+        check_lazy_scans(rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9))
+def test_lazy_scans_match_eager(seed):
+    check_lazy_scans(random.Random(seed))
