@@ -5,16 +5,26 @@ intermediate support may shed states when the looping block is iterated.
 Structural simplicity lifts that to all words at once and is decided on
 the extended support graph: a minimal support (one that cannot #-shrink)
 must never plainly reach a support that #-returns to it through a word
-whose plain image overshoots.  Hierarchical automata stratify states into
-levels that no transition descends, with at most one same-level successor
-per letter.  The module also builds product and union automata and the
-intersection-emptiness gadget that turns a family of DFAs into an
-equivalent almost-sure Buchi question.
+whose plain image overshoots.
+
+The gate runs in two phases.  Phase 1 closes the all-seeds graph keyed on
+labels and reads each edge's plain relation off its first derivation; a
+returner found there is a real "no", because the plain-tracked closure
+derives the same labels and holds every first derivation.  Only when
+phase 1 finds none does phase 2 close the plain-tracked graph, which holds
+every derivation, and scan it the same way.  The label-keyed graph never
+has more edges, so phase 1 adds no budget stop, and every "yes" still
+comes from the plain-tracked graph.
+
+Hierarchical automata stratify states into levels that no transition
+descends, with at most one same-level successor per letter.  The module
+also builds product and union automata and the intersection-emptiness
+gadget that turns a family of DFAs into an equivalent almost-sure Buchi
+question.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -24,8 +34,9 @@ from .errors import InputError
 from .formats import DFA
 from .graphs import reachable_mask
 from .linked import layer_rows
+from .qualitative import reachable_supports
 from .semantics import propagate, rel_image, sharp_power, support_step
-from .supportgraph import ExtendedSupportGraph
+from .supportgraph import ExtendedSupportGraph, replay_steps
 
 
 def _start_mask(a: Automaton, start) -> int:
@@ -201,53 +212,75 @@ def is_hierarchical(a: Automaton) -> Verdict:
 
 
 def is_structurally_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
-    """Decide structural simplicity on the plain-augmented extended graph.
+    """Decide structural simplicity on the extended graph, in two phases.
 
     A support C is minimal when no #-destination from C is a proper subset
     of C.  The automaton fails exactly when some minimal C plainly reaches
     a support A admitting a word that #-returns to C while its plain image
     differs from C; the witness replays that word with its borders.
+
+    Phase 1 closes the all-seeds graph keyed on labels alone and scans each
+    edge's first-derivation plain relation for such a returner.  Both
+    closures apply the same operations to labels, so their label sets (and
+    minimal supports) are equal, and every first derivation is also a
+    derivation in the plain-tracked graph: a returner found in phase 1 is a
+    real "no".  Phase 2 closes the plain-tracked graph, which holds every
+    derivation, and runs the same scan; it is only needed when phase 1
+    finds no returner.  The label-keyed graph never has more edges than the
+    plain-tracked one, so phase 1 stops on budgets.path_cap only where
+    phase 2 would.
     """
     n = a.n
-    g = ExtendedSupportGraph(a, budgets, range(1, 1 << n), track_plain=True)
+    g = ExtendedSupportGraph(a, budgets, range(1, 1 << n))
     shrinkable: set[int] = set()
-    returners: dict[int, dict[int, int]] = {}
     for eid in range(g.edge_count):
         src, _, dst = g.edge_parts(eid)
         if dst != src and dst & src == dst:
             shrinkable.add(src)
+    verdict = _returner_verdict(a, g, shrinkable)
+    if verdict is None:
+        g = ExtendedSupportGraph(a, budgets, range(1, 1 << n), track_plain=True)
+        verdict = _returner_verdict(a, g, shrinkable)
+    return Verdict("yes") if verdict is None else verdict
+
+
+def _returner_verdict(
+    a: Automaton, g: ExtendedSupportGraph, shrinkable: set[int]
+) -> Verdict | None:
+    """The "no" of the first minimal support, in mask order, that plainly
+    reaches the source of a returner edge of g; None when there is none.
+
+    The sources are tried in breadth-first order from the minimal support.
+    The witness is checked in full before it is returned: its reach word
+    leads to the source, its bordered graph replays back to the minimal
+    support, and its plain image differs from that support.
+    """
+    n = a.n
+    returners: dict[int, dict[int, int]] = {}
+    for eid in range(g.edge_count):
+        src, _, dst = g.edge_parts(eid)
         if rel_image(layer_rows(g.edge_plain(eid), n), src) != dst:
             returners.setdefault(dst, {}).setdefault(src, eid)
     for c in range(1, 1 << n):
-        if c in shrinkable:
-            continue
         back = returners.get(c)
-        if not back:
+        if not back or c in shrinkable:
             continue
-        seen = {c}
-        word_to = {c: ()}
-        queue = deque([c])
-        order = [c]
-        while queue:
-            s = queue.popleft()
-            for k in range(len(a.alphabet)):
-                t = support_step(a, s, (k,))
-                if t not in seen:
-                    seen.add(t)
-                    word_to[t] = word_to[s] + (k,)
-                    queue.append(t)
-                    order.append(t)
-        for s in order:
+        for s, reach_word in reachable_supports(a, c, 1 << n).items():
             eid = back.get(s)
             if eid is None:
                 continue
-            ((word, borders, _),) = g.witness_steps(eid)
+            (step,) = g.witness_steps(eid)
+            word, borders, _ = step
             plain = support_step(a, s, word)
-            if plain == c:
-                raise RuntimeError("#-return witness lost its plain overshoot")
+            if (
+                support_step(a, c, reach_word) != s
+                or replay_steps(a, s, [step]) != c
+                or plain == c
+            ):
+                raise RuntimeError("#-return witness failed its replay")
             witness = {
                 "minimal_support": list(a.names(c)),
-                "reach_word": list(a.letters(word_to[s])),
+                "reach_word": list(a.letters(reach_word)),
                 "from_support": list(a.names(s)),
                 "word": list(a.letters(word)),
                 "borders": [list(b) for b in borders],
@@ -259,7 +292,7 @@ def is_structurally_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
                 reason="a minimal support plainly reaches a support that "
                 "#-returns to it with a larger plain image",
             )
-    return Verdict("yes")
+    return None
 
 
 # -- closure constructions ---------------------------------------------------

@@ -57,7 +57,13 @@ from .graphs import (
     image_table,
     reachable_mask,
 )
-from .linked import border_chain, layer_of_rows, layer_rows, linked_graph_of_word
+from .linked import (
+    border_chain,
+    compose_layers,
+    layer_of_rows,
+    layer_rows,
+    linked_graph_of_word,
+)
 from .profiles import build_profile_monoid, profile_image
 from .semantics import chain_parity_almost, rel_image, sharp_power, vector_product
 
@@ -187,7 +193,10 @@ class ExtendedSupportGraph:
 
     Edges are keyed by their relation label (the source and destination are
     the label's left and right projections), and each stores the first
-    derivation that produced it.  An automaton with more than
+    derivation that produced it.  With track_plain the key is the pair of
+    the label and the plain relation of the edge's witness word, so one
+    label may carry several edges; without it, edge_plain gives each edge
+    the plain relation of its first derivation.  An automaton with more than
     budgets.extended_states states is refused before any seed is read.
 
     With stop, a predicate on supports, the graph keeps the set of nodes
@@ -250,6 +259,8 @@ class ExtendedSupportGraph:
         self._node_set: set[int] = set()
         self._pending: deque[int] = deque()
         self._steps_memo: dict[int, Step] = {}
+        # a label-keyed graph fills _plain on the first edge_plain call
+        self._plain_derived = False
         self._stop = stop
         # nodes #-reachable from the origin; stays empty without stop
         self._reached: set[int] = set()
@@ -394,7 +405,7 @@ class ExtendedSupportGraph:
         for off, row in pairs:
             rewired |= img(row) << off
         if high | rewired not in keys:
-            self._add(rewired, plain, ("border", i1, i2, 2))
+            self._add(rewired, plain, ("border", i1, i2))
 
     # -- views -------------------------------------------------------------
 
@@ -417,9 +428,27 @@ class ExtendedSupportGraph:
         return len(self._label)
 
     def edge_plain(self, eid: int) -> int:
-        """Unrestricted one-word relation of the edge's complete witness word."""
-        if not self.track_plain:
-            raise InputError("graph was built without plain-relation tracking")
+        """Unrestricted one-word relation of the edge's complete witness word.
+
+        A plain-tracked graph keys every edge on it.  A label-keyed graph
+        derives all of them at the first call, in one forward pass over
+        provenance: a word edge has its letter's relation, and a compose or
+        border edge the composition of its operands' (which have smaller
+        ids), so each edge gets the plain relation of its first derivation.
+        """
+        if not self.track_plain and not self._plain_derived:
+            plain, n = self._plain, self._n
+            # few distinct operand pairs recur across many edges
+            composed: dict[tuple[int, int], int] = {}
+            for e, prov in enumerate(self._prov):
+                if prov[0] == "word":
+                    plain[e] = self._letter_plain[prov[1]]
+                    continue
+                pair = plain[prov[1]], plain[prov[2]]
+                if pair not in composed:
+                    composed[pair] = compose_layers(*pair, n)
+                plain[e] = composed[pair]
+            self._plain_derived = True
         return self._plain[eid]
 
     # -- witness flattening --------------------------------------------------

@@ -16,13 +16,14 @@ from qpa.classify import (
     reduce_dfa_intersection,
     union_structure,
 )
-from qpa.core import Acceptance, Automaton, LassoWord
+from qpa.core import Acceptance, Automaton, Budgets, LassoWord
 from qpa.errors import BudgetExceededError, InputError
 from qpa.formats import DFA, parse_automaton, parse_dfa
 from qpa.lasso import lasso_acceptance_probability
+from qpa.linked import layer_rows
 from qpa.qualitative import decide_almost_simple
-from qpa.semantics import propagate
-from qpa.supportgraph import is_sharp_acyclic
+from qpa.semantics import propagate, rel_image, support_step
+from qpa.supportgraph import ExtendedSupportGraph, is_sharp_acyclic
 import oracles as O
 
 LEMMA5_PIN_TEXT = """\
@@ -226,6 +227,93 @@ def test_structurally_simple_pins(ex1, ex2):
 def test_structurally_simple_budget_gate(hrd):
     with pytest.raises(BudgetExceededError, match="at most 6 states"):
         is_structurally_simple(hrd)
+
+
+# the plain-tracked graph of this automaton passes 800 edges; its label-keyed
+# graph has 169, and its first derivations already hold a returner
+BUDGET_STOP_TEXT = """\
+states: q2 q0 q1
+alphabet: a b
+init: q0=1
+acceptance: reach q0 q1
+trans: q0 a q1 1
+trans: q1 a q0 1/2
+trans: q1 a q2 1/2
+trans: q2 a q1 1
+trans: q0 b q2 1
+trans: q1 b q0 1
+trans: q2 b q1 1
+"""
+
+
+def test_structurally_simple_refutes_before_plain_budget():
+    a = parse_automaton(BUDGET_STOP_TEXT)
+    budgets = Budgets(path_cap=800)
+    with pytest.raises(BudgetExceededError, match="800 edges"):
+        ExtendedSupportGraph(a, budgets, range(1, 1 << a.n), track_plain=True)
+    v = is_structurally_simple(a, budgets)
+    assert v.answer == "no"
+    assert v.witness["minimal_support"] == ["q2"]
+    assert not O.ostructurally_simple(a, max_len=4)
+
+
+def _returner_free(a, budgets, track_plain) -> bool:
+    """No minimal support plainly reaches the source of an edge that
+    #-returns to it with a different plain image, on one all-seeds graph.
+
+    On the plain-tracked graph this is structural simplicity; on the
+    label-keyed graph it reads each edge's first-derivation plain only."""
+    n = a.n
+    g = ExtendedSupportGraph(a, budgets, range(1, 1 << n), track_plain=track_plain)
+    shrinkable, returners = set(), set()
+    for eid in range(g.edge_count):
+        src, _, dst = g.edge_parts(eid)
+        if dst != src and dst & src == dst:
+            shrinkable.add(src)
+        if rel_image(layer_rows(g.edge_plain(eid), n), src) != dst:
+            returners.add((src, dst))
+    for c in range(1, 1 << n):
+        if c in shrinkable:
+            continue
+        seen, todo = {c}, [c]
+        while todo:
+            s = todo.pop()
+            if (s, c) in returners:
+                return False
+            for k in range(len(a.alphabet)):
+                t = support_step(a, s, (k,))
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+    return True
+
+
+def test_two_phase_gate_agrees_with_one_phase_reference():
+    rng = random.Random(7)
+    budgets = Budgets(path_cap=800)
+    kinds = set()
+    for _ in range(60):
+        a = random_automaton(rng, rng.randrange(3, 5), 2)
+        try:
+            want = _returner_free(a, budgets, track_plain=True)
+        except BudgetExceededError:
+            want = None
+        try:
+            got = is_structurally_simple(a, budgets).answer
+        except BudgetExceededError:
+            got = "budget"
+        if want is None:
+            # every "yes" needs the plain-tracked graph, so it stops here too
+            assert got in ("no", "budget")
+            kinds.add(f"budget -> {got}")
+        elif want:
+            assert got == "yes"
+            kinds.add("yes")
+        else:
+            assert got == "no"
+            late = _returner_free(a, budgets, track_plain=False)
+            kinds.add("no in phase 2" if late else "no in phase 1")
+    assert {"yes", "no in phase 1", "no in phase 2", "budget -> no"} <= kinds
 
 
 @pytest.mark.parametrize("chunk", range(5))

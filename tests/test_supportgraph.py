@@ -19,7 +19,7 @@ from qpa.linked import (
     rec_from,
 )
 from qpa.qualitative import decide
-from qpa.semantics import propagate
+from qpa.semantics import propagate, word_relation
 from qpa.supportgraph import (
     ExtendedSupportGraph,
     build_extended_support_graph,
@@ -314,7 +314,7 @@ class _ReferenceClosure:
         self.add(compose_layers(e1[0], e2[0], self.n), plain, ("compose", i1, i2))
         if self.funnel[i2] is not None:
             rewired = compose_layers(e1[0], self.funnel[i2], self.n)
-            self.add(rewired, plain, ("border", i1, i2, 2))
+            self.add(rewired, plain, ("border", i1, i2))
 
     def witness_steps(self):
         """Replay steps of every edge, in id order: operands precede an edge."""
@@ -366,6 +366,15 @@ def test_extended_closure_matches_reference_schedule():
             _assert_same_closure(a, [a.initial_support], track_plain)
             if a.n < 4:
                 _assert_same_closure(a, list(range(1, 1 << a.n)), track_plain)
+
+
+def test_label_keyed_edge_plain_is_witness_word_relation(ex1, ex2, exlg):
+    for a in (ex1, ex2, exlg):
+        g = ExtendedSupportGraph(a, DEFAULT_BUDGETS, range(1, 1 << a.n))
+        for eid in range(g.edge_count):
+            ((word, _, _),) = g.witness_steps(eid)
+            want = layer_of_rows(word_relation(a, word), a.full_mask, a.n)
+            assert g.edge_plain(eid) == want
 
 
 def test_extended_edge_cap_matches_reference(ex2):
