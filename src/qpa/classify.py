@@ -32,10 +32,10 @@ from typing import Mapping, Sequence
 from .core import DEFAULT_BUDGETS, Acceptance, Automaton, Budgets, Verdict, as_mask, bits
 from .errors import InputError
 from .formats import DFA
-from .graphs import reachable_mask
+from .graphs import image, scc_masks
 from .linked import layer_rows
 from .qualitative import reachable_supports
-from .semantics import propagate, rel_image, sharp_power, support_step
+from .semantics import propagate, sharp_power, support_step
 from .supportgraph import ExtendedSupportGraph, replay_steps
 
 
@@ -167,18 +167,15 @@ def is_hierarchical(a: Automaton) -> Verdict:
         rel = a.relation(k)
         for i in range(n):
             rows[i] |= rel[i]
-    fwd = [reachable_mask(rows, 1 << i, a.full_mask) for i in range(n)]
-    scc = []
-    for i in range(n):
-        m = 1 << i
-        for j in bits(fwd[i]):
-            if fwd[j] >> i & 1:
-                m |= 1 << j
-        scc.append(m)
+    comps = scc_masks(rows, a.full_mask)
+    comp_of = [0] * n
+    for c, comp in enumerate(comps):
+        for i in bits(comp):
+            comp_of[i] = c
     for k in range(len(a.alphabet)):
         rel = a.relation(k)
         for i in range(n):
-            inside = rel[i] & scc[i]
+            inside = rel[i] & comps[comp_of[i]]
             if inside and inside & (inside - 1):
                 witness = {
                     "state": a.states[i],
@@ -190,18 +187,13 @@ def is_hierarchical(a: Automaton) -> Verdict:
                     witness,
                     reason="two positive successors stay in the state's recurrence class",
                 )
-    comps: list[int] = []
-    comp_of = [0] * n
-    for i in range(n):
-        if scc[i] not in comps:
-            comps.append(scc[i])
-        comp_of[i] = comps.index(scc[i])
+    # comps is reverse topological, so walking it backwards settles every
+    # predecessor of a component before the component itself
     level = [0] * len(comps)
-    for _ in comps:
-        for i in range(n):
-            for j in bits(rows[i]):
-                if comp_of[j] != comp_of[i]:
-                    level[comp_of[j]] = max(level[comp_of[j]], level[comp_of[i]] + 1)
+    for c in reversed(range(len(comps))):
+        for i in bits(comps[c]):
+            for j in bits(rows[i] & ~comps[c]):
+                level[comp_of[j]] = max(level[comp_of[j]], level[c] + 1)
     rank = RankFunction(tuple((q, level[comp_of[i]]) for i, q in enumerate(a.states)))
     if not rank.holds(a):
         raise RuntimeError("computed rank failed its own verification")
@@ -259,7 +251,7 @@ def _returner_verdict(
     returners: dict[int, dict[int, int]] = {}
     for eid in range(g.edge_count):
         src, _, dst = g.edge_parts(eid)
-        if rel_image(layer_rows(g.edge_plain(eid), n), src) != dst:
+        if image(layer_rows(g.edge_plain(eid), n), src) != dst:
             returners.setdefault(dst, {}).setdefault(src, eid)
     for c in range(1, 1 << n):
         back = returners.get(c)

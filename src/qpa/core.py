@@ -200,11 +200,7 @@ class Automaton:
 
     @property
     def initial_support(self) -> int:
-        m = 0
-        for i, p in enumerate(self.initial):
-            if p > 0:
-                m |= 1 << i
-        return m
+        return support_mask(self.initial)
 
     def epsilon(self) -> Fraction:
         """Smallest positive entry over all letter matrices."""

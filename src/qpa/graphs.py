@@ -1,22 +1,33 @@
-"""Small graph helpers: image tables, reachability and strongly connected components.
+"""Relation kernels on bitmask digraphs: images, reachability and strongly
+connected components.
 
-Two digraph flavors are used in this package: bitmask digraphs on state
-indices (rows[i] = successor mask) and dict digraphs on hashable nodes
-(support sets, product states).  A bitmask digraph is also a boolean
-relation; image_table is the one kernel that applies such a relation to a
-mask, and every relational composition in the package goes through it.
+A bitmask digraph on state indices (rows[i] = successor mask) is also a
+boolean relation, and this module is the one home of the operations on it.
+A relation applied once to a mask goes through image, a loop over the
+mask's bits; a relation applied many times goes through image_table, which
+pays for a lookup table once and then costs one lookup per 8-bit chunk.
+Strongly connected components come from one routine, scc_masks; bottom
+components and the union of their states are read off its list.
 """
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .core import bits
 
 Image = Callable[[int], int]
 
 
+def image(rows: Sequence[int], mask: int) -> int:
+    """Union of rows[i] over the states i in mask."""
+    out = 0
+    for i in bits(mask):
+        out |= rows[i]
+    return out
+
+
 def image_table(rows: Sequence[int]) -> Image:
-    """img(m) = union of rows[i] over the states i in m, by table lookup.
+    """img(m) = image(rows, m), by table lookup.
 
     One table per 8-bit chunk of a mask, each with at most 256 entries, so
     the tables stay small at any state count.
@@ -40,22 +51,16 @@ def image_table(rows: Sequence[int]) -> Image:
     return img
 
 
-def reachable_mask(rows: Iterable[int] | tuple[int, ...], seeds: int, node_mask: int = -1) -> int:
+def reachable_mask(rows: Sequence[int], seeds: int, node_mask: int = -1) -> int:
     """States reachable from the seed mask, seeds included, within node_mask."""
-    rows = tuple(rows)
-    seen = seeds & node_mask
-    frontier = seen
+    seen = frontier = seeds & node_mask
     while frontier:
-        nxt = 0
-        for i in bits(frontier):
-            nxt |= rows[i]
-        nxt &= node_mask
-        frontier = nxt & ~seen
+        frontier = image(rows, frontier) & node_mask & ~seen
         seen |= frontier
     return seen
 
 
-def scc_masks(rows: tuple[int, ...], node_mask: int) -> list[int]:
+def scc_masks(rows: Sequence[int], node_mask: int) -> list[int]:
     """SCCs of the digraph restricted to node_mask, as masks in reverse topological order.
 
     Reverse topological: every edge goes from a later list entry to an earlier
@@ -106,7 +111,7 @@ def scc_masks(rows: tuple[int, ...], node_mask: int) -> list[int]:
     return comps
 
 
-def bottom_scc_masks(rows: tuple[int, ...], node_mask: int) -> list[int]:
+def bottom_scc_masks(rows: Sequence[int], node_mask: int) -> list[int]:
     """SCCs with no edge leaving them, restricted to node_mask."""
     out = []
     for comp in scc_masks(rows, node_mask):
@@ -115,62 +120,9 @@ def bottom_scc_masks(rows: tuple[int, ...], node_mask: int) -> list[int]:
     return out
 
 
-def bottom_states_mask(rows: tuple[int, ...], node_mask: int) -> int:
+def bottom_states_mask(rows: Sequence[int], node_mask: int) -> int:
+    """Union of the bottom SCCs within node_mask: the recurrent states."""
     m = 0
     for comp in bottom_scc_masks(rows, node_mask):
         m |= comp
     return m
-
-
-def sccs(succ: Mapping[Hashable, Iterable[Hashable]]) -> list[list[Hashable]]:
-    """SCCs of a dict digraph in reverse topological order (bottoms first)."""
-    nodes = list(succ)
-    index = {v: i for i, v in enumerate(nodes)}
-    adj = [[index[w] for w in succ[v] if w in index] for v in nodes]
-    order: list[int] = []
-    seen = [False] * len(nodes)
-    for root in range(len(nodes)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for child in it:
-                if not seen[child]:
-                    seen[child] = True
-                    stack.append((child, iter(adj[child])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    trans: list[list[int]] = [[] for _ in nodes]
-    for i, out in enumerate(adj):
-        for j in out:
-            trans[j].append(i)
-    comp_of = [-1] * len(nodes)
-    comps: list[list[Hashable]] = []
-    for root in reversed(order):
-        if comp_of[root] >= 0:
-            continue
-        cid = len(comps)
-        comp = [root]
-        comp_of[root] = cid
-        frontier = [root]
-        while frontier:
-            i = frontier.pop()
-            for j in trans[i]:
-                if comp_of[j] < 0:
-                    comp_of[j] = cid
-                    comp.append(j)
-                    frontier.append(j)
-        comps.append([nodes[i] for i in comp])
-    comps.reverse()
-    return comps
-
-
-def has_cycle_ignoring_self_loops(succ: Mapping[Hashable, Iterable[Hashable]]) -> bool:
-    """True iff the digraph has a cycle through at least two distinct nodes."""
-    return any(len(c) > 1 for c in sccs(succ))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .core import Automaton, LassoWord, Matrix, bits, support_mask
 from .errors import BudgetExceededError, InputError
-from .graphs import bottom_scc_masks
+from .graphs import bottom_scc_masks, image
 from .profiles import class_minima, profile_of_word
 from .semantics import (
     ChainAnalysis,
@@ -349,9 +349,7 @@ def _analyze_class(
     kstar = 1
     cap = max((bin(b).count("1") - 1) ** 2 + 2 for b in blocks)
     while any(power[i] != blocks[cyc[states[i]]] for i in range(len(states))):
-        power = [
-            _or_rows(power[i], rel_td) for i in range(len(states))
-        ]
+        power = [image(rel_td, row) for row in power]
         kstar += 1
         if kstar > cap:
             raise RuntimeError("cyclic block power failed to stabilize")
@@ -368,13 +366,6 @@ def _analyze_class(
     actives = sorted(first_seen)
     t_full = max(first_seen.values())
     return _ClassInfo(cmask, _slice0(cmask, n), states, d, kstar, eps, blocks, cyc, actives, t_full)
-
-
-def _or_rows(mask: int, rows: Sequence[int]) -> int:
-    out = 0
-    for j in bits(mask):
-        out |= rows[j]
-    return out
 
 
 def _slice0(cmask: int, n: int) -> int:

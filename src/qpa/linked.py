@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 from .core import Automaton, as_mask, bits
 from .errors import InputError
-from .graphs import bottom_scc_masks, image_table, reachable_mask
+from .graphs import bottom_states_mask, image_table, reachable_mask
 
 
 def layer_rows(layer: int, n: int) -> tuple[int, ...]:
@@ -51,13 +51,6 @@ def layer_dests(layer: int, n: int) -> int:
 def layer_pairs(layer: int, n: int) -> Iterator[tuple[int, int]]:
     for b in bits(layer):
         yield divmod(b, n)
-
-
-def layer_of_pairs(pairs, n: int) -> int:
-    layer = 0
-    for i, j in pairs:
-        layer |= 1 << (i * n + j)
-    return layer
 
 
 def compose_layers(x: int, y: int, n: int) -> int:
@@ -159,11 +152,7 @@ def rec(lg: LinkedGraph) -> int:
     """
     if lg.dest & ~lg.org:
         raise InputError("rec needs the destination inside the origin")
-    rows = layer_rows(compaction(lg), lg.n)
-    out = 0
-    for comp in bottom_scc_masks(rows, lg.org):
-        out |= comp
-    return out
+    return bottom_states_mask(layer_rows(compaction(lg), lg.n), lg.org)
 
 
 def rec_from(s: int, lg: LinkedGraph) -> int:

@@ -110,19 +110,6 @@ def profile_of_word(a: Automaton, priorities, word) -> Profile:
     return prof
 
 
-def profile_digraph(profile: Profile) -> tuple[int, ...]:
-    """Finite-entry rows of a profile as destination bitmasks."""
-    return profile[-1]
-
-
-def profile_image(profile: Profile, mask: int) -> int:
-    rows = profile[-1]
-    out = 0
-    for i in bits(mask):
-        out |= rows[i]
-    return out
-
-
 def class_minima(profile: Profile, mask: int) -> list[tuple[int, int]]:
     """Per bottom SCC of the profile digraph within mask, the internal minimum entry.
 

@@ -18,31 +18,36 @@ from .core import (
     LassoWord,
     Verdict,
     bits,
-    support_mask,
 )
 from .errors import BudgetExceededError, InputError
-from .graphs import image_table
+from .graphs import image, image_table
 from .lasso import lasso_acceptance_probability
 from .profiles import build_safe_monoid, class_minima, iter_profile_monoid, safe_identity
-from .semantics import reach_as_buchi, support_step
+from .semantics import reach_as_buchi
 
 PROBLEMS = ("positive", "almost", "limit")
 MODES = ("simple", "general", "lasso", "struct-simple")
 
 
-def reachable_supports(a: Automaton, start: int, budget: int) -> dict[int, tuple[int, ...]]:
+def reachable_supports(
+    a: Automaton, start: int, budget: int, within: int = -1
+) -> dict[int, tuple[int, ...]]:
     """Exact supports reachable from start, each with its shortest word.
 
     Breadth-first over the subset construction, letters in alphabet order,
     so dict order is shortest-word-first with lexicographic tie-breaking.
+    A step whose support leaves the mask within is not taken.
     """
     out: dict[int, tuple[int, ...]] = {start: ()}
     queue: deque[int] = deque([start])
+    rels = [a.relation(k) for k in range(len(a.alphabet))]
     while queue:
         s = queue.popleft()
         w = out[s]
-        for k in range(len(a.alphabet)):
-            t = support_step(a, s, (k,))
+        for k, rel in enumerate(rels):
+            t = image(rel, s)
+            if t & ~within:
+                continue
             if t not in out:
                 if len(out) >= budget:
                     raise BudgetExceededError(f"subset construction exceeded {budget} supports")
@@ -101,7 +106,7 @@ def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
             w = LassoWord(tuple(v.witness["prefix"]), tuple(v.witness["period"]))
             return _verified_yes(a, w, True, {"support": v.witness.get("support", [])})
         return v
-    supports = reachable_supports(a, support_mask(a.initial), budgets.subset)
+    supports = reachable_supports(a, a.initial_support, budgets.subset)
     for prof, rho2 in iter_profile_monoid(a, None, budgets.monoid):
         img = image_table(prof[-1])
         odd = None
@@ -142,7 +147,7 @@ def decide_positive_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
             w = LassoWord(tuple(v.witness["prefix"]), tuple(v.witness["period"]))
             return _verified_yes(a, w, False, {"class": v.witness.get("class", [])})
         return v
-    supports = reachable_supports(a, support_mask(a.initial), budgets.subset)
+    supports = reachable_supports(a, a.initial_support, budgets.subset)
     for prof, rho2 in iter_profile_monoid(a, None, budgets.monoid):
         for comp, mn in class_minima(prof, a.full_mask):
             if mn % 2:
@@ -162,23 +167,12 @@ def _safe_subset_walk(a: Automaton, start: int, fmask: int, budget: int):
     image stays inside F.  A lasso exists iff some node keeps an outgoing
     edge after sink-stripping, and the walk then never leaves such nodes.
     """
-    nodes: dict[int, tuple[int, ...]] = {start: ()}
-    queue: deque[int] = deque([start])
+    nodes = reachable_supports(a, start, budget, within=fmask)
+    rels = [a.relation(k) for k in range(len(a.alphabet))]
     succ: dict[int, list[tuple[int, int]]] = {}
-    while queue:
-        s = queue.popleft()
-        w = nodes[s]
-        succ[s] = []
-        for k in range(len(a.alphabet)):
-            t = support_step(a, s, (k,))
-            if t & ~fmask:
-                continue
-            succ[s].append((k, t))
-            if t not in nodes:
-                if len(nodes) >= budget:
-                    raise BudgetExceededError(f"subset construction exceeded {budget} supports")
-                nodes[t] = w + (k,)
-                queue.append(t)
+    for s in nodes:
+        steps = [(k, image(rel, s)) for k, rel in enumerate(rels)]
+        succ[s] = [(k, t) for k, t in steps if not t & ~fmask]
     alive = set(nodes)
     changed = True
     while changed:
@@ -217,7 +211,7 @@ def decide_safety(a: Automaton, problem: str, budgets: Budgets = DEFAULT_BUDGETS
     if problem not in PROBLEMS:
         raise InputError(f"unknown problem {problem!r}")
     fmask = a.acceptance_mask()
-    alpha = support_mask(a.initial)
+    alpha = a.initial_support
     if problem in ("almost", "limit"):
         if alpha & ~fmask:
             return Verdict("no", reason="the initial support already leaves the safe set")
@@ -245,10 +239,7 @@ def decide_safety(a: Automaton, problem: str, budgets: Budgets = DEFAULT_BUDGETS
         if not c:
             continue
         for (rows1, _), rho1 in r1_options:
-            img = 0
-            for i in bits(a0):
-                img |= rows1[i]
-            if img & c:
+            if image(rows1, a0) & c:
                 return _verified_yes(
                     a, _lasso(a, rho1, rho2), False, {"class": list(a.names(c))}
                 )

@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 
 from .core import Acceptance, Automaton, Matrix, as_mask, as_vector, as_weights, bits
 from .errors import InputError
-from .graphs import bottom_scc_masks, bottom_states_mask
+from .graphs import bottom_scc_masks, bottom_states_mask, image
 from .profiles import class_minima, profile_of_word
 
 
@@ -98,22 +98,12 @@ def propagate(a: Automaton, beta: Mapping[str, Fraction] | Sequence[Fraction], w
     return as_weights(a, vector_product(as_vector(a, beta), a.matrices, a.word(word)))
 
 
-def rel_image(rows: Sequence[int], mask: int) -> int:
-    out = 0
-    for i in bits(mask):
-        out |= rows[i]
-    return out
-
-
-def rel_compose(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-    return tuple(rel_image(y, row) for row in x)
-
-
 def word_relation(a: Automaton, word: Sequence[int]) -> tuple[int, ...]:
     """Positive-transition relation of a word as destination bitmasks."""
     rows = tuple(1 << i for i in range(a.n))
     for k in word:
-        rows = rel_compose(rows, a.relation(k))
+        rel = a.relation(k)
+        rows = tuple(image(rel, row) for row in rows)
     return rows
 
 
@@ -121,7 +111,7 @@ def support_step(a: Automaton, S, word) -> int:
     """S . word: the support of delta(S, word), as a bitmask."""
     mask = as_mask(a, S)
     for k in a.word(word):
-        mask = rel_image(a.relation(k), mask)
+        mask = image(a.relation(k), mask)
     return mask
 
 

@@ -50,13 +50,7 @@ from .core import (
     bits,
 )
 from .errors import BudgetExceededError, InputError
-from .graphs import (
-    Image,
-    bottom_scc_masks,
-    has_cycle_ignoring_self_loops,
-    image_table,
-    reachable_mask,
-)
+from .graphs import Image, bottom_states_mask, image, image_table, reachable_mask, scc_masks
 from .linked import (
     border_chain,
     compose_layers,
@@ -64,8 +58,8 @@ from .linked import (
     layer_rows,
     linked_graph_of_word,
 )
-from .profiles import build_profile_monoid, profile_image
-from .semantics import chain_parity_almost, rel_image, sharp_power, vector_product
+from .profiles import build_profile_monoid, class_minima
+from .semantics import sharp_power, vector_product
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +136,7 @@ def build_support_graph(
     while queue:
         s = queue.popleft()
         for k in range(len(a.alphabet)):
-            targets = [(False, rel_image(a.relation(k), s))]
+            targets = [(False, image(a.relation(k), s))]
             if targets[0][1] == s:
                 targets.append((True, sharp_power(a, s, (k,))))
             for sharp, t in targets:
@@ -160,13 +154,15 @@ def is_sharp_acyclic(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
     """No cycle through two or more distinct supports in the full support graph.
 
     Identity self-loops S -> S are discarded: any stable support has one, so
-    counting them would empty the class.
+    counting them would empty the class.  Each support is the node whose
+    index is its own mask, so the graph is a bitmask digraph on 2^n nodes,
+    and the test is that every strongly connected component is one node.
     """
     g = build_support_graph(a, full=True, budgets=budgets)
-    succ: dict[int, set[int]] = {s: set() for s in g.nodes}
+    rows = [0] * (1 << a.n)
     for src, _, _, dst in g.edges:
-        succ[src].add(dst)
-    return not has_cycle_ignoring_self_loops(succ)
+        rows[src] |= 1 << dst
+    return all(c & (c - 1) == 0 for c in scc_masks(rows, (1 << len(rows)) - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +336,7 @@ class ExtendedSupportGraph:
         if dst & ~src:
             self._funnel_image.append(None)
         else:
-            rec = 0
-            for m in bottom_scc_masks(rows, src):
-                rec |= m
+            rec = bottom_states_mask(rows, src)
             self._funnel_image.append(
                 image_table(
                     [
@@ -416,9 +410,6 @@ class ExtendedSupportGraph:
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(zip(self._src, self._label, self._dst))
-
-    def edges_from(self, s: int) -> tuple[int, ...]:
-        return tuple(self._by_src.get(s, ()))
 
     def edge_parts(self, eid: int) -> tuple[int, int, int]:
         return self._src[eid], self._label[eid], self._dst[eid]
@@ -752,16 +743,14 @@ def decide_limit_parity_structsimple(
 
 def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
     """decide_limit_parity_structsimple past its input checks and gate."""
-    priorities = a.priorities()
     graph = build_extended_support_graph(a, budgets=budgets)
     reach = graph.reachable_with_steps(a.initial_support)
     monoid = build_profile_monoid(a, None, budgets.monoid)
     for node in reach:
         for prof, rho in monoid.items():
-            if profile_image(prof, node) & ~node:
+            if image(prof[-1], node) & ~node:
                 continue
-            ok, _ = chain_parity_almost(a, node, rho, priorities)
-            if not ok:
+            if any(mn % 2 for _, mn in class_minima(prof, node)):
                 continue
             period = tuple(a.alphabet[x] for x in rho)
             witness = {

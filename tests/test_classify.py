@@ -19,10 +19,11 @@ from qpa.classify import (
 from qpa.core import Acceptance, Automaton, Budgets, LassoWord
 from qpa.errors import BudgetExceededError, InputError
 from qpa.formats import DFA, parse_automaton, parse_dfa
+from qpa.graphs import image
 from qpa.lasso import lasso_acceptance_probability
 from qpa.linked import layer_rows
 from qpa.qualitative import decide_almost_simple
-from qpa.semantics import propagate, rel_image, support_step
+from qpa.semantics import propagate, support_step
 from qpa.supportgraph import ExtendedSupportGraph, is_sharp_acyclic
 import oracles as O
 
@@ -270,7 +271,7 @@ def _returner_free(a, budgets, track_plain) -> bool:
         src, _, dst = g.edge_parts(eid)
         if dst != src and dst & src == dst:
             shrinkable.add(src)
-        if rel_image(layer_rows(g.edge_plain(eid), n), src) != dst:
+        if image(layer_rows(g.edge_plain(eid), n), src) != dst:
             returners.add((src, dst))
     for c in range(1, 1 << n):
         if c in shrinkable:

@@ -16,7 +16,7 @@ from qpa.core import Acceptance, Automaton, LassoWord, bits
 from qpa.lasso import lasso_acceptance_probability, lasso_jet_decomposition
 from qpa.semantics import word_matrix
 
-from oracles import omatmul, oword_matrix
+from oracles import oimage, omatmul, oword_matrix
 
 
 def _weighted_row(rng: random.Random, n: int, dests: list[int]) -> list[Fraction]:
@@ -142,7 +142,7 @@ def _ref_analyze_class(a, period, prod_rows, cmask, sups, t_start, p_sup):
     power = list(rel_td)
     kstar = 1
     while any(power[i] != blocks[cyc[states[i]]] for i in range(len(states))):
-        power = [lasso._or_rows(power[i], rel_td) for i in range(len(states))]
+        power = [oimage(rel_td, row) for row in power]
         kstar += 1
     stabilized = _ref_dense_pow(td, kstar)
     eps = _ref_min_positive(stabilized)

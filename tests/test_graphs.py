@@ -5,11 +5,27 @@ from hypothesis import given, settings, strategies as st
 from qpa.graphs import (
     bottom_scc_masks,
     bottom_states_mask,
-    has_cycle_ignoring_self_loops,
+    image,
+    image_table,
     reachable_mask,
     scc_masks,
-    sccs,
 )
+
+
+def test_image_and_table_agree():
+    # up to 19 states, so the table spans up to three 8-bit chunks
+    rng = random.Random(8)
+    for _ in range(60):
+        n = rng.randint(1, 19)
+        rows = _random_rows(rng, n)
+        img = image_table(rows)
+        for _ in range(20):
+            m = rng.randrange(1 << n)
+            union = 0
+            for i in range(n):
+                if m >> i & 1:
+                    union |= rows[i]
+            assert image(rows, m) == img(m) == union
 
 
 def test_reachable_mask_basic():
@@ -35,17 +51,6 @@ def test_bottom_restricted():
     rows = (0b010, 0b101, 0b000)
     assert bottom_scc_masks(rows, 0b011) == [0b011]
     assert bottom_scc_masks(rows, 0b111) == [0b100]
-
-
-def test_self_loop_cycle_conventions():
-    assert not has_cycle_ignoring_self_loops({0: {0}, 1: set()})
-    assert has_cycle_ignoring_self_loops({0: {1}, 1: {0}})
-    assert not has_cycle_ignoring_self_loops({0: {1}, 1: set()})
-
-
-def test_sccs_dict():
-    comps = sccs({0: {1}, 1: {0}, 2: {0}})
-    assert {frozenset(c) for c in comps} == {frozenset({0, 1}), frozenset({2})}
 
 
 def _random_rows(rng, n):

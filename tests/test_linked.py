@@ -17,7 +17,6 @@ from qpa.linked import (
     concat,
     is_border,
     layer_dests,
-    layer_of_pairs,
     layer_pairs,
     layer_sources,
     linked_graph_of_word,
@@ -27,6 +26,14 @@ from qpa.linked import (
 
 from conftest import random_automaton
 from oracles import oapply_border, oborders, olayers
+
+
+def layer_of_pairs(pairs, n: int) -> int:
+    """The bipartite layer mask with the edges (i, j) given as index pairs."""
+    layer = 0
+    for i, j in pairs:
+        layer |= 1 << (i * n + j)
+    return layer
 
 
 def to_sets(lg: LinkedGraph) -> tuple[frozenset, ...]:

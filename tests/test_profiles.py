@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpa.errors import BudgetExceededError
+from qpa.graphs import image
 from qpa.profiles import (
     INF,
     build_profile_monoid,
@@ -15,8 +16,6 @@ from qpa.profiles import (
     iter_profile_monoid,
     letter_safe_profile,
     normalize_priorities,
-    profile_digraph,
-    profile_image,
     profile_of_word,
     safe_identity,
 )
@@ -129,9 +128,8 @@ def test_profile_of_word_composes(ex1):
 def test_profile_image_and_digraph(ex1):
     prios = normalize_priorities(ex1, EX1_PRIOS)
     p = profile_of_word(ex1, prios, "ab")
-    assert profile_image(p, ex1.mask("s")) == ex1.mask("s u")
-    rows = profile_digraph(p)
-    assert rows[ex1.state_index["u"]] == ex1.mask("u")
+    assert image(p[-1], ex1.mask("s")) == ex1.mask("s u")
+    assert p[-1][ex1.state_index["u"]] == ex1.mask("u")
 
 
 def test_class_minima(ex1):
@@ -427,7 +425,7 @@ def check_odd_mask_on_closed_sets(rng, n):
             if mn % 2:
                 odd |= comp
         for g in range(1, 1 << n):
-            if profile_image(p, g) & ~g:
+            if image(p[-1], g) & ~g:
                 continue
             assert (g & odd == 0) == all(mn % 2 == 0 for _, mn in class_minima(p, g))
 

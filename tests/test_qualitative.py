@@ -14,7 +14,8 @@ from qpa.qualitative import (
     decide_safety,
     reachable_supports,
 )
-from qpa.profiles import build_profile_monoid, class_minima, profile_image
+from qpa.graphs import image
+from qpa.profiles import build_profile_monoid, class_minima
 from qpa.semantics import make_accepting_absorbing, reach_as_buchi
 
 from conftest import random_automaton
@@ -39,6 +40,9 @@ def test_reachable_supports(ex2):
     assert sup[ex2.mask("1 3")] == (0,)
     assert ex2.mask("1 2 4") in sup
     assert ex2.mask("4") not in sup
+    # a step whose support leaves `within` is not taken
+    inside = reachable_supports(ex2, ex2.mask("1"), 1 << 16, within=ex2.mask("1 3"))
+    assert inside == {ex2.mask("1"): (), ex2.mask("1 3"): (0,)}
 
 
 def test_almost_simple_gadget(hrd):
@@ -237,7 +241,7 @@ def eager_witnesses(a, supports, monoid):
     almost, positive = {}, {}
     for pos, (prof, rho2) in enumerate(monoid.items()):
         for g, rho1 in supports.items():
-            if profile_image(prof, g) & ~g == 0 and all(
+            if image(prof[-1], g) & ~g == 0 and all(
                 mn % 2 == 0 for _, mn in class_minima(prof, g)
             ):
                 almost.setdefault(pos, (rho1, rho2, g))
@@ -254,7 +258,7 @@ def eager_almost(a, supports, monoid):
     """The almost scan with supports outer and the whole monoid inner."""
     for g, rho1 in supports.items():
         for prof, rho2 in monoid.items():
-            if profile_image(prof, g) & ~g:
+            if image(prof[-1], g) & ~g:
                 continue
             if all(mn % 2 == 0 for _, mn in class_minima(prof, g)):
                 return rho1, rho2, g

@@ -155,6 +155,39 @@ def test_sharp_acyclic_pins(ex1, ex2, exlg):
     assert not is_sharp_acyclic(swap)
 
 
+def _has_two_support_cycle(edges) -> bool:
+    """Some edge s -> t with s != t whose source is reachable back from t."""
+    succ: dict[int, set[int]] = {}
+    for s, _, _, t in edges:
+        succ.setdefault(s, set()).add(t)
+    for s, _, _, t in edges:
+        if s == t:
+            continue
+        seen, stack = {t}, [t]
+        while stack:
+            for v in succ.get(stack.pop(), ()):
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if s in seen:
+            return True
+    return False
+
+
+def test_sharp_acyclic_agrees_with_oracle():
+    rng = random.Random(59)
+    acyclic = 0
+    for _ in range(80):
+        a = random_automaton(rng, rng.randint(1, 4), rng.randint(1, 3))
+        edges = set()
+        for s in range(1, 1 << a.n):
+            edges |= O.osupport_graph(a, s)[1]
+        assert is_sharp_acyclic(a) == (not _has_two_support_cycle(edges))
+        acyclic += is_sharp_acyclic(a)
+    # both answers occur among the draws
+    assert 0 < acyclic < 80
+
+
 # -- extended support graph ----------------------------------------------------
 
 
