@@ -213,14 +213,16 @@ def is_structurally_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
 
     Phase 1 closes the all-seeds graph keyed on labels alone and scans each
     edge's first-derivation plain relation for such a returner.  Both
-    closures apply the same operations to labels, so their label sets (and
-    minimal supports) are equal, and every first derivation is also a
-    derivation in the plain-tracked graph: a returner found in phase 1 is a
-    real "no".  Phase 2 closes the plain-tracked graph, which holds every
-    derivation, and runs the same scan; it is only needed when phase 1
-    finds no returner.  The label-keyed graph never has more edges than the
-    plain-tracked one, so phase 1 stops on budgets.path_cap only where
-    phase 2 would.
+    closures multiply edges on the right by the same letters and funnels,
+    and by associativity each reaches the fixpoint of pairwise composition
+    and bordering, so their label sets (and minimal supports) are equal.
+    A first derivation is a product of letter relations and funnel atoms'
+    plains, and it is also a derivation in the plain-tracked graph: a
+    returner found in phase 1 is a real "no".  Phase 2 closes the
+    plain-tracked graph, which holds every derivation, and runs the same
+    scan; it is only needed when phase 1 finds no returner.  The
+    label-keyed graph never has more edges than the plain-tracked one, so
+    phase 1 stops on budgets.path_cap only where phase 2 would.
     """
     n = a.n
     g = ExtendedSupportGraph(a, budgets, range(1, 1 << n))

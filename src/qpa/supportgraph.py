@@ -11,14 +11,21 @@ its continuation through e2.  Destinations shrink below anything a plain
 word can reach; that is what makes limit reachability decidable for
 structurally simple automata.
 
-The closure is a worklist over edges.  Each edge keeps the image table
-(graphs.image_table) of its relation, of its plain relation when plain
-relations are tracked, and of its funnel when it can serve as a border
-segment, so composing two edges costs one table lookup per source row.
-Each chained pair of edges is combined once, at the pop of whichever edge
-is popped first.  Those first combinations keep their order: edge ids
-follow the order in which results first appear, and provenance, replay
-steps and the edge at which a budget stop is raised all hang on the ids.
+The closure is a worklist over edges that multiplies on the right by atoms
+only: letters and funnels.  Every label is total on its source, so
+dst(e o g) = dst(g), and a border through f is e o Fun(f), with Fun(f) the
+funnel relation of f.  Composition is associative, so e o (g o L) =
+(e o g) o L for a letter L and e o (g o Fun(h)) = border(e o g, h): closing
+every edge under composition with the letters at its destination and under
+borders through the funnels there reaches the fixpoint of the closure that
+combines every chained pair of edges, with the same nodes, the same keys
+and the same edge count.  A letter's image table (graphs.image_table) is
+shared by all nodes and serves both the label and the plain relation; a
+funnel table is kept only for the first edge with each distinct funnel at
+its source (with each distinct (funnel, plain) pair when plain relations
+are tracked).  Edge ids follow the order in which results first appear,
+and provenance, replay steps and the edge at which a budget stop is raised
+all hang on the ids.
 
 Every derived edge carries a derivation tree, and every tree flattens into
 one replay step (word, borders, cut): a concrete layered graph, read at its
@@ -204,10 +211,15 @@ class ExtendedSupportGraph:
     with the same ids and provenance, and a budget stop is raised only
     when the budget is hit before the stop.
 
-    A pair (e, f) with dst(e) = src(f) is met twice when both edges exist
-    before the first of them is popped: in e's outgoing loop and in f's
-    incoming loop.  Only the first meeting combines them; the second would
-    repeat the same insertion and find its result already present.
+    The closure multiplies edges on the right by atoms only (see the module
+    docstring).  Each edge is composed with the letter edges at its
+    destination when it is popped.  A border pairs an edge e with a funnel
+    atom h at dst(e), the first edge from that node with h's funnel key;
+    the pair is met at e's pop or at h's, whichever loop comes first.  So a
+    node costs (letters + distinct funnels) products per incoming edge,
+    where a pairwise closure pays in-degree times out-degree.  products
+    counts the compositions and borders attempted, and stopped is True when
+    the stop predicate ended the closure.
     """
 
     def __init__(
@@ -236,17 +248,21 @@ class ExtendedSupportGraph:
         self._src: list[int] = []
         self._dst: list[int] = []
         self._prov: list[tuple] = []
-        # composition data: source rows and image table of the label, the
-        # same for the plain relation, and the table of the funnel that a
-        # border through the edge applies; None when the edge's destinations
-        # leave its sources, so no border applies
+        # left-factor data: the source rows of the label and, when tracked,
+        # of the plain relation
         self._row_pairs: list[RowPairs] = []
-        self._image: list[Image] = []
         self._plain_pairs: list[RowPairs] = []
-        self._plain_image: list[Image] = []
-        self._funnel_image: list[Image | None] = []
-        # edge count when a popped edge's outgoing / incoming loop started;
-        # 0 until the edge is popped
+        # right factors at each node: its letter edges, one per distinct key,
+        # each with its letter's image table (shared by all nodes), and its
+        # funnel atoms, the first edge from it with each distinct funnel key
+        self._letter_image = [image_table(a.relation(k)) for k in range(len(a.alphabet))]
+        self._letters_at: dict[int, list[tuple[int, Image]]] = {}
+        self._funnels_at: dict[int, dict[int, int]] = {}
+        # image tables of a funnel atom's funnel and, when tracked, its plain
+        self._funnel_image: dict[int, Image] = {}
+        self._plain_image: dict[int, Image] = {}
+        # edge count when a popped edge's own products / a popped funnel
+        # atom's incoming loop started; 0 until the edge is popped
         self._out_at: list[int] = []
         self._in_at: list[int] = []
         self._by_src: dict[int, list[int]] = {}
@@ -263,6 +279,9 @@ class ExtendedSupportGraph:
         self._letter_plain = [
             layer_of_rows(a.relation(k), a.full_mask, n) for k in range(len(a.alphabet))
         ]
+        # compositions and borders attempted, and whether stop ended the closure
+        self.products = 0
+        self.stopped = False
         try:
             if stop is not None:
                 self._reach(seeds[-1])
@@ -270,9 +289,12 @@ class ExtendedSupportGraph:
                 self._add_node(s)
             self._run()
         except _Stopped:
-            pass
+            self.stopped = True
 
     # -- construction ------------------------------------------------------
+
+    def _key(self, label: int, plain: int) -> int:
+        return plain << self._nn | label if self.track_plain else label
 
     def _add_node(self, s: int, reached: bool = False) -> None:
         # s is registered, then marked reachable (which may end the closure),
@@ -283,13 +305,21 @@ class ExtendedSupportGraph:
             self._nodes.append(s)
             self._by_src[s] = []
             self._by_dst[s] = []
+            self._letters_at[s] = []
+            self._funnels_at[s] = {}
         if reached and s not in self._reached:
             self._reach(s)
         if fresh:
             a = self.automaton
+            letters = self._letters_at[s]
             for k in range(len(a.alphabet)):
                 label = layer_of_rows(a.relation(k), s, self._n)
-                self._add(label, self._letter_plain[k], ("word", k))
+                plain = self._letter_plain[k]
+                self._add(label, plain, ("word", k))
+                # two letters may share a restricted label: keep one edge
+                eid = self._keys[self._key(label, plain)]
+                if all(eid != f for f, _ in letters):
+                    letters.append((eid, self._letter_image[k]))
 
     def _reach(self, s: int) -> None:
         """Mark s and every node reachable from it by present edges."""
@@ -307,7 +337,7 @@ class ExtendedSupportGraph:
                     todo.append(d)
 
     def _add(self, label: int, plain: int, prov: tuple) -> None:
-        key = plain << self._nn | label if self.track_plain else label
+        key = self._key(label, plain)
         if key in self._keys:
             return
         if len(self._label) >= self.budgets.path_cap:
@@ -328,23 +358,23 @@ class ExtendedSupportGraph:
         self._src.append(src)
         self._dst.append(dst)
         self._row_pairs.append(_row_pairs(rows, n))
-        self._image.append(image_table(rows))
         if self.track_plain:
-            prows = layer_rows(plain, n)
-            self._plain_pairs.append(_row_pairs(prows, n))
-            self._plain_image.append(image_table(prows))
-        if dst & ~src:
-            self._funnel_image.append(None)
-        else:
+            self._plain_pairs.append(_row_pairs(layer_rows(plain, n), n))
+        if dst & ~src == 0:
+            # a border segment: the edge is a funnel atom of src when no
+            # earlier edge from src has the same funnel (and plain relation)
             rec = bottom_states_mask(rows, src)
-            self._funnel_image.append(
-                image_table(
-                    [
-                        reachable_mask(rows, 1 << y, src) & rec if src >> y & 1 else 0
-                        for y in range(n)
-                    ]
-                )
-            )
+            funnel = [
+                reachable_mask(rows, 1 << y, src) & rec if src >> y & 1 else 0
+                for y in range(n)
+            ]
+            atoms = self._funnels_at[src]
+            fkey = self._key(layer_of_rows(funnel, src, n), plain)
+            if fkey not in atoms:
+                atoms[fkey] = eid
+                self._funnel_image[eid] = image_table(funnel)
+                if self.track_plain:
+                    self._plain_image[eid] = image_table(layer_rows(plain, n))
         self._prov.append(prov)
         self._out_at.append(0)
         self._in_at.append(0)
@@ -356,50 +386,51 @@ class ExtendedSupportGraph:
         self._pending.append(eid)
 
     def _run(self) -> None:
-        # Skip a partner whose earlier pop already met this edge in its loop
-        # snapshot.  Pops do not follow edge ids (_add_node queues letter
-        # edges ahead of the edge that created the node), so "earlier" is read
-        # from the loop start counts, never from ids.
+        # A popped edge is composed with every letter edge at its destination
+        # and bordered through every funnel atom there; a popped funnel atom
+        # is also bordered with the edges into its source.  A pair (edge,
+        # atom) is met at whichever of the two loops comes first.  Pops do
+        # not follow edge ids (_add_node queues letter edges ahead of the
+        # edge that created the node), so "first" is read from the loop
+        # start counts, never from ids.
         out_at, in_at = self._out_at, self._in_at
+        funnel_image, plain_image = self._funnel_image, self._plain_image
+        product = self._product
         while self._pending:
             eid = self._pending.popleft()
+            dst = self._dst[eid]
+            atoms = list(self._funnels_at[dst].values())
             out_at[eid] = len(self._label)
-            for f in list(self._by_src[self._dst[eid]]):
-                if eid >= in_at[f]:
-                    self._combine(eid, f)
-            in_at[eid] = len(self._label)
-            for e in list(self._by_dst[self._src[eid]]):
-                if e != eid and eid >= out_at[e]:
-                    self._combine(e, eid)
+            for f, img in self._letters_at[dst]:
+                product(eid, f, img, img, "compose")
+            # Funnelled destinations are closed under the segment relation,
+            # so reading the bordered graph at the border's start or at its
+            # end yields the same relation; one edge covers both boundaries.
+            for h in atoms:
+                if eid >= in_at[h]:
+                    product(eid, h, funnel_image[h], plain_image.get(h), "border")
+            img = funnel_image.get(eid)
+            if img is not None:
+                plain_img = plain_image.get(eid)
+                in_at[eid] = len(self._label)
+                for e in list(self._by_dst[self._src[eid]]):
+                    if e != eid and eid >= out_at[e]:
+                        product(e, eid, img, plain_img, "border")
 
-    def _combine(self, i1: int, i2: int) -> None:
-        # Most results are edges already present; they are recognised here
-        # without building a provenance.
-        keys = self._keys
-        pairs = self._row_pairs[i1]
-        img = self._image[i2]
-        comp = 0
-        for off, row in pairs:
-            comp |= img(row) << off
+    def _product(self, e: int, f: int, img: Image, plain_img: Image | None, kind: str) -> None:
+        # e's label (and plain relation) times a right factor f, given by the
+        # image tables of what it applies; most results are edges already
+        # present, recognised here without building a provenance
+        self.products += 1
+        label = 0
+        for off, row in self._row_pairs[e]:
+            label |= img(row) << off
         plain = 0
         if self.track_plain:
-            img = self._plain_image[i2]
-            for off, row in self._plain_pairs[i1]:
-                plain |= img(row) << off
-        high = plain << self._nn
-        if high | comp not in keys:
-            self._add(comp, plain, ("compose", i1, i2))
-        img = self._funnel_image[i2]
-        if img is None:
-            return
-        # Funnelled destinations are closed under the segment relation, so
-        # reading the bordered graph at the border's start or at its end
-        # yields the same relation; one edge covers both boundaries.
-        rewired = 0
-        for off, row in pairs:
-            rewired |= img(row) << off
-        if high | rewired not in keys:
-            self._add(rewired, plain, ("border", i1, i2))
+            for off, row in self._plain_pairs[e]:
+                plain |= plain_img(row) << off
+        if plain << self._nn | label not in self._keys:
+            self._add(label, plain, (kind, e, f))
 
     # -- views -------------------------------------------------------------
 
@@ -426,6 +457,8 @@ class ExtendedSupportGraph:
         provenance: a word edge has its letter's relation, and a compose or
         border edge the composition of its operands' (which have smaller
         ids), so each edge gets the plain relation of its first derivation.
+        The right operand is always a letter edge or a funnel atom, so that
+        plain relation is a product of letter relations and atoms' plains.
         """
         if not self.track_plain and not self._plain_derived:
             plain, n = self._plain, self._n

@@ -218,11 +218,25 @@ def test_structurally_simple_pins(ex1, ex2):
     assert v.answer == "no"
     w = v.witness
     assert w["minimal_support"] == ["t"]
-    assert w["reach_word"] == []
-    assert w["from_support"] == ["t"]
-    assert w["word"] == ["a", "a", "a", "b", "a"]
-    assert w["borders"] == [[3, 5]]
+    assert w["reach_word"] == ["a"]
+    assert w["from_support"] == ["s", "u"]
+    assert w["word"] == ["a", "a", "b", "a"]
+    assert w["borders"] == [[2, 4], [1, 4]]
     assert w["plain_image"] == ["s", "t", "u"]
+    # independent replay: the reach word leads to the source, and the
+    # bordered graph of the word, on the oracle's layers, returns to the
+    # minimal support while the plain image overshoots it
+    c = ex1.mask(w["minimal_support"])
+    s = O.osupport(ex1, c, ex1.word(w["reach_word"]))
+    assert s == ex1.mask(w["from_support"])
+    org = frozenset(O.obits(s))
+    word = ex1.word(w["word"])
+    layers = O.olayers(ex1, org, word)
+    for border in w["borders"]:
+        layers = O.oapply_border(org, layers, tuple(border))
+    assert sum(1 << i for i in O.oboundaries(org, layers)[len(word)]) == c
+    plain = O.osupport(ex1, s, word)
+    assert plain == ex1.mask(w["plain_image"]) and plain != c
 
 
 def test_structurally_simple_budget_gate(hrd):

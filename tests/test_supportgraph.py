@@ -285,11 +285,14 @@ def test_extended_edge_cap(ex2):
 
 
 class _ReferenceClosure:
-    """The extended closure on its first schedule and kernel.
+    """The extended closure as the pairwise kernel.
 
-    Every chained pair is combined at the pop of each of its two edges,
-    relations compose through linked.compose_layers, and a border segment's
-    funnel is read off linked.rec_from on the segment's one-layer graph.
+    Every chained pair is combined at the pop of each of its two edges:
+    composed, and bordered through the second edge when it is a border
+    segment.  Relations compose through linked.compose_layers, and a
+    segment's funnel is read off linked.rec_from on the segment's
+    one-layer graph.  The library multiplies by letters and funnel atoms
+    only, so its fixpoint must have the same nodes, keys and edge count.
     Edges are [label, prov, src, dst, plain].
     """
 
@@ -349,56 +352,84 @@ class _ReferenceClosure:
             rewired = compose_layers(e1[0], self.funnel[i2], self.n)
             self.add(rewired, plain, ("border", i1, i2))
 
-    def witness_steps(self):
-        """Replay steps of every edge, in id order: operands precede an edge."""
-        out = []
-        for _, prov, *_ in self.edges:
-            if prov[0] == "word":
-                out.append([((prov[1],), (), 1)])
-                continue
-            s1, s2 = out[prov[1]], out[prov[2]]
-            if s1 is None or s2 is None:
-                out.append(None)
-                continue
-            whole = len(s1) == 1 and s1[0][2] == len(s1[0][0])
-            if prov[0] == "compose" and not whole:
-                out.append(s1 + s2)
-                continue
-            if prov[0] == "border" and not (whole and len(s2) == 1):
-                out.append(None)
-                continue
-            (w1, b1, _), (w2, b2, c2) = s1[0], s2[0]
-            off = len(w1)
-            borders = b1 + tuple((x + off, y + off) for x, y in b2)
-            if prov[0] == "compose":
-                out.append([(w1 + w2, borders, off + c2)] + s2[1:])
-            else:
-                out.append([(w1 + w2, borders + ((off, off + c2),), off + c2)])
-        return out
+    def key_set(self):
+        return {(e[0], e[4]) if self.track_plain else e[0] for e in self.edges}
+
+    def chained_pairs(self):
+        """Pairs (e, f) with dst(e) = src(f) at the fixpoint."""
+        return sum(len(self.by_dst[s]) * len(self.by_src[s]) for s in self.nodes)
+
+
+def _key_set(g):
+    if g.track_plain:
+        return {(g.edge_parts(e)[1], g.edge_plain(e)) for e in range(g.edge_count)}
+    return {g.edge_parts(e)[1] for e in range(g.edge_count)}
 
 
 def _assert_same_closure(a, seeds, track_plain):
     ref = _ReferenceClosure(a, seeds, track_plain)
     g = ExtendedSupportGraph(a, DEFAULT_BUDGETS, seeds, track_plain=track_plain)
-    assert g.nodes == tuple(ref.nodes)
+    assert set(g.nodes) == set(ref.nodes)
+    assert _key_set(g) == ref.key_set()
     assert g.edge_count == len(ref.edges)
-    for eid, (edge, steps) in enumerate(zip(ref.edges, ref.witness_steps())):
-        label, prov, src, dst, plain = edge
-        assert g.edge_parts(eid) == (src, label, dst)
-        if track_plain:
-            assert g.edge_plain(eid) == plain
-        assert g._prov[eid] == prov
-        assert g.witness_steps(eid) == steps
+    for eid in range(g.edge_count):
+        src, _, dst = g.edge_parts(eid)
+        steps = g.witness_steps(eid)
+        assert replay_steps(a, src, steps) == dst
+        assert _oracle_replay(a, src, steps) == dst
+        ((word, _, _),) = steps
+        assert g.edge_plain(eid) == layer_of_rows(word_relation(a, word), a.full_mask, a.n)
 
 
-def test_extended_closure_matches_reference_schedule():
+# The plain-tracked closure of this automaton has a funnel atom that is the
+# first edge added after the pop of an edge into the atom's source: that
+# pair is met only in the atom's incoming loop, at the boundary of the
+# loop-start skip.
+FIRST_AFTER_POP_TEXT = """\
+states: q0 q1 q2
+alphabet: a b
+init: q1=1
+trans: q0 a q0 1/2
+trans: q0 a q2 1/2
+trans: q1 a q1 1
+trans: q2 a q2 1
+trans: q0 b q0 1/2
+trans: q0 b q1 1/2
+trans: q1 b q0 1
+trans: q2 b q2 1
+"""
+
+
+def test_extended_closure_matches_reference_closure():
     rng = random.Random(1107)
-    for _ in range(12):
-        a = random_automaton(rng, rng.randrange(2, 5), 2)
+    draws = [random_automaton(rng, rng.randrange(2, 5), 2) for _ in range(12)]
+    for a in draws + [parse_automaton(FIRST_AFTER_POP_TEXT)]:
         for track_plain in (False, True):
             _assert_same_closure(a, [a.initial_support], track_plain)
             if a.n < 4:
                 _assert_same_closure(a, list(range(1, 1 << a.n)), track_plain)
+
+
+def test_extended_products_are_per_edge_and_atom(ex2):
+    # each edge meets the letters and the distinct funnels at its
+    # destination once, far fewer products than chained pairs
+    seeds = list(range(1, 1 << ex2.n))
+    g = ExtendedSupportGraph(ex2, DEFAULT_BUDGETS, seeds, track_plain=True)
+    assert not g.stopped
+    funnels = {s: set() for s in g.nodes}
+    for eid in range(g.edge_count):
+        src, label, dst = g.edge_parts(eid)
+        if dst & ~src == 0:
+            funnels[src].add((_funnel_of(ex2.n, label, src), g.edge_plain(eid)))
+    most = max(len(keys) for keys in funnels.values())
+    ref = _ReferenceClosure(ex2, seeds, track_plain=True)
+    assert 0 < g.products <= g.edge_count * (len(ex2.alphabet) + most)
+    assert g.products < ref.chained_pairs()
+
+
+def _funnel_of(n, label, src):
+    segment = LinkedGraph(n, (label,))
+    return tuple(rec_from(y, segment) if src >> y & 1 else 0 for y in range(n))
 
 
 def test_label_keyed_edge_plain_is_witness_word_relation(ex1, ex2, exlg):
@@ -461,6 +492,7 @@ def _assert_stops_at_first_witness(a, seed, sat):
     assert g._prov == full._prov[:k]
     want = _first_hit(full, origin, sat)
     assert k == (full.edge_count if want is None else want)
+    assert g.stopped == (want is not None) and not full.stopped
     reach = g.reachable_with_steps(origin)
     hits = [t for t in reach if sat(t)]
     assert bool(hits) == (want is not None)
@@ -550,12 +582,8 @@ def test_sharp_reachable_ex2_pin(ex2):
     assert v.answer == "yes"
     steps = v.witness["steps"]
     assert steps == [
-        {"word": ["a", "a", "b", "a"], "borders": [[1, 2]], "cut": 4},
-        {
-            "word": ["a", "a", "b", "a", "a"],
-            "borders": [[1, 2], [4, 5], [2, 5]],
-            "cut": 5,
-        },
+        {"word": ["a", "a"], "borders": [[1, 2]], "cut": 2},
+        {"word": ["b", "a", "a", "a", "b"], "borders": [[3, 4], [2, 5]], "cut": 5},
     ]
     assert _oracle_replay(ex2, ex2.mask("1"), _payload_steps(ex2, steps)) == ex2.mask("4")
 
