@@ -33,7 +33,6 @@ from .core import DEFAULT_BUDGETS, Acceptance, Automaton, Budgets, Verdict, as_m
 from .errors import InputError
 from .formats import DFA
 from .graphs import image, scc_masks
-from .linked import layer_rows
 from .qualitative import reachable_supports
 from .semantics import propagate, sharp_power, support_step
 from .supportgraph import ExtendedSupportGraph, replay_steps
@@ -253,7 +252,7 @@ def _returner_verdict(
     returners: dict[int, dict[int, int]] = {}
     for eid in range(g.edge_count):
         src, _, dst = g.edge_parts(eid)
-        if image(layer_rows(g.edge_plain(eid), n), src) != dst:
+        if image(g.edge_plain(eid), src) != dst:
             returners.setdefault(dst, {}).setdefault(src, eid)
     for c in range(1, 1 << n):
         back = returners.get(c)

@@ -1,13 +1,17 @@
-"""Relation kernels on bitmask digraphs: images, reachability and strongly
-connected components.
+"""Relation kernels on bitmask digraphs: images, composition, reachability
+and strongly connected components.
 
-A bitmask digraph on state indices (rows[i] = successor mask) is also a
-boolean relation, and this module is the one home of the operations on it.
-A relation applied once to a mask goes through image, a loop over the
-mask's bits; a relation applied many times goes through image_table, which
-pays for a lookup table once and then costs one lookup per 8-bit chunk.
-Strongly connected components come from one routine, scc_masks; bottom
-components and the union of their states are read off its list.
+A relation on state indices is held one way throughout the library: as
+rows (Rows), a tuple with rows[i] the mask of the successors of state i.
+The same tuple is a bitmask digraph, and this module is the one home of
+the operations on it.  A relation applied once to a mask goes through
+image, a loop over the mask's bits; a relation applied many times goes
+through image_table, which pays for a lookup table once and then costs one
+lookup per 8-bit chunk.  compose applies the right factor's table to every
+row of the left one, and restrict empties the rows outside a mask, which
+turns a relation into its part from a given support.  Strongly connected
+components come from one routine, scc_masks; bottom components and the
+union of their states are read off its list.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ from typing import Callable, Sequence
 
 from .core import bits
 
+Rows = tuple[int, ...]
 Image = Callable[[int], int]
 
 
@@ -49,6 +54,16 @@ def image_table(rows: Sequence[int]) -> Image:
         return out
 
     return img
+
+
+def compose(x: Sequence[int], y: Sequence[int]) -> Rows:
+    """Relational composition: x, then y."""
+    return tuple(map(image_table(y), x))
+
+
+def restrict(rows: Sequence[int], mask: int) -> Rows:
+    """The relation with the rows of the states outside mask emptied."""
+    return tuple(row if mask >> i & 1 else 0 for i, row in enumerate(rows))
 
 
 def reachable_mask(rows: Sequence[int], seeds: int, node_mask: int = -1) -> int:

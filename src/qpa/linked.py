@@ -2,11 +2,12 @@
 
 A linked graph records, layer by layer, which positive transitions a word
 can take from a starting support.  Each layer is a bipartite graph on the
-state set, stored as an n*n bitmask: bit i*n + j encodes the edge (i, j).
-Boundaries are numbered 0..length, boundary 0 being the origin; a border
-(n1, n2) with 1 <= n1 < n2 <= length rewires layer n1 through the recurrent
-part of the segment made of layers n1+1..n2 and drops downstream edges
-whose sources died.
+state set, held as a relation in rows (graphs.Rows): layer[i] is the mask
+of the destinations of state i, and the row of a state the layer does not
+start from is empty.  Boundaries are numbered 0..length, boundary 0 being
+the origin; a border (n1, n2) with 1 <= n1 < n2 <= length rewires layer n1
+through the recurrent part of the segment made of layers n1+1..n2 and
+drops downstream edges whose sources died.
 """
 from __future__ import annotations
 
@@ -15,51 +16,22 @@ from typing import Iterator, Sequence
 
 from .core import Automaton, as_mask, bits
 from .errors import InputError
-from .graphs import bottom_states_mask, image_table, reachable_mask
+from .graphs import Rows, bottom_states_mask, compose, image, reachable_mask, restrict
 
 
-def layer_rows(layer: int, n: int) -> tuple[int, ...]:
-    """Per-source destination masks of a bipartite layer mask."""
-    full = (1 << n) - 1
-    return tuple(layer >> (i * n) & full for i in range(n))
-
-
-def layer_of_rows(rows: Sequence[int], src_mask: int, n: int) -> int:
-    layer = 0
-    for i in bits(src_mask):
-        layer |= rows[i] << (i * n)
-    return layer
-
-
-def layer_sources(layer: int, n: int) -> int:
-    full = (1 << n) - 1
+def layer_sources(layer: Sequence[int]) -> int:
+    """States with at least one edge in the layer."""
     out = 0
-    for i in range(n):
-        if layer >> (i * n) & full:
+    for i, row in enumerate(layer):
+        if row:
             out |= 1 << i
     return out
 
 
-def layer_dests(layer: int, n: int) -> int:
-    full = (1 << n) - 1
-    out = 0
-    for i in range(n):
-        out |= layer >> (i * n) & full
-    return out
-
-
-def layer_pairs(layer: int, n: int) -> Iterator[tuple[int, int]]:
-    for b in bits(layer):
-        yield divmod(b, n)
-
-
-def compose_layers(x: int, y: int, n: int) -> int:
-    """Relational composition of two bipartite layer masks."""
-    img = image_table(layer_rows(y, n))
-    out = 0
-    for i, row in enumerate(layer_rows(x, n)):
-        out |= img(row) << (i * n)
-    return out
+def layer_pairs(layer: Sequence[int]) -> Iterator[tuple[int, int]]:
+    for i, row in enumerate(layer):
+        for j in bits(row):
+            yield i, j
 
 
 @dataclass(frozen=True)
@@ -67,32 +39,37 @@ class LinkedGraph:
     """Nonempty sequence of chained bipartite layers on n states."""
 
     n: int
-    layers: tuple[int, ...]
+    layers: tuple[Rows, ...]
 
     def __post_init__(self):
         if not self.layers:
             raise InputError("a linked graph needs at least one layer")
+        full = (1 << self.n) - 1
         prev = None
         for idx, layer in enumerate(self.layers):
-            src = layer_sources(layer, self.n)
+            if len(layer) != self.n:
+                raise InputError(f"layer {idx + 1} has {len(layer)} rows on {self.n} states")
+            if any(row & ~full for row in layer):
+                raise InputError(f"layer {idx + 1} has an edge to a state index >= {self.n}")
+            src = layer_sources(layer)
             if src == 0:
                 raise InputError(f"layer {idx + 1} is empty")
             if prev is not None and src != prev:
                 raise InputError(
                     f"sources of layer {idx + 1} differ from the previous destinations"
                 )
-            prev = layer_dests(layer, self.n)
+            prev = image(layer, full)
 
     def __len__(self) -> int:
         return len(self.layers)
 
     @property
     def org(self) -> int:
-        return layer_sources(self.layers[0], self.n)
+        return layer_sources(self.layers[0])
 
     @property
     def dest(self) -> int:
-        return layer_dests(self.layers[-1], self.n)
+        return self.boundary(len(self.layers))
 
     def boundary(self, i: int) -> int:
         """Support after i layers; boundary 0 is the origin."""
@@ -100,13 +77,13 @@ class LinkedGraph:
             raise InputError(f"boundary index {i} out of range")
         if i == 0:
             return self.org
-        return layer_dests(self.layers[i - 1], self.n)
+        return image(self.layers[i - 1], (1 << self.n) - 1)
 
     def pairs(self, i: int) -> frozenset[tuple[int, int]]:
         """Edges of layer i (1-indexed) as state-index pairs."""
         if not 1 <= i <= len(self.layers):
             raise InputError(f"layer index {i} out of range")
-        return frozenset(layer_pairs(self.layers[i - 1], self.n))
+        return frozenset(layer_pairs(self.layers[i - 1]))
 
 
 def concat(lg1: LinkedGraph, lg2: LinkedGraph) -> LinkedGraph:
@@ -125,23 +102,20 @@ def linked_graph_of_word(a: Automaton, A, word) -> LinkedGraph:
     w = a.word(word)
     if not w:
         raise InputError("empty word")
-    n = a.n
     layers = []
     cur = start
     for k in w:
-        rows = a.relation(k)
-        layer = layer_of_rows(rows, cur, n)
+        layer = restrict(a.relation(k), cur)
         layers.append(layer)
-        cur = layer_dests(layer, n)
-    return LinkedGraph(n, tuple(layers))
+        cur = image(layer, cur)
+    return LinkedGraph(a.n, tuple(layers))
 
 
-def compaction(lg: LinkedGraph) -> int:
+def compaction(lg: LinkedGraph) -> Rows:
     """Compose all layers into one bipartite graph from org to dest."""
-    n = lg.n
-    comp = layer_of_rows([1 << i for i in range(n)], lg.org, n)
-    for layer in lg.layers:
-        comp = compose_layers(comp, layer, n)
+    comp = lg.layers[0]
+    for layer in lg.layers[1:]:
+        comp = compose(comp, layer)
     return comp
 
 
@@ -152,15 +126,14 @@ def rec(lg: LinkedGraph) -> int:
     """
     if lg.dest & ~lg.org:
         raise InputError("rec needs the destination inside the origin")
-    return bottom_states_mask(layer_rows(compaction(lg), lg.n), lg.org)
+    return bottom_states_mask(compaction(lg), lg.org)
 
 
 def rec_from(s: int, lg: LinkedGraph) -> int:
     """Part of rec(lg) reachable from state index s in the compaction."""
     if not lg.org >> s & 1:
         raise InputError("state is not in the origin")
-    rows = layer_rows(compaction(lg), lg.n)
-    return reachable_mask(rows, 1 << s, lg.org) & rec(lg)
+    return reachable_mask(compaction(lg), 1 << s, lg.org) & rec(lg)
 
 
 def is_border(lg: LinkedGraph, b: tuple[int, int]) -> bool:
@@ -191,24 +164,18 @@ def border_action(lg: LinkedGraph, b: tuple[int, int]) -> LinkedGraph:
         raise InputError(f"({n1},{n2}) is not a border: boundary {n2} leaves boundary {n1}")
     n = lg.n
     seg = LinkedGraph(n, lg.layers[n1:n2])
-    seg_rows = layer_rows(compaction(seg), n)
-    rec_states = rec(seg)
-    reach = tuple(
-        reachable_mask(seg_rows, 1 << y, seg.org) if seg.org >> y & 1 else 0
+    seg_rows = compaction(seg)
+    rec_states = bottom_states_mask(seg_rows, seg.org)
+    funnel = tuple(
+        reachable_mask(seg_rows, 1 << y, seg.org) & rec_states if seg.org >> y & 1 else 0
         for y in range(n)
     )
-    rewired = 0
-    for x, y in layer_pairs(lg.layers[n1 - 1], n):
-        rewired |= (reach[y] & rec_states) << (x * n)
     new_layers = list(lg.layers)
-    new_layers[n1 - 1] = rewired
-    cur = layer_dests(rewired, n)
+    new_layers[n1 - 1] = compose(lg.layers[n1 - 1], funnel)
+    cur = image(new_layers[n1 - 1], lg.boundary(n1 - 1))
     for idx in range(n1, len(lg.layers)):
-        kept = 0
-        for i in bits(cur):
-            kept |= lg.layers[idx] & (((1 << n) - 1) << (i * n))
-        new_layers[idx] = kept
-        cur = layer_dests(kept, n)
+        new_layers[idx] = restrict(lg.layers[idx], cur)
+        cur = image(new_layers[idx], cur)
     return LinkedGraph(n, tuple(new_layers))
 
 

@@ -19,13 +19,19 @@ funnel relation of f.  Composition is associative, so e o (g o L) =
 every edge under composition with the letters at its destination and under
 borders through the funnels there reaches the fixpoint of the closure that
 combines every chained pair of edges, with the same nodes, the same keys
-and the same edge count.  A letter's image table (graphs.image_table) is
-shared by all nodes and serves both the label and the plain relation; a
-funnel table is kept only for the first edge with each distinct funnel at
-its source (with each distinct (funnel, plain) pair when plain relations
-are tracked).  Edge ids follow the order in which results first appear,
-and provenance, replay steps and the edge at which a budget stop is raised
-all hang on the ids.
+and the same edge count.
+
+Labels, plain relations and funnels are relations in rows (graphs.Rows),
+the encoding of Automaton.relation: a letter edge's label is its letter's
+relation restricted to the node (graphs.restrict), and a right
+multiplication maps the right factor's image table over the left factor's
+rows.  A letter's image table (graphs.image_table) is shared by all nodes
+and serves both the label and the plain relation; a funnel table is kept
+only for the first edge with each distinct funnel at its source (with
+each distinct (funnel, plain) pair when plain relations are tracked).
+Edge ids follow the order in which results first appear, and provenance,
+replay steps and the edge at which a budget stop is raised all hang on
+the ids.
 
 Every derived edge carries a derivation tree, and every tree flattens into
 one replay step (word, borders, cut): a concrete layered graph, read at its
@@ -57,14 +63,18 @@ from .core import (
     bits,
 )
 from .errors import BudgetExceededError, InputError
-from .graphs import Image, bottom_states_mask, image, image_table, reachable_mask, scc_masks
-from .linked import (
-    border_chain,
-    compose_layers,
-    layer_of_rows,
-    layer_rows,
-    linked_graph_of_word,
+from .graphs import (
+    Image,
+    Rows,
+    bottom_states_mask,
+    compose,
+    image,
+    image_table,
+    reachable_mask,
+    restrict,
+    scc_masks,
 )
+from .linked import border_chain, linked_graph_of_word
 from .profiles import build_profile_monoid, class_minima
 from .semantics import sharp_power, vector_product
 
@@ -179,13 +189,6 @@ def is_sharp_acyclic(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
 # application order, and the boundary index to read the result from.
 Step = tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]
 
-# The nonzero rows of a relation as (row offset i*n, row mask) pairs.
-RowPairs = tuple[tuple[int, int], ...]
-
-
-def _row_pairs(rows: Sequence[int], n: int) -> RowPairs:
-    return tuple((i * n, row) for i, row in enumerate(rows) if row)
-
 
 class _Stopped(Exception):
     """Ends a closure whose stop predicate holds on a reachable node."""
@@ -238,26 +241,20 @@ class ExtendedSupportGraph:
         self.automaton = a
         self.budgets = budgets
         self.track_plain = track_plain
-        n = a.n
-        self._n = n
-        # an edge's key is its label, below its plain relation when tracked
-        self._nn = n * n
-        self._keys: dict[int, int] = {}
-        self._label: list[int] = []
-        self._plain: list[int] = []
+        # an edge's key is its label, paired with its plain relation when
+        # tracked
+        self._keys: dict[Rows | tuple[Rows, Rows], int] = {}
+        self._label: list[Rows] = []
+        self._plain: list[Rows | None] = []
         self._src: list[int] = []
         self._dst: list[int] = []
         self._prov: list[tuple] = []
-        # left-factor data: the source rows of the label and, when tracked,
-        # of the plain relation
-        self._row_pairs: list[RowPairs] = []
-        self._plain_pairs: list[RowPairs] = []
         # right factors at each node: its letter edges, one per distinct key,
         # each with its letter's image table (shared by all nodes), and its
         # funnel atoms, the first edge from it with each distinct funnel key
         self._letter_image = [image_table(a.relation(k)) for k in range(len(a.alphabet))]
         self._letters_at: dict[int, list[tuple[int, Image]]] = {}
-        self._funnels_at: dict[int, dict[int, int]] = {}
+        self._funnels_at: dict[int, dict[Rows | tuple[Rows, Rows], int]] = {}
         # image tables of a funnel atom's funnel and, when tracked, its plain
         self._funnel_image: dict[int, Image] = {}
         self._plain_image: dict[int, Image] = {}
@@ -276,9 +273,6 @@ class ExtendedSupportGraph:
         self._stop = stop
         # nodes #-reachable from the origin; stays empty without stop
         self._reached: set[int] = set()
-        self._letter_plain = [
-            layer_of_rows(a.relation(k), a.full_mask, n) for k in range(len(a.alphabet))
-        ]
         # compositions and borders attempted, and whether stop ended the closure
         self.products = 0
         self.stopped = False
@@ -293,8 +287,8 @@ class ExtendedSupportGraph:
 
     # -- construction ------------------------------------------------------
 
-    def _key(self, label: int, plain: int) -> int:
-        return plain << self._nn | label if self.track_plain else label
+    def _key(self, label: Rows, plain: Rows | None) -> Rows | tuple[Rows, Rows]:
+        return (label, plain) if self.track_plain else label
 
     def _add_node(self, s: int, reached: bool = False) -> None:
         # s is registered, then marked reachable (which may end the closure),
@@ -313,8 +307,8 @@ class ExtendedSupportGraph:
             a = self.automaton
             letters = self._letters_at[s]
             for k in range(len(a.alphabet)):
-                label = layer_of_rows(a.relation(k), s, self._n)
-                plain = self._letter_plain[k]
+                plain = a.relation(k)
+                label = restrict(plain, s)
                 self._add(label, plain, ("word", k))
                 # two letters may share a restricted label: keep one edge
                 eid = self._keys[self._key(label, plain)]
@@ -336,7 +330,7 @@ class ExtendedSupportGraph:
                     reached.add(d)
                     todo.append(d)
 
-    def _add(self, label: int, plain: int, prov: tuple) -> None:
+    def _add(self, label: Rows, plain: Rows | None, prov: tuple) -> None:
         key = self._key(label, plain)
         if key in self._keys:
             return
@@ -345,36 +339,31 @@ class ExtendedSupportGraph:
                 f"extended support graph exceeded {self.budgets.path_cap} edges"
             )
         eid = len(self._label)
-        n = self._n
         self._keys[key] = eid
         self._label.append(label)
         self._plain.append(plain)
-        rows = layer_rows(label, n)
         src = dst = 0
-        for i, row in enumerate(rows):
+        for i, row in enumerate(label):
             if row:
                 src |= 1 << i
                 dst |= row
         self._src.append(src)
         self._dst.append(dst)
-        self._row_pairs.append(_row_pairs(rows, n))
-        if self.track_plain:
-            self._plain_pairs.append(_row_pairs(layer_rows(plain, n), n))
         if dst & ~src == 0:
             # a border segment: the edge is a funnel atom of src when no
             # earlier edge from src has the same funnel (and plain relation)
-            rec = bottom_states_mask(rows, src)
-            funnel = [
-                reachable_mask(rows, 1 << y, src) & rec if src >> y & 1 else 0
-                for y in range(n)
-            ]
+            rec = bottom_states_mask(label, src)
+            funnel = tuple(
+                reachable_mask(label, 1 << y, src) & rec if src >> y & 1 else 0
+                for y in range(len(label))
+            )
             atoms = self._funnels_at[src]
-            fkey = self._key(layer_of_rows(funnel, src, n), plain)
+            fkey = self._key(funnel, plain)
             if fkey not in atoms:
                 atoms[fkey] = eid
                 self._funnel_image[eid] = image_table(funnel)
                 if self.track_plain:
-                    self._plain_image[eid] = image_table(layer_rows(plain, n))
+                    self._plain_image[eid] = image_table(plain)
         self._prov.append(prov)
         self._out_at.append(0)
         self._in_at.append(0)
@@ -422,14 +411,12 @@ class ExtendedSupportGraph:
         # image tables of what it applies; most results are edges already
         # present, recognised here without building a provenance
         self.products += 1
-        label = 0
-        for off, row in self._row_pairs[e]:
-            label |= img(row) << off
-        plain = 0
+        key = label = tuple(map(img, self._label[e]))
+        plain = None
         if self.track_plain:
-            for off, row in self._plain_pairs[e]:
-                plain |= plain_img(row) << off
-        if plain << self._nn | label not in self._keys:
+            plain = tuple(map(plain_img, self._plain[e]))
+            key = label, plain
+        if key not in self._keys:
             self._add(label, plain, (kind, e, f))
 
     # -- views -------------------------------------------------------------
@@ -439,17 +426,17 @@ class ExtendedSupportGraph:
         return tuple(self._nodes)
 
     @property
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
+    def edges(self) -> tuple[tuple[int, Rows, int], ...]:
         return tuple(zip(self._src, self._label, self._dst))
 
-    def edge_parts(self, eid: int) -> tuple[int, int, int]:
+    def edge_parts(self, eid: int) -> tuple[int, Rows, int]:
         return self._src[eid], self._label[eid], self._dst[eid]
 
     @property
     def edge_count(self) -> int:
         return len(self._label)
 
-    def edge_plain(self, eid: int) -> int:
+    def edge_plain(self, eid: int) -> Rows:
         """Unrestricted one-word relation of the edge's complete witness word.
 
         A plain-tracked graph keys every edge on it.  A label-keyed graph
@@ -461,16 +448,15 @@ class ExtendedSupportGraph:
         plain relation is a product of letter relations and atoms' plains.
         """
         if not self.track_plain and not self._plain_derived:
-            plain, n = self._plain, self._n
+            plain = self._plain
             # few distinct operand pairs recur across many edges
-            composed: dict[tuple[int, int], int] = {}
+            composed: dict[tuple[Rows, Rows], Rows] = {}
             for e, prov in enumerate(self._prov):
                 if prov[0] == "word":
-                    plain[e] = self._letter_plain[prov[1]]
                     continue
                 pair = plain[prov[1]], plain[prov[2]]
                 if pair not in composed:
-                    composed[pair] = compose_layers(*pair, n)
+                    composed[pair] = compose(*pair)
                 plain[e] = composed[pair]
             self._plain_derived = True
         return self._plain[eid]
@@ -595,6 +581,16 @@ def replay_steps(a: Automaton, start, steps: Sequence[Step]) -> int:
     return cur
 
 
+def _check_replay(a: Automaton, start: int, steps: Sequence[Step], want: int) -> None:
+    """Re-execute witness steps through the layered graphs; a mismatch is an
+    internal error, never a wrong answer."""
+    got = replay_steps(a, start, steps)
+    if got != want:
+        raise RuntimeError(
+            f"witness replay reached {a.names(got)} instead of {a.names(want)}"
+        )
+
+
 def _steps_payload(a: Automaton, steps: Sequence[Step]) -> list[dict]:
     return [
         {
@@ -633,11 +629,7 @@ def sharp_reachable(
     if dmask not in reach:
         return Verdict("no", reason="not reachable in the extended support graph")
     steps = reach[dmask]
-    got = replay_steps(a, cmask, steps)
-    if got != dmask:
-        raise RuntimeError(
-            f"witness replay reached {a.names(got)} instead of {a.names(dmask)}"
-        )
+    _check_replay(a, cmask, steps, dmask)
     return Verdict("yes", {"steps": _steps_payload(a, steps)})
 
 
@@ -658,8 +650,9 @@ def decide_limit_reach_structsimple(
     """Can the acceptance set soak up probability arbitrarily close to one?
 
     Yes iff some subset of the target set is #-reachable from the initial
-    support.  Only structurally simple automata are accepted; the problem is
-    undecidable without that gate.
+    support; the witness steps are replayed before they are returned.  Only
+    structurally simple automata are accepted; the problem is undecidable
+    without that gate.
     """
     acc = a.acceptance
     if acc is None or acc.kind != "reach":
@@ -674,6 +667,7 @@ def _limit_reach(a: Automaton, budgets: Budgets) -> Verdict:
     graph = build_extended_support_graph(a, budgets=budgets, stop=lambda s: s & ~fmask == 0)
     for t, steps in graph.reachable_with_steps(a.initial_support).items():
         if t & ~fmask == 0:
+            _check_replay(a, a.initial_support, steps, t)
             return Verdict(
                 "yes", {"support": list(a.names(t)), "steps": _steps_payload(a, steps)}
             )
@@ -763,11 +757,12 @@ def decide_limit_parity_structsimple(
     """Can words make the run accept with probability arbitrarily close to one?
 
     Yes iff some #-reachable support A admits a word whose relation maps A
-    into A and whose induced chain on A accepts almost surely.  The witness
-    reports the stable support, the period word, and, when synthesis
-    succeeds, a pumped prefix with its exact lasso acceptance probability;
-    when synthesis stops on a budget or an input error, prefix and
-    probability are None and prefix_error says why.
+    into A and whose induced chain on A accepts almost surely.  The steps
+    that #-reach A are replayed first.  The witness reports the stable
+    support, the period word, and, when synthesis succeeds, a pumped
+    prefix with its exact lasso acceptance probability; when synthesis
+    stops on a budget or an input error, prefix and probability are None
+    and prefix_error says why.
     """
     a.priorities()  # InputError unless the acceptance has a parity encoding
     _require_structurally_simple(a, budgets)
@@ -785,6 +780,7 @@ def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
                 continue
             if any(mn % 2 for _, mn in class_minima(prof, node)):
                 continue
+            _check_replay(a, a.initial_support, reach[node], node)
             period = tuple(a.alphabet[x] for x in rho)
             witness = {
                 "support": list(a.names(node)),

@@ -21,7 +21,6 @@ from qpa.errors import BudgetExceededError, InputError
 from qpa.formats import DFA, parse_automaton, parse_dfa
 from qpa.graphs import image
 from qpa.lasso import lasso_acceptance_probability
-from qpa.linked import layer_rows
 from qpa.qualitative import decide_almost_simple
 from qpa.semantics import propagate, support_step
 from qpa.supportgraph import ExtendedSupportGraph, is_sharp_acyclic
@@ -285,7 +284,7 @@ def _returner_free(a, budgets, track_plain) -> bool:
         src, _, dst = g.edge_parts(eid)
         if dst != src and dst & src == dst:
             shrinkable.add(src)
-        if image(layer_rows(g.edge_plain(eid), n), src) != dst:
+        if image(g.edge_plain(eid), src) != dst:
             returners.add((src, dst))
     for c in range(1, 1 << n):
         if c in shrinkable:
@@ -465,6 +464,24 @@ def test_union_lasso_probability_is_mixture(ex1, ex2):
         p1 = lasso_acceptance_probability(b1, w)
         p2 = lasso_acceptance_probability(b2, w)
         assert pu == mix * p1 + (1 - mix) * p2
+
+
+def test_union_and_product_keep_structural_simplicity():
+    # the paper's robust class is closed under union and intersection;
+    # products are drawn only up to 6 states, the extended graph's budget
+    rng = random.Random(11)
+
+    def simple(n):
+        while True:
+            a = random_automaton(rng, n, 2)
+            if is_structurally_simple(a):
+                return a
+
+    for _ in range(40):
+        a1, a2 = simple(rng.randint(2, 3)), simple(rng.randint(2, 3))
+        assert is_structurally_simple(union_structure(a1, a2, Fraction(1, 2)))
+        if a1.n * a2.n <= 6:
+            assert is_structurally_simple(product(a1, a2))
 
 
 # -- intersection-emptiness reduction ---------------------------------------------

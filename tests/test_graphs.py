@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 from qpa.graphs import (
     bottom_scc_masks,
     bottom_states_mask,
+    compose,
     image,
     image_table,
     reachable_mask,
+    restrict,
     scc_masks,
 )
 
@@ -26,6 +28,26 @@ def test_image_and_table_agree():
                 if m >> i & 1:
                     union |= rows[i]
             assert image(rows, m) == img(m) == union
+
+
+def _pair_set(rows):
+    return {(i, j) for i, row in enumerate(rows) for j in range(len(rows)) if row >> j & 1}
+
+
+def test_compose_and_restrict_match_pair_sets():
+    # up to 10 states, so the right factor's table spans two 8-bit chunks
+    rng = random.Random(9)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        x, y = _random_rows(rng, n), _random_rows(rng, n)
+        px, py = _pair_set(x), _pair_set(y)
+        want = {(i, k) for i, j in px for j2, k in py if j == j2}
+        got = compose(x, y)
+        assert len(got) == n and _pair_set(got) == want
+        m = rng.randrange(1 << n)
+        cut = restrict(x, m)
+        assert len(cut) == n
+        assert _pair_set(cut) == {(i, j) for i, j in px if m >> i & 1}
 
 
 def test_reachable_mask_basic():

@@ -7,33 +7,33 @@ import pytest
 
 from qpa.core import Automaton
 from qpa.errors import InputError
+from qpa.graphs import compose, restrict
 from qpa.linked import (
     LinkedGraph,
     border_action,
     border_chain,
     borders,
     compaction,
-    compose_layers,
     concat,
     is_border,
-    layer_dests,
     layer_pairs,
     layer_sources,
     linked_graph_of_word,
     rec,
     rec_from,
 )
+from qpa.semantics import word_relation
 
 from conftest import random_automaton
 from oracles import oapply_border, oborders, olayers
 
 
-def layer_of_pairs(pairs, n: int) -> int:
-    """The bipartite layer mask with the edges (i, j) given as index pairs."""
-    layer = 0
+def layer_of_pairs(pairs, n: int) -> tuple[int, ...]:
+    """The bipartite layer, as rows, with the edges (i, j) given as index pairs."""
+    rows = [0] * n
     for i, j in pairs:
-        layer |= 1 << (i * n + j)
-    return layer
+        rows[i] |= 1 << j
+    return tuple(rows)
 
 
 def to_sets(lg: LinkedGraph) -> tuple[frozenset, ...]:
@@ -100,11 +100,26 @@ def test_construction_errors(ex2):
     with pytest.raises(InputError):
         LinkedGraph(2, ())
     with pytest.raises(InputError):
-        LinkedGraph(2, (0,))
+        LinkedGraph(2, ((0, 0),))
     # dest of layer 1 is {0} but layer 2 starts at {1}
     broken = (layer_of_pairs([(0, 0)], 2), layer_of_pairs([(1, 1)], 2))
     with pytest.raises(InputError):
         LinkedGraph(2, broken)
+
+
+def test_layers_must_be_rows_on_n_states():
+    ok = layer_of_pairs([(0, 1)], 2)
+    assert LinkedGraph(2, (ok,)).dest == 0b10
+    for bad in ((0b10,), (0b10, 0, 0), ()):
+        with pytest.raises(InputError, match="rows on 2 states"):
+            LinkedGraph(2, (bad,))
+    with pytest.raises(InputError, match="rows on 2 states"):
+        LinkedGraph(2, (ok, (0, 0b01, 0)))
+    for row in (0b100, 0b111, -1):
+        with pytest.raises(InputError, match="state index >= 2"):
+            LinkedGraph(2, ((row, 0),))
+    with pytest.raises(InputError, match="state index >= 2"):
+        LinkedGraph(2, (ok, (0, 0b101)))
 
 
 # -- compaction -------------------------------------------------------------
@@ -135,7 +150,17 @@ def test_compaction_morphism_random():
         lg2 = linked_graph_of_word(a, lg1.dest, w2)
         whole = concat(lg1, lg2)
         assert to_sets(whole) == to_sets(linked_graph_of_word(a, start, w1 + w2))
-        assert compaction(whole) == compose_layers(compaction(lg1), compaction(lg2), a.n)
+        assert compaction(whole) == compose(compaction(lg1), compaction(lg2))
+
+
+def test_compaction_is_the_restricted_word_relation():
+    rng = random.Random(3107)
+    for _ in range(40):
+        a = random_automaton(rng, rng.randint(2, 5), dirac_initial=False)
+        start = rng.randrange(1, 1 << a.n)
+        word = random_word(rng, a, rng.randint(1, 6))
+        lg = linked_graph_of_word(a, start, word)
+        assert compaction(lg) == restrict(word_relation(a, word), start)
 
 
 def test_concat_requires_matching_boundary(ex2):
@@ -284,17 +309,18 @@ def test_border_never_enlarges_random():
             assert out.org == lg.org
             seg = LinkedGraph(lg.n, lg.layers[n1:n2])
             # rewired layer lands inside the recurrent part of the segment
-            assert layer_dests(out.layers[n1 - 1], lg.n) & ~rec(seg) == 0
-            assert layer_sources(out.layers[n1 - 1], lg.n) == lg.boundary(n1 - 1)
+            rewired = out.layers[n1 - 1]
+            assert all(row & ~rec(seg) == 0 for row in rewired)
+            assert layer_sources(rewired) == lg.boundary(n1 - 1)
             for idx in range(len(lg.layers)):
                 if idx == n1 - 1:
                     continue
-                assert out.layers[idx] & ~lg.layers[idx] == 0
+                assert all(r & ~s == 0 for r, s in zip(out.layers[idx], lg.layers[idx]))
 
 
 def test_layer_pairs_roundtrip():
     rng = random.Random(77)
     for _ in range(20):
         n = rng.randint(1, 5)
-        layer = rng.randrange(1, 1 << (n * n))
-        assert layer_of_pairs(layer_pairs(layer, n), n) == layer
+        layer = tuple(rng.randrange(1 << n) for _ in range(n))
+        assert layer_of_pairs(layer_pairs(layer), n) == layer

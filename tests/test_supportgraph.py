@@ -10,14 +10,8 @@ from conftest import random_automaton
 from qpa.core import DEFAULT_BUDGETS, Acceptance, Budgets
 from qpa.errors import BudgetExceededError, InputError
 from qpa.formats import parse_automaton
-from qpa.linked import (
-    LinkedGraph,
-    compose_layers,
-    layer_dests,
-    layer_of_rows,
-    layer_sources,
-    rec_from,
-)
+from qpa.graphs import compose, image, restrict
+from qpa.linked import LinkedGraph, layer_sources, rec_from
 from qpa.qualitative import decide
 from qpa.semantics import propagate, word_relation
 from qpa.supportgraph import (
@@ -202,9 +196,7 @@ def test_extended_ex1_all_states_funnel_to_u(ex1):
     g = build_extended_support_graph(ex1, full=True)
     qmask = ex1.full_mask
     umask = ex1.mask("u")
-    want = 0
-    for x in range(ex1.n):
-        want |= umask << (x * ex1.n)
+    want = (umask,) * ex1.n
     hits = [
         eid
         for eid in range(g.edge_count)
@@ -289,7 +281,7 @@ class _ReferenceClosure:
 
     Every chained pair is combined at the pop of each of its two edges:
     composed, and bordered through the second edge when it is a border
-    segment.  Relations compose through linked.compose_layers, and a
+    segment.  Relations compose through graphs.compose, and a
     segment's funnel is read off linked.rec_from on the segment's
     one-layer graph.  The library multiplies by letters and funnel atoms
     only, so its fixpoint must have the same nodes, keys and edge count.
@@ -317,9 +309,8 @@ class _ReferenceClosure:
         self.nodes.append(s)
         self.by_src[s], self.by_dst[s] = [], []
         for k in range(len(self.a.alphabet)):
-            rows = self.a.relation(k)
-            plain = layer_of_rows(rows, self.a.full_mask, self.n)
-            self.add(layer_of_rows(rows, s, self.n), plain, ("word", k))
+            plain = self.a.relation(k)
+            self.add(restrict(plain, s), plain, ("word", k))
 
     def add(self, label, plain, prov):
         key = (label, plain) if self.track_plain else label
@@ -329,16 +320,10 @@ class _ReferenceClosure:
             raise BudgetExceededError(f"extended support graph exceeded {self.path_cap} edges")
         eid = len(self.edges)
         self.keys[key] = eid
-        src, dst = layer_sources(label, self.n), layer_dests(label, self.n)
+        src = layer_sources(label)
+        dst = image(label, src)
         self.edges.append([label, prov, src, dst, plain])
-        funnel = None
-        if dst & ~src == 0:
-            segment = LinkedGraph(self.n, (label,))
-            funnel = 0
-            for y in range(self.n):
-                if src >> y & 1:
-                    funnel |= rec_from(y, segment) << (y * self.n)
-        self.funnel.append(funnel)
+        self.funnel.append(_funnel_of(self.n, label, src) if dst & ~src == 0 else None)
         self.add_node(dst)
         self.by_src[src].append(eid)
         self.by_dst[dst].append(eid)
@@ -346,10 +331,10 @@ class _ReferenceClosure:
 
     def combine(self, i1, i2):
         e1, e2 = self.edges[i1], self.edges[i2]
-        plain = compose_layers(e1[4], e2[4], self.n) if self.track_plain else 0
-        self.add(compose_layers(e1[0], e2[0], self.n), plain, ("compose", i1, i2))
+        plain = compose(e1[4], e2[4]) if self.track_plain else None
+        self.add(compose(e1[0], e2[0]), plain, ("compose", i1, i2))
         if self.funnel[i2] is not None:
-            rewired = compose_layers(e1[0], self.funnel[i2], self.n)
+            rewired = compose(e1[0], self.funnel[i2])
             self.add(rewired, plain, ("border", i1, i2))
 
     def key_set(self):
@@ -378,7 +363,7 @@ def _assert_same_closure(a, seeds, track_plain):
         assert replay_steps(a, src, steps) == dst
         assert _oracle_replay(a, src, steps) == dst
         ((word, _, _),) = steps
-        assert g.edge_plain(eid) == layer_of_rows(word_relation(a, word), a.full_mask, a.n)
+        assert g.edge_plain(eid) == word_relation(a, word)
 
 
 # The plain-tracked closure of this automaton has a funnel atom that is the
@@ -437,8 +422,7 @@ def test_label_keyed_edge_plain_is_witness_word_relation(ex1, ex2, exlg):
         g = ExtendedSupportGraph(a, DEFAULT_BUDGETS, range(1, 1 << a.n))
         for eid in range(g.edge_count):
             ((word, _, _),) = g.witness_steps(eid)
-            want = layer_of_rows(word_relation(a, word), a.full_mask, a.n)
-            assert g.edge_plain(eid) == want
+            assert g.edge_plain(eid) == word_relation(a, word)
 
 
 def test_extended_edge_cap_matches_reference(ex2):
@@ -704,6 +688,28 @@ def test_limit_parity_builds_the_seeded_graph_once(monkeypatch, ex2):
         "prefix": (["a"] * 6 + ["b"]) * 6,
         "probability": "4202122300929/4398046511104",
     }
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda a: sharp_reachable(a, "1", "4"),
+        lambda a: decide_limit_reach_structsimple(a.with_acceptance(Acceptance.reach(["4"]))),
+        lambda a: decide_limit_parity_structsimple(a.with_acceptance(Acceptance.buchi(["4"]))),
+    ],
+    ids=["sharp_reachable", "limit_reach", "limit_parity"],
+)
+def test_yes_witness_steps_are_replayed(monkeypatch, ex2, query):
+    # every step read at boundary 0 replays to Supp(alpha) = {1}, not {4}
+    real = ExtendedSupportGraph.witness_steps
+
+    def corrupted(self, eid):
+        return [(word, borders, 0) for word, borders, _ in real(self, eid)]
+
+    assert query(ex2).answer == "yes"
+    monkeypatch.setattr(ExtendedSupportGraph, "witness_steps", corrupted)
+    with pytest.raises(RuntimeError, match="witness replay reached"):
+        query(ex2)
 
 
 def test_struct_simple_limit_runs_the_gate_once(monkeypatch, ex1, ex2):
