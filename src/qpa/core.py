@@ -3,11 +3,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+# integer rows over one common denominator
+ScaledMatrix = tuple[tuple[tuple[int, ...], ...], int]
 
 SET_KINDS = ("safety", "reach", "buchi", "cobuchi")
 ACCEPTANCE_KINDS = SET_KINDS + ("parity",)
@@ -198,6 +202,11 @@ class Automaton:
             self._relations[letter] = tuple(rows)
         return self._relations[letter]
 
+    @cached_property
+    def scaled_matrices(self) -> tuple[ScaledMatrix, ...]:
+        """Each letter matrix as integer rows over one common denominator."""
+        return tuple(scaled(mat) for mat in self.matrices)
+
     @property
     def initial_support(self) -> int:
         return support_mask(self.initial)
@@ -344,6 +353,16 @@ def support_mask(vec: Sequence[Fraction]) -> int:
         if p > 0:
             m |= 1 << i
     return m
+
+
+def scaled(mat: Sequence[Sequence[Fraction | int]]) -> ScaledMatrix:
+    """An exact matrix as integer rows over one common denominator.
+
+    The denominator is the lcm of the entry denominators, so the rows times
+    1/den give back the matrix exactly.
+    """
+    den = lcm(*(v.denominator for row in mat for v in row))
+    return tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in mat), den
 
 
 def bits(mask: int):

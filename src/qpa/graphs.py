@@ -1,5 +1,5 @@
-"""Relation kernels on bitmask digraphs: images, composition, reachability
-and strongly connected components.
+"""Relation kernels on bitmask digraphs: images, composition, reachability,
+reach closures and strongly connected components.
 
 A relation on state indices is held one way throughout the library: as
 rows (Rows), a tuple with rows[i] the mask of the successors of state i.
@@ -9,9 +9,15 @@ image, a loop over the mask's bits; a relation applied many times goes
 through image_table, which pays for a lookup table once and then costs one
 lookup per 8-bit chunk.  compose applies the right factor's table to every
 row of the left one, and restrict empties the rows outside a mask, which
-turns a relation into its part from a given support.  Strongly connected
-components come from one routine, scc_masks; bottom components and the
-union of their states are read off its list.
+turns a relation into its part from a given support.
+
+Recurrent (bottom) classes come from reach_closure, one Warshall pass over
+the rows: a state is recurrent when every state it reaches reaches it back,
+and its class is then everything it reaches.  bottom_scc_masks,
+bottom_states_mask and funnel (each state's reachable recurrent states, the
+border rule's rewiring) are read off that closure.  scc_masks gives every
+component in reverse topological order, for the callers that need the
+transient ones too.
 """
 from __future__ import annotations
 
@@ -126,18 +132,60 @@ def scc_masks(rows: Sequence[int], node_mask: int) -> list[int]:
     return comps
 
 
-def bottom_scc_masks(rows: Sequence[int], node_mask: int) -> list[int]:
-    """SCCs with no edge leaving them, restricted to node_mask."""
+def reach_closure(rows: Sequence[int], node_mask: int) -> list[int]:
+    """r[i], the states reachable from i within node_mask, i included; 0 for
+    i outside node_mask.
+
+    One Warshall pass: for each pivot k, every state that reaches k gains
+    what k reaches.
+    """
+    r = [row & node_mask | 1 << i if node_mask >> i & 1 else 0 for i, row in enumerate(rows)]
+    for k in range(len(r)):
+        rk, bk = r[k], 1 << k
+        # a pivot outside the mask (rk == 0) or reaching only itself adds nothing
+        if rk & ~bk:
+            r = [x | rk if x & bk else x for x in r]
+    return r
+
+
+def _bottom_classes(r: Sequence[int]) -> list[int]:
+    """Bottom classes of a reach closure r, ordered by their least state.
+
+    i is recurrent iff every state j it reaches has r[j] == r[i] (j reaches
+    i back), and its class is then r[i]; the class is listed at its least
+    state.
+    """
     out = []
-    for comp in scc_masks(rows, node_mask):
-        if all(rows[i] & node_mask & ~comp == 0 for i in bits(comp)):
-            out.append(comp)
+    seen = 0
+    for i, ri in enumerate(r):
+        if not ri or seen >> i & 1:
+            continue
+        rest = ri
+        while rest:
+            low = rest & -rest
+            if r[low.bit_length() - 1] != ri:
+                break
+            rest ^= low
+        else:
+            out.append(ri)
+            seen |= ri
     return out
+
+
+def bottom_scc_masks(rows: Sequence[int], node_mask: int) -> list[int]:
+    """SCCs with no edge leaving them, restricted to node_mask, ordered by
+    their least state."""
+    return _bottom_classes(reach_closure(rows, node_mask))
 
 
 def bottom_states_mask(rows: Sequence[int], node_mask: int) -> int:
     """Union of the bottom SCCs within node_mask: the recurrent states."""
-    m = 0
-    for comp in bottom_scc_masks(rows, node_mask):
-        m |= comp
-    return m
+    return sum(bottom_scc_masks(rows, node_mask))
+
+
+def funnel(rows: Sequence[int], node_mask: int) -> Rows:
+    """Per state y of node_mask, the recurrent states within node_mask that y
+    reaches; 0 for y outside node_mask."""
+    r = reach_closure(rows, node_mask)
+    rec = sum(_bottom_classes(r))
+    return tuple(x & rec for x in r)

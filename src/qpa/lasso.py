@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm, log, sqrt
 from typing import Sequence
 
-from .core import Automaton, LassoWord, Matrix, bits, support_mask
+from .core import Automaton, LassoWord, Matrix, bits, scaled, support_mask
 from .errors import BudgetExceededError, InputError
 from .graphs import bottom_scc_masks, image
 from .profiles import class_minima, profile_of_word
@@ -25,7 +25,6 @@ from .semantics import (
     int_pow,
     matrix_product,
     reach_as_buchi,
-    scaled,
     solve_linear,
     support_step,
     vector_product,
@@ -96,9 +95,9 @@ class JetDecomposition:
         prefix = a.word(self.word.prefix)
         period = a.word(self.word.period)
         if n <= len(prefix):
-            return vector_product(a.initial, a.matrices, prefix[:n])
+            return vector_product(a.initial, a.scaled_matrices, prefix[:n])
         rest = [period[t % len(period)] for t in range(n - len(prefix))]
-        return vector_product(a.initial, a.matrices, prefix + tuple(rest))
+        return vector_product(a.initial, a.scaled_matrices, prefix + tuple(rest))
 
     def j0_mass(self, n: int) -> Fraction:
         vec = self.distribution(n)
@@ -124,7 +123,7 @@ class JetDecomposition:
             mass = sum((vec[i] for i in bits(self.j0.at(n))), Fraction(0))
             if mass < eps:
                 return n
-            vec = vector_product(vec, a.matrices, [period[(n - prefix_len + t) % m] for t in range(m)])
+            vec = vector_product(vec, a.scaled_matrices, [period[(n - prefix_len + t) % m] for t in range(m)])
             n += m
             steps += m
             if steps > max_steps:
@@ -145,7 +144,7 @@ def build_lasso_chain(a: Automaton, w: LassoWord) -> LassoChain:
     prefix = a.word(w.prefix)
     period = a.word(w.period)
     m = len(period)
-    vec0 = vector_product(a.initial, a.matrices, prefix)
+    vec0 = vector_product(a.initial, a.scaled_matrices, prefix)
     g = _closure(a, support_mask(vec0), period)
     analysis = chain_analysis(a, g, period)
     sups, _, _ = _support_run(a, support_mask(vec0), period)
@@ -208,7 +207,7 @@ def _safety_probability(a: Automaton, w: LassoWord) -> Fraction:
     """
     fmask = a.acceptance_mask()
     n = a.n
-    restricted = [_restricted(mat, fmask, n) for mat in a.matrices]
+    restricted = [scaled(_restricted(mat, fmask, n)) for mat in a.matrices]
     vec = tuple(a.initial[i] if fmask >> i & 1 else Fraction(0) for i in range(n))
     vec = vector_product(vec, restricted, a.word(w.prefix))
     r = matrix_product(restricted, a.word(w.period), n)
@@ -407,7 +406,7 @@ def lasso_jet_decomposition(a: Automaton, w: LassoWord) -> JetDecomposition:
     n_t = t0 + max(info.d * info.kstar for info in infos)
     n_t += (-n_t) % m
     big_n = len(prefix) + n_t
-    vec = vector_product(chain.prefix_vector, a.matrices, [period[t % m] for t in range(t0)])
+    vec = vector_product(chain.prefix_vector, a.scaled_matrices, [period[t % m] for t in range(t0)])
     lam: Fraction | None = None
     for info in infos:
         for alignment in info.actives:
@@ -481,7 +480,7 @@ def simulate_runs(a: Automaton, w: LassoWord, samples: int, seed: int) -> dict[s
     period = a.word(w.period)
     n = a.n
     m = len(period)
-    vec0 = vector_product(a.initial, a.matrices, prefix)
+    vec0 = vector_product(a.initial, a.scaled_matrices, prefix)
     sups, t_start, p_sup = _support_run(a, support_mask(vec0), period)
     reach = 0
     g0 = 0

@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 from .core import Automaton, bits
 from .errors import BudgetExceededError, InputError
-from .graphs import Image, bottom_scc_masks, image_table
+from .graphs import Image, bottom_scc_masks, image, image_table
 
 INF = 1 << 30
 
@@ -111,7 +111,8 @@ def profile_of_word(a: Automaton, priorities, word) -> Profile:
 
 
 def class_minima(profile: Profile, mask: int) -> list[tuple[int, int]]:
-    """Per bottom SCC of the profile digraph within mask, the internal minimum entry.
+    """Per bottom SCC of the profile digraph within mask, the internal minimum
+    entry; the components come ordered by their least state.
 
     The minimum ranges over all finite entries (q, q') with both states in
     the component; it covers every state visited at intermediate positions
@@ -122,11 +123,7 @@ def class_minima(profile: Profile, mask: int) -> list[tuple[int, int]]:
     levels, layers = profile[0], profile[1:]
     out = []
     for comp in bottom_scc_masks(profile[-1], mask):
-        members = tuple(bits(comp))
-        m = next(
-            (v for v, layer in zip(levels, layers) if any(layer[i] & comp for i in members)),
-            INF,
-        )
+        m = next((v for v, layer in zip(levels, layers) if image(layer, comp) & comp), INF)
         out.append((comp, m))
     return out
 

@@ -5,27 +5,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
 
-from .core import Acceptance, Automaton, Matrix, as_mask, as_vector, as_weights, bits
+from .core import (
+    Acceptance,
+    Automaton,
+    Matrix,
+    ScaledMatrix,
+    as_mask,
+    as_vector,
+    as_weights,
+    bits,
+    scaled,
+)
 from .errors import InputError
 from .graphs import bottom_scc_masks, bottom_states_mask, image
 from .profiles import class_minima, profile_of_word
 
 
 IntRows = list[tuple[int, ...]]
-
-
-def scaled(mat: Sequence[Sequence[Fraction | int]]) -> tuple[IntRows, int]:
-    """An exact matrix as integer rows over one common denominator.
-
-    The denominator is the lcm of the entry denominators, so the rows times
-    1/den give back the matrix exactly.
-    """
-    den = lcm(*(v.denominator for row in mat for v in row))
-    return [tuple(v.numerator * (den // v.denominator) for v in row) for row in mat], den
 
 
 def unscaled(rows: Sequence[Sequence[int]], den: int) -> Matrix:
@@ -53,35 +52,40 @@ def int_pow(x: Sequence[Sequence[int]], e: int) -> IntRows:
         x = int_mul(x, x)
 
 
-def _compose(rows: Sequence[Sequence[int]], den: int, mats: Sequence[Matrix], word: Sequence[int]) -> tuple[IntRows, int]:
-    """(rows, den) times mats[word[0]] ... mats[word[-1]], in integers; each
-    letter matrix is scaled once and the denominators multiply."""
-    factors = {k: scaled(mats[k]) for k in set(word)}
+def _compose(
+    rows: Sequence[Sequence[int]], den: int, letters: Sequence[ScaledMatrix], word: Sequence[int]
+) -> tuple[IntRows, int]:
+    """(rows, den) times letters[word[0]] ... letters[word[-1]], in integers;
+    the denominators multiply."""
     for k in word:
-        x, dx = factors[k]
+        x, dx = letters[k]
         rows = int_mul(rows, x)
         den *= dx
     return rows, den
 
 
-def matrix_product(mats: Sequence[Matrix], word: Sequence[int], n: int) -> Matrix:
-    """Exact product mats[word[0]] ... mats[word[-1]]; identity for no letters.
+def matrix_product(letters: Sequence[ScaledMatrix], word: Sequence[int], n: int) -> Matrix:
+    """Exact product of the letter matrices of word; identity for no letters.
 
-    The word is composed as integer rows over the product of the letter
+    letters[k] is letter k's matrix scaled to integer rows over one
+    denominator (Automaton.scaled_matrices keeps them per automaton).  The
+    word is composed in integers over the product of the letter
     denominators and unscaled once, at the end.
     """
     if not word:
         return unscaled([[int(i == j) for j in range(n)] for i in range(n)], 1)
-    return unscaled(*_compose(*scaled(mats[word[0]]), mats, word[1:]))
+    return unscaled(*_compose(*letters[word[0]], letters, word[1:]))
 
 
-def vector_product(vec: Sequence[Fraction], mats: Sequence[Matrix], word: Sequence[int]) -> tuple[Fraction, ...]:
-    """Exact row vector vec . mats[word[0]] ... mats[word[-1]].
+def vector_product(
+    vec: Sequence[Fraction], letters: Sequence[ScaledMatrix], word: Sequence[int]
+) -> tuple[Fraction, ...]:
+    """Exact row vector vec times the letter matrices of word.
 
     The vector is scaled to one integer row, composed like matrix_product,
     and unscaled once, at the end.
     """
-    return unscaled(*_compose(*scaled([vec]), mats, word))[0]
+    return unscaled(*_compose(*scaled([vec]), letters, word))[0]
 
 
 def word_matrix(a: Automaton, word) -> Matrix:
@@ -90,12 +94,12 @@ def word_matrix(a: Automaton, word) -> Matrix:
     Composed as integer rows over one common denominator (`matrix_product`)
     and unscaled to normalized Fractions only at the end.
     """
-    return matrix_product(a.matrices, a.word(word), a.n)
+    return matrix_product(a.scaled_matrices, a.word(word), a.n)
 
 
 def propagate(a: Automaton, beta: Mapping[str, Fraction] | Sequence[Fraction], word) -> dict[str, Fraction]:
     """Push a distribution through a finite word; exact, zero entries omitted."""
-    return as_weights(a, vector_product(as_vector(a, beta), a.matrices, a.word(word)))
+    return as_weights(a, vector_product(as_vector(a, beta), a.scaled_matrices, a.word(word)))
 
 
 def word_relation(a: Automaton, word: Sequence[int]) -> tuple[int, ...]:
@@ -183,7 +187,7 @@ def chain_analysis(a: Automaton, G, word) -> ChainAnalysis:
     if support_step(a, mask, w) & ~mask:
         raise InputError("G not closed under rho")
     rows = word_relation(a, w)
-    classes = tuple(sorted(bottom_scc_masks(rows, mask), key=lambda m: m & -m))
+    classes = tuple(bottom_scc_masks(rows, mask))
     recurrent = 0
     for c in classes:
         recurrent |= c

@@ -26,9 +26,12 @@ the encoding of Automaton.relation: a letter edge's label is its letter's
 relation restricted to the node (graphs.restrict), and a right
 multiplication maps the right factor's image table over the left factor's
 rows.  A letter's image table (graphs.image_table) is shared by all nodes
-and serves both the label and the plain relation; a funnel table is kept
-only for the first edge with each distinct funnel at its source (with
-each distinct (funnel, plain) pair when plain relations are tracked).
+and serves both the label and the plain relation.  A border segment's
+funnel (graphs.funnel) maps each state of its source to the recurrent
+states of its label that the state reaches, read off one reach closure of
+the label (graphs.reach_closure); a funnel table is kept only for the
+first edge with each distinct funnel at its source (with each distinct
+(funnel, plain) pair when plain relations are tracked).
 Edge ids follow the order in which results first appear, and provenance,
 replay steps and the edge at which a budget stop is raised all hang on
 the ids.
@@ -66,11 +69,10 @@ from .errors import BudgetExceededError, InputError
 from .graphs import (
     Image,
     Rows,
-    bottom_states_mask,
     compose,
+    funnel,
     image,
     image_table,
-    reachable_mask,
     restrict,
     scc_masks,
 )
@@ -352,16 +354,12 @@ class ExtendedSupportGraph:
         if dst & ~src == 0:
             # a border segment: the edge is a funnel atom of src when no
             # earlier edge from src has the same funnel (and plain relation)
-            rec = bottom_states_mask(label, src)
-            funnel = tuple(
-                reachable_mask(label, 1 << y, src) & rec if src >> y & 1 else 0
-                for y in range(len(label))
-            )
+            fun = funnel(label, src)
             atoms = self._funnels_at[src]
-            fkey = self._key(funnel, plain)
+            fkey = self._key(fun, plain)
             if fkey not in atoms:
                 atoms[fkey] = eid
-                self._funnel_image[eid] = image_table(funnel)
+                self._funnel_image[eid] = image_table(fun)
                 if self.track_plain:
                     self._plain_image[eid] = image_table(plain)
         self._prov.append(prov)
@@ -676,14 +674,38 @@ def _limit_reach(a: Automaton, budgets: Budgets) -> Verdict:
     )
 
 
-def _pump_step(step: Step, k: int) -> list[int]:
+def _pumped_length(step: Step, k: int) -> int:
+    """len(_pump_step(step, k)), from the atom lengths alone."""
     word, borders, cut = step
-    atoms: list[list[int]] = [[x] for x in word]
+    lens = [1] * len(word)
     for n1, n2 in borders:
-        segment: list[int] = []
-        for j in range(n1, n2):
-            segment.extend(atoms[j])
-        atoms[n1 - 1] = atoms[n1 - 1] + segment * k
+        lens[n1 - 1] += k * sum(lens[n1:n2])
+    return sum(lens[:cut])
+
+
+def _pump_step(step: Step, k: int) -> list[int]:
+    """The step's word up to its cut, each border segment appended k times
+    to the atom before it.
+
+    Only what the cut reads is built: walking the borders backwards, a
+    border is applied only when its target atom is still read, and then its
+    segment is read too.
+    """
+    word, borders, cut = step
+    read = (1 << cut) - 1
+    applied = []
+    for n1, n2 in reversed(borders):
+        hit = read >> (n1 - 1) & 1
+        applied.append(hit)
+        if hit:
+            read |= (1 << n2) - (1 << n1)
+    atoms: list[list[int]] = [[x] for x in word]
+    for (n1, n2), hit in zip(borders, reversed(applied)):
+        if hit:
+            segment: list[int] = []
+            for j in range(n1, n2):
+                segment.extend(atoms[j])
+            atoms[n1 - 1] = atoms[n1 - 1] + segment * k
     out: list[int] = []
     for j in range(cut):
         out.extend(atoms[j])
@@ -733,14 +755,15 @@ def _pumped_word(
     best = Fraction(0)
     k = 1
     for _ in range(budgets.pump_doublings):
+        length = sum(_pumped_length(step, k) for step in steps)
+        if length > budgets.word_cap:
+            raise BudgetExceededError(
+                f"pumped word length {length} exceeds cap; best probability {best}"
+            )
         word: list[int] = []
         for step in steps:
             word.extend(_pump_step(step, k))
-        if len(word) > budgets.word_cap:
-            raise BudgetExceededError(
-                f"pumped word length {len(word)} exceeds cap; best probability {best}"
-            )
-        vec = vector_product(a.initial, a.matrices, word)
+        vec = vector_product(a.initial, a.scaled_matrices, word)
         p = sum((vec[i] for i in bits(tmask)), Fraction(0))
         if p >= threshold:
             return tuple(a.alphabet[x] for x in word)

@@ -66,14 +66,21 @@ def nondyadic_lasso(rng: random.Random, n: int, period_len: int) -> tuple[Automa
 # -- the Fraction kernel and class analysis the integer kernel replaced --------
 
 
-def _ref_matrix_product(mats, word, n):
+def _fraction_letters(letters):
+    # the library's kernels take each letter as (integer rows, denominator)
+    return [[[Fraction(v, den) for v in row] for row in rows] for rows, den in letters]
+
+
+def _ref_matrix_product(letters, word, n):
+    mats = _fraction_letters(letters)
     out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in word:
         out = omatmul(out, mats[k])
     return tuple(tuple(row) for row in out)
 
 
-def _ref_vector_product(vec, mats, word):
+def _ref_vector_product(vec, letters, word):
+    mats = _fraction_letters(letters)
     out = tuple(vec)
     for k in word:
         out = tuple(sum(out[i] * mats[k][i][j] for i in range(len(out))) for j in range(len(out)))

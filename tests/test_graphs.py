@@ -2,16 +2,22 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from qpa.core import bits
 from qpa.graphs import (
     bottom_scc_masks,
     bottom_states_mask,
     compose,
+    funnel,
     image,
     image_table,
+    reach_closure,
     reachable_mask,
     restrict,
     scc_masks,
 )
+from qpa.linked import LinkedGraph, border_action
+
+import oracles as O
 
 
 def test_image_and_table_agree():
@@ -116,3 +122,86 @@ def test_scc_partition_and_bottoms(seed, n):
             if c >> i & 1:
                 img |= rows[i]
         assert img & ~c
+
+
+# -- the reach-closure kernel against the SCC pass it replaced -------------------
+
+
+def _scc_bottoms(rows, mask):
+    # bottom classes as the Kosaraju pass gave them: every component of
+    # scc_masks with no edge leaving it
+    return [
+        c for c in scc_masks(rows, mask) if all(rows[i] & mask & ~c == 0 for i in bits(c))
+    ]
+
+
+def _scc_funnel(rows, mask):
+    rec = sum(_scc_bottoms(rows, mask))
+    return tuple(
+        reachable_mask(rows, 1 << y, mask) & rec if mask >> y & 1 else 0
+        for y in range(len(rows))
+    )
+
+
+def _digraphs(seed, count):
+    """Seeded digraphs of 1-20 states with a random node mask: densities
+    from empty to full, some rows emptied, self-loops added or cleared."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 20)
+        p = rng.choice((0.0, 0.05, 0.15, 0.3, 0.6, 1.0))
+        rows = []
+        for i in range(n):
+            row = sum(1 << j for j in range(n) if rng.random() < p)
+            if rng.random() < 0.15:
+                row = 0
+            elif rng.random() < 0.3:
+                row ^= 1 << i
+            rows.append(row)
+        mask = rng.choice(((1 << n) - 1, rng.randrange(1 << n)))
+        yield tuple(rows), mask
+
+
+def test_reach_closure_matches_oracle_closure():
+    for rows, mask in _digraphs(31, 300):
+        n = len(rows)
+        restricted = tuple(rows[i] & mask if mask >> i & 1 else 0 for i in range(n))
+        fwd = O.oclosure(restricted, n)
+        want = [fwd[i] if mask >> i & 1 else 0 for i in range(n)]
+        assert reach_closure(rows, mask) == want
+
+
+def test_bottom_classes_match_oracle_and_scc_pass():
+    for rows, mask in _digraphs(32, 400):
+        got = bottom_scc_masks(rows, mask)
+        # the same list as the oracle, ordered by least state
+        assert got == O.obottom_sccs(rows, len(rows), mask)
+        assert set(got) == set(_scc_bottoms(rows, mask))
+        assert bottom_states_mask(rows, mask) == sum(_scc_bottoms(rows, mask))
+
+
+def test_funnel_matches_scc_pass():
+    for rows, mask in _digraphs(33, 400):
+        assert funnel(rows, mask) == _scc_funnel(rows, mask)
+
+
+def test_funnel_matches_border_action():
+    # a border segment as the extended graph meets it: total on its source
+    # mask, with every destination inside it; the one-segment linked graph
+    # (identity on the mask, then the segment) rewires its first layer
+    # into exactly the funnel
+    rng = random.Random(35)
+    checked = 0
+    for rows, mask in _digraphs(34, 300):
+        if not mask:
+            continue
+        members = list(bits(mask))
+        seg = tuple(
+            (row & mask or 1 << rng.choice(members)) if mask >> i & 1 else 0
+            for i, row in enumerate(rows)
+        )
+        ident = tuple(1 << i if mask >> i & 1 else 0 for i in range(len(rows)))
+        lg = border_action(LinkedGraph(len(rows), (ident, seg)), (1, 2))
+        assert lg.layers[0] == funnel(seg, mask)
+        checked += 1
+    assert checked > 250

@@ -1,6 +1,7 @@
 """Support graphs, extended closure, #-reachability, and limit procedures."""
 
 import random
+import time
 from collections import deque
 from fractions import Fraction
 
@@ -631,6 +632,46 @@ def test_synthesize_word_cap(ex2):
     small = Budgets(word_cap=4)
     with pytest.raises(BudgetExceededError):
         synthesize_limit_word(ex2, "4", Fraction(1, 10), budgets=small)
+
+
+def _full_pump(step, k):
+    # every atom expanded, the cut applied only at the end
+    word, borders, cut = step
+    atoms = [[x] for x in word]
+    for n1, n2 in borders:
+        atoms[n1 - 1] = atoms[n1 - 1] + [x for j in range(n1, n2) for x in atoms[j]] * k
+    return [x for j in range(cut) for x in atoms[j]]
+
+
+def test_pump_step_builds_the_cut_prefix(ex2):
+    import qpa.supportgraph as sg
+
+    graph = build_extended_support_graph(ex2)
+    steps = [st for sts in graph.reachable_with_steps(ex2.initial_support).values() for st in sts]
+    assert any(len(b) > 1 for _, b, _ in steps)
+    for word, borders, cut in steps:
+        for c in range(cut + 1):
+            for k in (1, 2, 5):
+                step = (word, borders, c)
+                want = _full_pump(step, k)
+                assert sg._pump_step(step, k) == want
+                assert sg._pumped_length(step, k) == len(want)
+
+
+def test_pumping_cut_zero_steps_stops_on_budget(monkeypatch, ex2):
+    # Steps cut at 0 pump to the empty word, so the probability never
+    # rises and the doublings run out; the atoms past the cut grow k-fold
+    # per nesting level at each doubling and must never be built.
+    real = ExtendedSupportGraph.reachable_with_steps
+
+    def cut_zero(self, start):
+        return {t: [(w, b, 0) for w, b, _ in sts] for t, sts in real(self, start).items()}
+
+    monkeypatch.setattr(ExtendedSupportGraph, "reachable_with_steps", cut_zero)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="pumping budget exhausted"):
+        synthesize_limit_word(ex2, "4", Fraction(1, 10))
+    assert time.perf_counter() - t0 < 5
 
 
 def test_limit_reach_decisions(ex1, ex2):
