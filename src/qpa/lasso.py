@@ -15,15 +15,15 @@ from fractions import Fraction
 from math import gcd, lcm, log, sqrt
 from typing import Sequence
 
-from .core import Automaton, LassoWord, Matrix, bits, scaled, support_mask
+from .core import Automaton, LassoWord, Matrix, bits, support_mask
 from .errors import BudgetExceededError, InputError
 from .graphs import bottom_scc_masks, image
 from .profiles import class_minima, profile_of_word
 from .semantics import (
     ChainAnalysis,
+    _compose,
     chain_analysis,
     int_pow,
-    matrix_product,
     reach_as_buchi,
     solve_linear,
     support_step,
@@ -188,49 +188,40 @@ def lasso_acceptance_probability(a: Automaton, w: LassoWord) -> Fraction:
     return total
 
 
-def _restricted(mat: Matrix, fmask: int, n: int) -> Matrix:
-    zero = Fraction(0)
-    return tuple(
-        tuple(mat[i][j] if fmask >> j & 1 else zero for j in range(n))
-        if fmask >> i & 1
-        else (zero,) * n
-        for i in range(n)
-    )
-
-
 def _safety_probability(a: Automaton, w: LassoWord) -> Fraction:
     """Mass of runs that never leave F, the initial state included.
 
     Killing all transitions that touch the complement of F makes the word
     matrices substochastic; the surviving mass in the limit is the mass
     absorbed by recurrent classes of the period matrix that keep row sum 1.
+    The scaled letters are restricted to F over their own denominators, and
+    the period matrix r over den is tested and solved in integers.
     """
     fmask = a.acceptance_mask()
     n = a.n
-    restricted = [scaled(_restricted(mat, fmask, n)) for mat in a.matrices]
+    zero = (0,) * n
+
+    def kept(i: int, row: Sequence[int]) -> tuple[int, ...]:
+        if not fmask >> i & 1:
+            return zero
+        return tuple(v if fmask >> j & 1 else 0 for j, v in enumerate(row))
+
+    restricted = [(tuple(map(kept, range(n), x)), dx) for x, dx in a.scaled_matrices]
     vec = tuple(a.initial[i] if fmask >> i & 1 else Fraction(0) for i in range(n))
     vec = vector_product(vec, restricted, a.word(w.prefix))
-    r = matrix_product(restricted, a.word(w.period), n)
-    rows = tuple(
-        sum(1 << j for j in range(n) if r[i][j] > 0) if fmask >> i & 1 else 0
-        for i in range(n)
-    )
+    period = a.word(w.period)
+    r, den = _compose(*restricted[period[0]], restricted, period[1:])
+    rows = tuple(sum(1 << j for j in range(n) if r[i][j] > 0) for i in range(n))
     safe = 0
     for comp in bottom_scc_masks(rows, fmask):
-        if all(sum(r[i]) == 1 for i in bits(comp)):
+        if all(sum(r[i]) == den for i in bits(comp)):
             safe |= comp
     survival = {i: Fraction(1) for i in bits(safe)}
     transient = fmask & ~safe
     if transient and safe:
         tlist = list(bits(transient))
-        lhs = [
-            [
-                (Fraction(1) if s == t else Fraction(0)) - r[q][tlist[t]]
-                for t in range(len(tlist))
-            ]
-            for s, q in enumerate(tlist)
-        ]
-        rhs = [[sum((r[q][j] for j in bits(safe)), Fraction(0))] for q in tlist]
+        lhs = [[den * (s == t) - r[q][u] for t, u in enumerate(tlist)] for s, q in enumerate(tlist)]
+        rhs = [[sum(r[q][j] for j in bits(safe))] for q in tlist]
         sol = solve_linear(lhs, rhs)
         for s, q in enumerate(tlist):
             survival[q] = sol[s][0]
@@ -300,14 +291,15 @@ def _analyze_class(
     """Period, cyclic blocks, stabilizing power, floor and active alignments
     of one recurrent class of the product chain.
 
-    The one-step class matrix is scaled once to integer rows over one
-    denominator den.  Its d-th power and that power's kstar-th power stay
-    integer rows over den**e for their exponent e; positivity is read from
-    the integer signs, and only the floor eps, the least positive entry of
-    the stabilized power N^(d*kstar), is unscaled, to
-    Fraction(numerator, den**e).  No later power within a period goes
-    lower: the class rows are stochastic and N^(d*kstar) is positive on
-    every cyclic block, so an entry of N^(d*kstar+j) is either 0 or a
+    The one-step class matrix is built straight from the scaled letters as
+    integer rows over den, the lcm of the period letters' denominators; its
+    positive entries are read off a.relation.  Its d-th power and that
+    power's kstar-th power stay integer rows over den**e for their exponent
+    e; positivity is read from the integer signs, and only the floor eps,
+    the least positive entry of the stabilized power N^(d*kstar), becomes a
+    Fraction, Fraction(numerator, den**e).  No later power within a period
+    goes lower: the class rows are stochastic and N^(d*kstar) is positive
+    on every cyclic block, so an entry of N^(d*kstar+j) is either 0 or a
     convex combination of positive entries of one column of N^(d*kstar).
     """
     n = a.n
@@ -331,16 +323,18 @@ def _analyze_class(
     blocks = [0] * d
     for x in states:
         blocks[cyc[x]] |= 1 << pos[x]
-    # exact one-step matrix inside the class
-    dense: list[list[Fraction | int]] = [[0] * len(states) for _ in states]
+    # exact one-step matrix inside the class, as integer rows over den
+    letters = a.scaled_matrices
+    den = lcm(*(letters[k][1] for k in set(period)))
+    one_step = [[0] * len(states) for _ in states]
     for x in states:
         phase, q = divmod(x, n)
-        row = a.matrices[period[phase]][q]
+        rows, dk = letters[period[phase]]
+        row, f = rows[q], den // dk
         shift = ((phase + 1) % m) * n
-        for qq in range(n):
-            if row[qq] > 0:
-                dense[pos[x]][pos[shift + qq]] = row[qq]
-    one_step, den = scaled(dense)
+        out = one_step[pos[x]]
+        for qq in bits(a.relation(period[phase])[q]):
+            out[pos[shift + qq]] = row[qq] * f
     td = int_pow(one_step, d)
     # smallest power of the d-step matrix that is positive on every block
     rel_td = [sum(1 << j for j in range(len(states)) if td[i][j] > 0) for i in range(len(states))]

@@ -1,6 +1,10 @@
 """Word semantics on the table: matrix products, propagation, support steps,
 #-powers, and analysis of the homogeneous chain induced by a stable set and
-a word."""
+a word.
+
+Dense arithmetic runs on integer rows over one common denominator: products
+through int_mul, linear systems through fraction-free elimination in
+solve_linear.  Fractions are built only for the answer a caller reads."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -64,26 +68,15 @@ def _compose(
     return rows, den
 
 
-def matrix_product(letters: Sequence[ScaledMatrix], word: Sequence[int], n: int) -> Matrix:
-    """Exact product of the letter matrices of word; identity for no letters.
-
-    letters[k] is letter k's matrix scaled to integer rows over one
-    denominator (Automaton.scaled_matrices keeps them per automaton).  The
-    word is composed in integers over the product of the letter
-    denominators and unscaled once, at the end.
-    """
-    if not word:
-        return unscaled([[int(i == j) for j in range(n)] for i in range(n)], 1)
-    return unscaled(*_compose(*letters[word[0]], letters, word[1:]))
-
-
 def vector_product(
     vec: Sequence[Fraction], letters: Sequence[ScaledMatrix], word: Sequence[int]
 ) -> tuple[Fraction, ...]:
     """Exact row vector vec times the letter matrices of word.
 
-    The vector is scaled to one integer row, composed like matrix_product,
-    and unscaled once, at the end.
+    letters[k] is letter k's matrix scaled to integer rows over one
+    denominator (Automaton.scaled_matrices keeps them per automaton).  The
+    vector is scaled to one integer row, composed in integers over the
+    product of the denominators, and unscaled once, at the end.
     """
     return unscaled(*_compose(*scaled([vec]), letters, word))[0]
 
@@ -91,10 +84,14 @@ def vector_product(
 def word_matrix(a: Automaton, word) -> Matrix:
     """Exact product of the letter matrices; the empty word gives the identity.
 
-    Composed as integer rows over one common denominator (`matrix_product`)
-    and unscaled to normalized Fractions only at the end.
+    Composed as integer rows over one common denominator (`_compose` on the
+    scaled letters) and unscaled to normalized Fractions only at the end.
     """
-    return matrix_product(a.scaled_matrices, a.word(word), a.n)
+    w = a.word(word)
+    if not w:
+        return unscaled([[int(i == j) for j in range(a.n)] for i in range(a.n)], 1)
+    letters = a.scaled_matrices
+    return unscaled(*_compose(*letters[w[0]], letters, w[1:]))
 
 
 def propagate(a: Automaton, beta: Mapping[str, Fraction] | Sequence[Fraction], word) -> dict[str, Fraction]:
@@ -133,23 +130,32 @@ def sharp_power(a: Automaton, S, word) -> int:
     return bottom_states_mask(rows, mask)
 
 
-def solve_linear(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve A X = B exactly by Gaussian elimination; A must be invertible."""
+def solve_linear(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Solve A X = B exactly for square, invertible integer A and integer B.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): each step replaces
+    every row r other than the pivot row p by (piv * r - r[col] * p) / prev,
+    where prev is the previous pivot; the division is exact, so the rows stay
+    integers.  A zero pivot is swapped with a later row.  At the end the left
+    block is piv * I for the last pivot, and X = right block / piv is built as
+    Fractions only then.  A singular A raises InputError.
+    """
     n = len(A)
-    m = len(B[0]) if B else 0
     aug = [list(A[i]) + list(B[i]) for i in range(n)]
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
             raise InputError("singular linear system")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
+        prow = aug[col]
+        piv = prow[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
+            if r != col:
                 f = aug[r][col]
-                aug[r] = [vr - f * vc for vr, vc in zip(aug[r], aug[col])]
-    return [row[n : n + m] for row in aug]
+                aug[r] = [(piv * v - f * pv) // prev for v, pv in zip(aug[r], prow)]
+        prev = piv
+    return [[Fraction(v, prev) for v in row[n:]] for row in aug]
 
 
 @dataclass
@@ -179,7 +185,14 @@ class ChainAnalysis:
 
 
 def chain_analysis(a: Automaton, G, word) -> ChainAnalysis:
-    """Classes, transient part and exact absorption probabilities of (G, word)."""
+    """Classes, transient part and exact absorption probabilities of (G, word).
+
+    Only the transient rows of the word matrix are composed, as integer rows
+    M over the denominator den of the scaled letters.  With T the transient
+    states, the absorption probabilities X solve (den * I - M_TT) X = B in
+    integers, where B sums the rows of M over each class; solve_linear makes
+    the Fractions.
+    """
     mask = as_mask(a, G)
     w = a.word(word)
     if not w:
@@ -201,23 +214,15 @@ def chain_analysis(a: Automaton, G, word) -> ChainAnalysis:
                 absorption[(i, ci)] = Fraction(0)
     if transient:
         tlist = list(bits(transient))
-        tpos = {q: r for r, q in enumerate(tlist)}
-        M = word_matrix(a, w)
-        A = [
-            [
-                (Fraction(1) if r == s else Fraction(0)) - M[q][tlist[s]]
-                for s in range(len(tlist))
-            ]
-            for r, q in enumerate(tlist)
-        ]
-        B = [
-            [sum(M[q][j] for j in bits(c)) for c in classes]
-            for q in tlist
-        ]
+        letters = a.scaled_matrices
+        first, den = letters[w[0]]
+        M, den = _compose([first[q] for q in tlist], den, letters, w[1:])
+        A = [[den * (r == s) - row[t] for s, t in enumerate(tlist)] for r, row in enumerate(M)]
+        B = [[sum(row[j] for j in bits(c)) for c in classes] for row in M]
         X = solve_linear(A, B)
-        for q in tlist:
+        for r, q in enumerate(tlist):
             for ci in range(len(classes)):
-                absorption[(q, ci)] = X[tpos[q]][ci]
+                absorption[(q, ci)] = X[r][ci]
     return ChainAnalysis(mask, classes, transient, absorption)
 
 

@@ -781,11 +781,13 @@ def decide_limit_parity_structsimple(
 
     Yes iff some #-reachable support A admits a word whose relation maps A
     into A and whose induced chain on A accepts almost surely.  The steps
-    that #-reach A are replayed first.  The witness reports the stable
-    support, the period word, and, when synthesis succeeds, a pumped
-    prefix with its exact lasso acceptance probability; when synthesis
+    that #-reach A are replayed first, and the period is rechecked without
+    the monoid: its exact lasso probability from the uniform distribution on
+    A must be 1.  The witness reports the stable support, the period word,
+    and, when synthesis succeeds, a pumped prefix with its exact lasso
+    acceptance probability, which must be at least 9/10; when synthesis
     stops on a budget or an input error, prefix and probability are None
-    and prefix_error says why.
+    and prefix_error says why.  A failed recheck raises RuntimeError.
     """
     a.priorities()  # InputError unless the acceptance has a parity encoding
     _require_structurally_simple(a, budgets)
@@ -794,9 +796,12 @@ def decide_limit_parity_structsimple(
 
 def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
     """decide_limit_parity_structsimple past its input checks and gate."""
+    from .lasso import lasso_acceptance_probability
+
     graph = build_extended_support_graph(a, budgets=budgets)
     reach = graph.reachable_with_steps(a.initial_support)
     monoid = build_profile_monoid(a, None, budgets.monoid)
+    bound = Fraction(1, 10)
     for node in reach:
         for prof, rho in monoid.items():
             if image(prof[-1], node) & ~node:
@@ -805,6 +810,16 @@ def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
                 continue
             _check_replay(a, a.initial_support, reach[node], node)
             period = tuple(a.alphabet[x] for x in rho)
+            # recheck the period without the monoid: from the uniform
+            # distribution on the stable support it accepts almost surely
+            uniform = [Fraction(node >> i & 1, node.bit_count()) for i in range(a.n)]
+            start = Automaton(a.states, a.alphabet, a.matrices, uniform, a.acceptance)
+            p = lasso_acceptance_probability(start, LassoWord((), period))
+            if p != 1:
+                raise RuntimeError(
+                    f"period {' '.join(period)} accepts with probability {p}, not 1,"
+                    f" from the uniform distribution on {a.names(node)}"
+                )
             witness = {
                 "support": list(a.names(node)),
                 "period": list(period),
@@ -812,13 +827,13 @@ def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
                 "probability": None,
             }
             try:
-                prefix = _pumped_word(a, reach, node, Fraction(1, 10), budgets)
+                prefix = _pumped_word(a, reach, node, bound, budgets)
             except (BudgetExceededError, InputError) as exc:
                 witness["prefix_error"] = f"{type(exc).__name__}: {exc}"
             else:
-                from .lasso import lasso_acceptance_probability
-
                 p = lasso_acceptance_probability(a, LassoWord(prefix, period))
+                if p < 1 - bound:
+                    raise RuntimeError(f"pumped lasso accepts with probability {p} < {1 - bound}")
                 witness["prefix"] = list(prefix)
                 witness["probability"] = str(p)
             return Verdict("yes", witness)

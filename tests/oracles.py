@@ -125,6 +125,24 @@ def oword_matrix(a: Automaton, word):
     return out
 
 
+def osolve_linear(A, B):
+    """Solve A X = B by textbook Gauss-Jordan elimination over Fractions."""
+    n = len(A)
+    aug = [[Fraction(v) for v in A[i]] + [Fraction(v) for v in B[i]] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [vr - f * vc for vr, vc in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
 def opath_profile(a: Automaton, prios, word) -> dict[tuple[int, int], int]:
     """Profile of a word by literal enumeration of all positive state paths."""
     n = len(a.states)

@@ -12,11 +12,12 @@ import pytest
 
 import qpa.lasso as lasso
 import qpa.semantics as semantics
-from qpa.core import Acceptance, Automaton, LassoWord, bits
+from qpa.core import Acceptance, Automaton, LassoWord, bits, scaled
+from qpa.graphs import bottom_scc_masks
 from qpa.lasso import lasso_acceptance_probability, lasso_jet_decomposition
 from qpa.semantics import word_matrix
 
-from oracles import oimage, omatmul, oword_matrix
+from oracles import oimage, omatmul, osolve_linear, oword_matrix
 
 
 def _weighted_row(rng: random.Random, n: int, dests: list[int]) -> list[Fraction]:
@@ -173,10 +174,63 @@ def _ref_analyze_class(a, period, prod_rows, cmask, sups, t_start, p_sup):
     )
 
 
+def _ref_chain_analysis(a, mask, word):
+    w = a.word(word)
+    classes = tuple(bottom_scc_masks(semantics.word_relation(a, w), mask))
+    transient = mask & ~sum(classes)
+    absorption = {}
+    for ci, c in enumerate(classes):
+        for i in bits(mask):
+            if not transient >> i & 1:
+                absorption[(i, ci)] = Fraction(int(c >> i & 1))
+    if transient:
+        tlist = list(bits(transient))
+        M = _ref_matrix_product(a.scaled_matrices, w, a.n)
+        A = [[Fraction(int(q == t)) - M[q][t] for t in tlist] for q in tlist]
+        B = [[sum(M[q][j] for j in bits(c)) for c in classes] for q in tlist]
+        X = osolve_linear(A, B)
+        for r, q in enumerate(tlist):
+            for ci in range(len(classes)):
+                absorption[(q, ci)] = X[r][ci]
+    return semantics.ChainAnalysis(mask, classes, transient, absorption)
+
+
+def _ref_safety_probability(a, w):
+    fmask = a.acceptance_mask()
+    n = a.n
+    zero = Fraction(0)
+    restricted = [
+        scaled(
+            [
+                [mat[i][j] if fmask >> i & 1 and fmask >> j & 1 else zero for j in range(n)]
+                for i in range(n)
+            ]
+        )
+        for mat in a.matrices
+    ]
+    vec = tuple(a.initial[i] if fmask >> i & 1 else zero for i in range(n))
+    vec = _ref_vector_product(vec, restricted, a.word(w.prefix))
+    r = _ref_matrix_product(restricted, a.word(w.period), n)
+    rows = tuple(sum(1 << j for j in range(n) if r[i][j] > 0) for i in range(n))
+    safe = 0
+    for comp in bottom_scc_masks(rows, fmask):
+        if all(sum(r[i]) == 1 for i in bits(comp)):
+            safe |= comp
+    survival = {i: Fraction(1) for i in bits(safe)}
+    transient = fmask & ~safe
+    if transient and safe:
+        tlist = list(bits(transient))
+        lhs = [[Fraction(int(q == t)) - r[q][t] for t in tlist] for q in tlist]
+        rhs = [[sum((r[q][j] for j in bits(safe)), zero)] for q in tlist]
+        for q, row in zip(tlist, osolve_linear(lhs, rhs)):
+            survival[q] = row[0]
+    return sum((vec[i] * survival.get(i, zero) for i in bits(fmask)), zero)
+
+
 def _fraction_kernel(monkeypatch):
-    monkeypatch.setattr(semantics, "matrix_product", _ref_matrix_product)
-    monkeypatch.setattr(lasso, "matrix_product", _ref_matrix_product)
     monkeypatch.setattr(lasso, "vector_product", _ref_vector_product)
+    monkeypatch.setattr(lasso, "chain_analysis", _ref_chain_analysis)
+    monkeypatch.setattr(lasso, "_safety_probability", _ref_safety_probability)
     monkeypatch.setattr(lasso, "_analyze_class", _ref_analyze_class)
 
 

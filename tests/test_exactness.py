@@ -4,6 +4,8 @@ Every module of the library is parsed and walked.  A float literal, the
 name `float`, a numpy import, or math.sqrt / math.log fails the test.  The
 one deliberate float path is the Monte Carlo estimate `lasso.simulate_runs`,
 whose body is exempt from the float rules but not from the numpy rule.
+The integer kernels of `semantics` must not use true division at all: an
+`int / int` there would silently make a float.
 """
 import ast
 from pathlib import Path
@@ -46,6 +48,20 @@ def _violations(path: Path) -> list[str]:
     return out
 
 
+INTEGER_KERNELS = {("semantics.py", f) for f in ("int_mul", "int_pow", "_compose", "solve_linear")}
+
+
+def _true_divisions(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and (path.name, node.name) in INTEGER_KERNELS:
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.Div):
+                    out.append(f"{path.name}:{sub.lineno}: true division in {node.name}")
+    return out
+
+
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -81,4 +97,28 @@ def test_guard_catches_each_rule(tmp_path):
         "math.log",
         "numpy import",
         "root",
+    ]
+
+
+def test_integer_kernels_have_no_true_division():
+    tree = ast.parse((SRC / "semantics.py").read_text())
+    defined = {("semantics.py", n.name) for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert INTEGER_KERNELS <= defined
+    assert _true_divisions(SRC / "semantics.py") == []
+
+
+def test_division_guard_catches_each_form(tmp_path):
+    bad = tmp_path / "semantics.py"
+    bad.write_text(
+        "def int_mul(x, y):\n"
+        "    return x / y\n"
+        "def solve_linear(A, B):\n"
+        "    A /= 2\n"
+        "    return A // B\n"
+        "def unscaled(rows, den):\n"
+        "    return rows / den\n"
+    )
+    assert _true_divisions(bad) == [
+        "semantics.py:2: true division in int_mul",
+        "semantics.py:4: true division in solve_linear",
     ]

@@ -13,13 +13,14 @@ from qpa.semantics import (
     propagate,
     reach_as_buchi,
     sharp_power,
+    solve_linear,
     support_step,
     word_matrix,
     word_relation,
 )
 
 from conftest import random_automaton
-from oracles import osharp, osupport, oword_matrix
+from oracles import osharp, osolve_linear, osupport, oword_matrix
 
 
 def test_word_matrix_ex1(ex1):
@@ -90,6 +91,87 @@ def test_chain_analysis_requires_closure(ex1):
         chain_analysis(ex1, "s", "a")
     with pytest.raises(InputError):
         chain_analysis(ex1, ex1.full_mask, "")
+
+
+# -- fraction-free linear solve --------------------------------------------------
+
+
+def _times(A, X):
+    return [[sum(a * x for a, x in zip(row, col)) for col in zip(*X)] for row in A]
+
+
+def _system(rng: random.Random, size: int, swap: str):
+    """An integer system with 1-3 right-hand columns.  swap="lead" zeroes
+    the first pivot; swap="minor" makes row k proportional to row k-1 on the
+    first k+1 columns, so the leading minor of order k+1 vanishes and some
+    pivot up to step k is zero.  Either way elimination must swap rows; the
+    system can stay invertible for size >= 2 and size >= 3 respectively."""
+    A = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+    cols = rng.randint(1, 3)
+    B = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(size)]
+    if swap == "lead":
+        A[0][0] = 0
+    elif swap == "minor":
+        k = rng.randrange(1, size - 1)
+        f = rng.choice((-2, -1, 2, 3))
+        A[k][: k + 1] = [f * v for v in A[k - 1][: k + 1]]
+    return A, B
+
+
+@pytest.mark.parametrize(
+    "size, swap",
+    [(size, "none") for size in range(1, 9)]
+    + [(size, "lead") for size in range(2, 9)]
+    + [(size, "minor") for size in range(3, 9)],
+)
+def test_solve_linear_matches_fraction_reference(size, swap):
+    rng = random.Random(7300 + 10 * size + len(swap))
+    solved = 0
+    for _ in range(20):
+        A, B = _system(rng, size, swap)
+        try:
+            want = osolve_linear(A, B)
+        except ValueError:
+            with pytest.raises(InputError, match="singular"):
+                solve_linear(A, B)
+            continue
+        got = solve_linear(A, B)
+        assert got == want
+        assert all(type(x) is Fraction for row in got for x in row)
+        assert _times(A, got) == B
+        solved += 1
+    assert solved >= 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_linear_satisfies_the_system(data):
+    size = data.draw(st.integers(1, 8))
+    cols = data.draw(st.integers(1, 3))
+    entry = st.integers(-50, 50)
+    A = data.draw(st.lists(st.lists(entry, min_size=size, max_size=size), min_size=size, max_size=size))
+    B = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=size, max_size=size))
+    try:
+        X = solve_linear(A, B)
+    except InputError:
+        with pytest.raises(ValueError):
+            osolve_linear(A, B)
+        return
+    assert _times(A, X) == B
+    assert all(type(x) is Fraction for row in X for x in row)
+
+
+def test_solve_linear_swaps_rows_on_a_zero_pivot():
+    # no leading pivot is nonzero until rows are swapped
+    A = [[0, 0, 1], [0, 2, 0], [3, 0, 0]]
+    assert solve_linear(A, [[1, 2], [4, 6], [9, 3]]) == [[3, 1], [2, 3], [1, 2]]
+    assert solve_linear([[0, 1], [1, 0]], [[5], [7]]) == [[7], [5]]
+
+
+def test_solve_linear_rejects_singular_systems():
+    for A in ([[0]], [[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6], [5, 7, 9]], [[0, 1], [0, 1]]):
+        with pytest.raises(InputError, match="singular"):
+            solve_linear(A, [[1] for _ in A])
 
 
 def test_chain_parity_almost_ex1(ex1):

@@ -753,6 +753,41 @@ def test_yes_witness_steps_are_replayed(monkeypatch, ex2, query):
         query(ex2)
 
 
+def test_limit_parity_rechecks_the_period(monkeypatch):
+    # b keeps p, a swaps p and q: appending a to every monoid word makes
+    # each period visit q forever, so under coBuchi {p} the corrupted period
+    # accepts with probability 0 from the uniform distribution on {p}
+    import qpa.supportgraph as sg
+
+    a = parse_automaton(DET_SWAP_TEXT).with_acceptance(Acceptance.cobuchi(["p"]))
+    assert decide_limit_parity_structsimple(a).answer == "yes"
+    real = sg.build_profile_monoid
+    swap = a.letter_index["a"]
+
+    def corrupted(*args):
+        return {prof: rho + (swap,) for prof, rho in real(*args).items()}
+
+    monkeypatch.setattr(sg, "build_profile_monoid", corrupted)
+    with pytest.raises(RuntimeError, match="accepts with probability 0, not 1"):
+        decide_limit_parity_structsimple(a)
+
+
+def test_limit_parity_rechecks_the_lasso_probability(monkeypatch, ex2):
+    import qpa.lasso as lasso
+
+    real = lasso.lasso_acceptance_probability
+    buchi = ex2.with_acceptance(Acceptance.buchi(["4"]))
+    assert decide_limit_parity_structsimple(buchi).answer == "yes"
+
+    def corrupted(a, w):
+        # the period recheck (empty prefix) is left alone
+        return real(a, w) / 2 if w.prefix else real(a, w)
+
+    monkeypatch.setattr(lasso, "lasso_acceptance_probability", corrupted)
+    with pytest.raises(RuntimeError, match="pumped lasso accepts with probability"):
+        decide_limit_parity_structsimple(buchi)
+
+
 def test_struct_simple_limit_runs_the_gate_once(monkeypatch, ex1, ex2):
     import qpa.classify as classify
 
