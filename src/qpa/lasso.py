@@ -6,6 +6,12 @@ This module computes that chain exactly, derives acceptance probabilities,
 builds an eventually-periodic jet decomposition with a certified positive
 floor on jet-state masses, and offers seeded Monte Carlo simulation as an
 independent cross-check.
+
+The supports a lasso word visits after its prefix are walked once, by
+_support_run, and every analysis of the word reads that one run.  Reach
+needs no reduction to Buchi: a run either visits F or stays in Q - F
+forever, so P(reach F) = 1 - P(safe in Q - F), the survival probability
+outside F, both exactly and in the simulation.
 """
 from __future__ import annotations
 
@@ -15,38 +21,19 @@ from fractions import Fraction
 from math import gcd, lcm, log, sqrt
 from typing import Sequence
 
-from .core import Automaton, LassoWord, Matrix, bits, support_mask
+from .core import Automaton, LassoWord, bits, support_mask
 from .errors import BudgetExceededError, InputError
 from .graphs import bottom_scc_masks, image
-from .profiles import class_minima, profile_of_word
 from .semantics import (
     ChainAnalysis,
     _compose,
     chain_analysis,
+    chain_parity_almost,
     int_pow,
-    reach_as_buchi,
     solve_linear,
     support_step,
     vector_product,
 )
-
-
-@dataclass
-class LassoChain:
-    """The periodic chain induced by a lasso word, homogenized over one period.
-
-    product_states lists the reachable (state, phase) pairs after the prefix;
-    phase p means the next letter read is period[p].  analysis describes the
-    m-step chain on the phase-0 support closure.
-    """
-
-    automaton: Automaton
-    word: LassoWord
-    m: int
-    prefix_vector: tuple[Fraction, ...]
-    product_states: tuple[tuple[str, int], ...]
-    step_matrices: tuple[Matrix, ...]
-    analysis: ChainAnalysis
 
 
 @dataclass(frozen=True)
@@ -62,6 +49,25 @@ class SupportSequence:
         if n < len(self.head):
             return self.head[n]
         return self.cycle[(n - len(self.head)) % len(self.cycle)]
+
+
+@dataclass
+class LassoChain:
+    """The periodic chain induced by a lasso word, homogenized over one period.
+
+    run is the support sequence after the prefix; product_states lists the
+    (state, phase) pairs it visits, where phase p means the next letter read
+    is period[p].  analysis describes the m-step chain on the phase-0 union
+    of the run, the closure of the post-prefix support under the period.
+    """
+
+    automaton: Automaton
+    word: LassoWord
+    m: int
+    prefix_vector: tuple[Fraction, ...]
+    product_states: tuple[tuple[str, int], ...]
+    run: SupportSequence
+    analysis: ChainAnalysis
 
 
 @dataclass
@@ -130,13 +136,32 @@ class JetDecomposition:
                 raise BudgetExceededError(f"no horizon below {eps} within {max_steps} steps")
 
 
-def _closure(a: Automaton, start: int, period: Sequence[int]) -> int:
-    g = start
-    while True:
-        nxt = g | support_step(a, g, period)
-        if nxt == g:
-            return g
-        g = nxt
+def _support_run(a: Automaton, start: int, period: Sequence[int]) -> SupportSequence:
+    """Stepwise supports after the prefix, until (phase, support) repeats.
+
+    The cycle starts where the repeated pair was first seen; its length is
+    a multiple of the period's, so run.at(t) is read at phase t % m.
+    """
+    m = len(period)
+    sups: list[int] = []
+    seen: dict[tuple[int, int], int] = {}
+    cur = start
+    t = 0
+    while (t % m, cur) not in seen:
+        seen[(t % m, cur)] = t
+        sups.append(cur)
+        cur = support_step(a, cur, (period[t % m],))
+        t += 1
+    t_start = seen[(t % m, cur)]
+    return SupportSequence(tuple(sups[:t_start]), tuple(sups[t_start:]))
+
+
+def _per_phase(run: SupportSequence, m: int) -> list[int]:
+    """Union of the run's supports at each phase of the period."""
+    out = [0] * m
+    for t, s in enumerate(run.head + run.cycle):
+        out[t % m] |= s
+    return out
 
 
 def build_lasso_chain(a: Automaton, w: LassoWord) -> LassoChain:
@@ -145,59 +170,47 @@ def build_lasso_chain(a: Automaton, w: LassoWord) -> LassoChain:
     period = a.word(w.period)
     m = len(period)
     vec0 = vector_product(a.initial, a.scaled_matrices, prefix)
-    g = _closure(a, support_mask(vec0), period)
-    analysis = chain_analysis(a, g, period)
-    sups, _, _ = _support_run(a, support_mask(vec0), period)
-    per_phase = [0] * m
-    for t, s in enumerate(sups):
-        per_phase[t % m] |= s
+    run = _support_run(a, support_mask(vec0), period)
+    per_phase = _per_phase(run, m)
+    analysis = chain_analysis(a, per_phase[0], period)
     product_states = tuple(
         (a.states[q], phase) for phase in range(m) for q in bits(per_phase[phase])
     )
-    step_matrices = tuple(a.matrices[k] for k in period)
-    return LassoChain(a, w, m, vec0, product_states, step_matrices, analysis)
-
-
-def _class_acceptance(a: Automaton, period: Sequence[int], g: int) -> dict[int, bool]:
-    """Per recurrent class of (g, period): is the minimal priority seen even?
-
-    Within a recurrent class every positive path between class states recurs
-    infinitely often almost surely, so the class minimum over the period's
-    min-priority profile is the priority realized by almost every run.
-    """
-    prof = profile_of_word(a, None, period)
-    return {comp: mn % 2 == 0 for comp, mn in class_minima(prof, g)}
+    return LassoChain(a, w, m, vec0, product_states, run, analysis)
 
 
 def lasso_acceptance_probability(a: Automaton, w: LassoWord) -> Fraction:
-    """Exact probability that a run under the lasso word is accepting."""
+    """Exact probability that a run under the lasso word is accepting.
+
+    Reach is the complement of safety outside F; the other conditions read
+    the parity of each recurrent class (semantics.chain_parity_almost) and
+    add up the mass the chain absorbs into the even ones.
+    """
     acc = a.acceptance
     if acc is None:
         raise InputError("acceptance condition required")
     if acc.kind == "reach":
-        return lasso_acceptance_probability(reach_as_buchi(a), w)
+        return 1 - _safety_probability(a, w, a.full_mask & ~a.acceptance_mask())
     if acc.kind == "safety":
-        return _safety_probability(a, w)
+        return _safety_probability(a, w, a.acceptance_mask())
     chain = build_lasso_chain(a, w)
-    ok = _class_acceptance(a, a.word(w.period), chain.analysis.closed_set)
+    _, minima = chain_parity_almost(a, chain.analysis.closed_set, w.period)
+    ok = {comp: mn % 2 == 0 for comp, mn in minima}
     masses = chain.analysis.class_mass(chain.prefix_vector)
-    total = Fraction(0)
-    for comp, mass in zip(chain.analysis.classes, masses):
-        if ok[comp]:
-            total += mass
-    return total
+    return sum((mass for comp, mass in zip(chain.analysis.classes, masses) if ok[comp]), Fraction(0))
 
 
-def _safety_probability(a: Automaton, w: LassoWord) -> Fraction:
-    """Mass of runs that never leave F, the initial state included.
+def _safety_probability(a: Automaton, w: LassoWord, fmask: int) -> Fraction:
+    """Mass of runs that never leave fmask, the initial state included.
 
-    Killing all transitions that touch the complement of F makes the word
-    matrices substochastic; the surviving mass in the limit is the mass
-    absorbed by recurrent classes of the period matrix that keep row sum 1.
-    The scaled letters are restricted to F over their own denominators, and
-    the period matrix r over den is tested and solved in integers.
+    Called with F for safety, and with Q - F for reach, whose probability is
+    one minus this survival outside F.  Killing all transitions that touch
+    the complement of fmask makes the word matrices substochastic; the
+    surviving mass in the limit is the mass absorbed by recurrent classes of
+    the period matrix that keep row sum 1.  The scaled letters are
+    restricted to fmask over their own denominators, and the period matrix
+    r over den is tested and solved in integers.
     """
-    fmask = a.acceptance_mask()
     n = a.n
     zero = (0,) * n
 
@@ -251,7 +264,9 @@ class _ClassInfo:
     t_full: int
 
 
-def _product_rows(a: Automaton, period: Sequence[int]) -> list[int]:
+def _product_chain(a: Automaton, period: Sequence[int], run: SupportSequence):
+    """Rows of the product chain on (phase, state), bit phase * n + q, and
+    its recurrent classes among the pairs the run visits."""
     n = a.n
     m = len(period)
     rows = [0] * (n * m)
@@ -260,23 +275,10 @@ def _product_rows(a: Automaton, period: Sequence[int]) -> list[int]:
         shift = ((phase + 1) % m) * n
         for q in range(n):
             rows[phase * n + q] = rel[q] << shift
-    return rows
-
-
-def _support_run(a: Automaton, start: int, period: Sequence[int]):
-    """Stepwise supports after the prefix until (phase, support) repeats."""
-    m = len(period)
-    sups: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
-    cur = start
-    t = 0
-    while (t % m, cur) not in seen:
-        seen[(t % m, cur)] = t
-        sups.append(cur)
-        cur = support_step(a, cur, (period[t % m],))
-        t += 1
-    t_start = seen[(t % m, cur)]
-    return sups, t_start, t - t_start
+    reach = 0
+    for phase, s in enumerate(_per_phase(run, m)):
+        reach |= s << (phase * n)
+    return rows, bottom_scc_masks(tuple(rows), reach)
 
 
 def _analyze_class(
@@ -284,9 +286,7 @@ def _analyze_class(
     period: Sequence[int],
     prod_rows: Sequence[int],
     cmask: int,
-    sups: list[int],
-    t_start: int,
-    p_sup: int,
+    run: SupportSequence,
 ) -> _ClassInfo:
     """Period, cyclic blocks, stabilizing power, floor and active alignments
     of one recurrent class of the product chain.
@@ -349,11 +349,10 @@ def _analyze_class(
     eps = _min_positive(int_pow(td, kstar), den ** (d * kstar))
     # alignments that ever receive absorbed mass all appear within one
     # common period of the support sequence and the class rotation
-    horizon = t_start + lcm(p_sup, d)
+    horizon = len(run.head) + lcm(len(run.cycle), d)
     first_seen: dict[int, int] = {}
     for t in range(horizon + 1):
-        sup = sups[t] if t < len(sups) else sups[t_start + (t - t_start) % p_sup]
-        inter = (sup << ((t % m) * n)) & cmask
+        inter = (run.at(t) << ((t % m) * n)) & cmask
         for x in bits(inter):
             first_seen.setdefault((cyc[x] - t) % d, t)
     actives = sorted(first_seen)
@@ -387,15 +386,8 @@ def lasso_jet_decomposition(a: Automaton, w: LassoWord) -> JetDecomposition:
     period = a.word(w.period)
     n = a.n
     m = len(period)
-    sups, t_start, p_sup = _support_run(a, support_mask(chain.prefix_vector), period)
-    reach = 0
-    for t, s in enumerate(sups):
-        reach |= s << ((t % m) * n)
-    prod_rows = _product_rows(a, period)
-    infos = [
-        _analyze_class(a, period, prod_rows, cmask, sups, t_start, p_sup)
-        for cmask in bottom_scc_masks(tuple(prod_rows), reach)
-    ]
+    prod_rows, classes = _product_chain(a, period, chain.run)
+    infos = [_analyze_class(a, period, prod_rows, cmask, chain.run) for cmask in classes]
     t0 = max(info.t_full for info in infos)
     n_t = t0 + max(info.d * info.kstar for info in infos)
     n_t += (-n_t) % m
@@ -461,36 +453,30 @@ def simulate_runs(a: Automaton, w: LassoWord, samples: int, seed: int) -> dict[s
 
     Each run is simulated on the product chain until it enters a recurrent
     class, which settles acceptance structurally; the half width comes from
-    the Hoeffding bound at confidence 95%.
+    the Hoeffding bound at confidence 95%.  Reach is estimated as one minus
+    the rate of runs that survive outside F.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
     acc = a.acceptance
     if acc is None:
         raise InputError("acceptance condition required")
-    if acc.kind == "reach":
-        return simulate_runs(reach_as_buchi(a), w, samples, seed)
     prefix = a.word(w.prefix)
     period = a.word(w.period)
     n = a.n
     m = len(period)
     vec0 = vector_product(a.initial, a.scaled_matrices, prefix)
-    sups, t_start, p_sup = _support_run(a, support_mask(vec0), period)
-    reach = 0
-    g0 = 0
-    for t, s in enumerate(sups):
-        reach |= s << ((t % m) * n)
-        if t % m == 0:
-            g0 |= s
-    prod_rows = _product_rows(a, period)
-    classes = bottom_scc_masks(tuple(prod_rows), reach)
+    run = _support_run(a, support_mask(vec0), period)
+    _, classes = _product_chain(a, period, run)
     class_of: dict[int, int] = {}
     for ci, cmask in enumerate(classes):
         for x in bits(cmask):
             class_of[x] = ci
-    safety = acc.kind == "safety"
+    safety = acc.kind in ("safety", "reach")
     if safety:
         fmask = a.acceptance_mask()
+        if acc.kind == "reach":
+            fmask = a.full_mask & ~fmask
         accepts = []
         for cmask in classes:
             proj = 0
@@ -498,7 +484,8 @@ def simulate_runs(a: Automaton, w: LassoWord, samples: int, seed: int) -> dict[s
                 proj |= 1 << (x % n)
             accepts.append(proj & ~fmask == 0)
     else:
-        ok = _class_acceptance(a, period, g0)
+        _, minima = chain_parity_almost(a, _per_phase(run, m)[0], period)
+        ok = {comp: mn % 2 == 0 for comp, mn in minima}
         accepts = [ok[_slice0(cmask, n)] for cmask in classes]
     cum_init = _cumulative(a.initial)
     cum = [[_cumulative(mat[i]) for i in range(n)] for mat in a.matrices]
@@ -527,6 +514,8 @@ def simulate_runs(a: Automaton, w: LassoWord, samples: int, seed: int) -> dict[s
             phase = (phase + 1) % m
             if safety and not fmask >> q & 1:
                 break
+    if acc.kind == "reach":
+        hits = samples - hits
     return {
         "accept_fraction": hits / samples,
         "half_width_95": sqrt(log(2 / 0.05) / (2 * samples)),

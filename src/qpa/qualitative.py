@@ -76,6 +76,15 @@ def _verified_yes(a: Automaton, w: LassoWord, need_one: bool, extra: dict) -> Ve
     return Verdict("yes", witness)
 
 
+def _reach_as_buchi_yes(decide, a: Automaton, budgets: Budgets, need_one: bool, key: str) -> Verdict:
+    """Decide reach on the Buchi reduction; a "yes" is re-verified on a itself."""
+    v = decide(reach_as_buchi(a), budgets)
+    if v.answer != "yes":
+        return v
+    w = LassoWord(tuple(v.witness["prefix"]), tuple(v.witness["period"]))
+    return _verified_yes(a, w, need_one, {key: v.witness.get(key, [])})
+
+
 def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
     """Is some word accepted with probability one?
 
@@ -100,12 +109,7 @@ def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
     if acc.kind == "safety":
         return decide_safety(a, "almost", budgets)
     if acc.kind == "reach":
-        b = reach_as_buchi(a)
-        v = decide_almost_simple(b, budgets)
-        if v.answer == "yes":
-            w = LassoWord(tuple(v.witness["prefix"]), tuple(v.witness["period"]))
-            return _verified_yes(a, w, True, {"support": v.witness.get("support", [])})
-        return v
+        return _reach_as_buchi_yes(decide_almost_simple, a, budgets, True, "support")
     supports = reachable_supports(a, a.initial_support, budgets.subset)
     for prof, rho2 in iter_profile_monoid(a, None, budgets.monoid):
         img = image_table(prof[-1])
@@ -141,12 +145,7 @@ def decide_positive_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
     if acc.kind == "safety":
         return decide_safety(a, "positive", budgets)
     if acc.kind == "reach":
-        b = reach_as_buchi(a)
-        v = decide_positive_simple(b, budgets)
-        if v.answer == "yes":
-            w = LassoWord(tuple(v.witness["prefix"]), tuple(v.witness["period"]))
-            return _verified_yes(a, w, False, {"class": v.witness.get("class", [])})
-        return v
+        return _reach_as_buchi_yes(decide_positive_simple, a, budgets, False, "class")
     supports = reachable_supports(a, a.initial_support, budgets.subset)
     for prof, rho2 in iter_profile_monoid(a, None, budgets.monoid):
         for comp, mn in class_minima(prof, a.full_mask):

@@ -12,11 +12,12 @@ import pytest
 
 import qpa.lasso as lasso
 import qpa.semantics as semantics
-from qpa.core import Acceptance, Automaton, LassoWord, bits, scaled
+from qpa.core import Acceptance, Automaton, LassoWord, bits, scaled, support_mask
 from qpa.graphs import bottom_scc_masks
-from qpa.lasso import lasso_acceptance_probability, lasso_jet_decomposition
-from qpa.semantics import word_matrix
+from qpa.lasso import build_lasso_chain, lasso_acceptance_probability, lasso_jet_decomposition
+from qpa.semantics import reach_as_buchi, support_step, word_matrix
 
+from conftest import random_automaton
 from oracles import oimage, omatmul, osolve_linear, oword_matrix
 
 
@@ -116,7 +117,7 @@ def _ref_min_positive(mat):
     return best
 
 
-def _ref_analyze_class(a, period, prod_rows, cmask, sups, t_start, p_sup):
+def _ref_analyze_class(a, period, prod_rows, cmask, run):
     n = a.n
     m = len(period)
     states = list(bits(cmask))
@@ -160,11 +161,10 @@ def _ref_analyze_class(a, period, prod_rows, cmask, sups, t_start, p_sup):
         step_min = _ref_min_positive(walk)
         if step_min is not None and step_min < eps:
             eps = step_min
-    horizon = t_start + lcm(p_sup, d)
+    horizon = len(run.head) + lcm(len(run.cycle), d)
     first_seen = {}
     for t in range(horizon + 1):
-        sup = sups[t] if t < len(sups) else sups[t_start + (t - t_start) % p_sup]
-        inter = (sup << ((t % m) * n)) & cmask
+        inter = (run.at(t) << ((t % m) * n)) & cmask
         for x in bits(inter):
             first_seen.setdefault((cyc[x] - t) % d, t)
     actives = sorted(first_seen)
@@ -195,8 +195,7 @@ def _ref_chain_analysis(a, mask, word):
     return semantics.ChainAnalysis(mask, classes, transient, absorption)
 
 
-def _ref_safety_probability(a, w):
-    fmask = a.acceptance_mask()
+def _ref_safety_probability(a, w, fmask):
     n = a.n
     zero = Fraction(0)
     restricted = [
@@ -225,6 +224,16 @@ def _ref_safety_probability(a, w):
         for q, row in zip(tlist, osolve_linear(lhs, rhs)):
             survival[q] = row[0]
     return sum((vec[i] * survival.get(i, zero) for i in bits(fmask)), zero)
+
+
+def _ref_closure(a, start, period):
+    # the phase-0 closure as a fixpoint of its own, apart from the support run
+    g = start
+    while True:
+        nxt = g | support_step(a, g, period)
+        if nxt == g:
+            return g
+        g = nxt
 
 
 def _fraction_kernel(monkeypatch):
@@ -270,3 +279,30 @@ def test_lasso_values_match_fraction_kernel(monkeypatch, n):
     assert got == want
     for p, (_, _, _, lam, _) in got:
         assert type(p) is Fraction and type(lam) is Fraction
+
+
+def _reach_cases(seed):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(20):
+        a = random_automaton(rng, rng.randrange(2, 6), acceptance="reach")
+        prefix = tuple(rng.randrange(2) for _ in range(rng.randrange(3)))
+        period = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))
+        cases.append((a, LassoWord(prefix, period)))
+    for n in range(4, 11):
+        for period_len in range(1, 5):
+            a, w = nondyadic_lasso(rng, n, period_len)
+            f = rng.sample(a.states, rng.randrange(1, n + 1))
+            cases.append((a.with_acceptance(Acceptance.reach(f)), w))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reach_and_closure_match_the_buchi_route(seed):
+    # reach is answered as one minus survival outside F, and the closed set
+    # is read off the one support run; both against the routes they replaced
+    for a, w in _reach_cases(5400 + seed):
+        assert lasso_acceptance_probability(a, w) == lasso_acceptance_probability(reach_as_buchi(a), w)
+        chain = build_lasso_chain(a, w)
+        start = support_mask(chain.prefix_vector)
+        assert chain.analysis.closed_set == _ref_closure(a, start, a.word(w.period))

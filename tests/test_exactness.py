@@ -4,8 +4,8 @@ Every module of the library is parsed and walked.  A float literal, the
 name `float`, a numpy import, or math.sqrt / math.log fails the test.  The
 one deliberate float path is the Monte Carlo estimate `lasso.simulate_runs`,
 whose body is exempt from the float rules but not from the numpy rule.
-The integer kernels of `semantics` must not use true division at all: an
-`int / int` there would silently make a float.
+The integer kernels of `semantics` and the integer lasso paths must not use
+true division at all: an `int / int` there would silently make a float.
 """
 import ast
 from pathlib import Path
@@ -48,7 +48,10 @@ def _violations(path: Path) -> list[str]:
     return out
 
 
-INTEGER_KERNELS = {("semantics.py", f) for f in ("int_mul", "int_pow", "_compose", "solve_linear")}
+INTEGER_KERNELS = {("semantics.py", f) for f in ("int_mul", "int_pow", "_compose", "solve_linear")} | {
+    ("lasso.py", f) for f in ("_safety_probability", "_analyze_class")
+}
+KERNEL_FILES = sorted({name for name, _ in INTEGER_KERNELS})
 
 
 def _true_divisions(path: Path) -> list[str]:
@@ -101,10 +104,12 @@ def test_guard_catches_each_rule(tmp_path):
 
 
 def test_integer_kernels_have_no_true_division():
-    tree = ast.parse((SRC / "semantics.py").read_text())
-    defined = {("semantics.py", n.name) for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    defined = set()
+    for name in KERNEL_FILES:
+        tree = ast.parse((SRC / name).read_text())
+        defined |= {(name, n.name) for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert _true_divisions(SRC / name) == []
     assert INTEGER_KERNELS <= defined
-    assert _true_divisions(SRC / "semantics.py") == []
 
 
 def test_division_guard_catches_each_form(tmp_path):
@@ -122,3 +127,11 @@ def test_division_guard_catches_each_form(tmp_path):
         "semantics.py:2: true division in int_mul",
         "semantics.py:4: true division in solve_linear",
     ]
+    bad_lasso = tmp_path / "lasso.py"
+    bad_lasso.write_text(
+        "def _safety_probability(a, w, fmask):\n"
+        "    return fmask / 2\n"
+        "def simulate_runs(a, w, samples, seed):\n"
+        "    return samples / 2\n"
+    )
+    assert _true_divisions(bad_lasso) == ["lasso.py:2: true division in _safety_probability"]

@@ -240,10 +240,10 @@ def test_simulate_rejects_bad_input(ex1, ex2):
         simulate_runs(a, LassoWord((), ("a",)), 0, seed=0)
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(12))
 def test_simulate_tracks_exact_probability(seed):
     rng = random.Random(4100 + seed)
-    kind = ["buchi", "cobuchi", "parity", "safety"][seed % 4]
+    kind = ["buchi", "cobuchi", "parity", "safety"][seed % 4] if seed < 8 else "reach"
     a = random_automaton(rng, rng.randrange(2, 5), acceptance=kind)
     prefix = tuple(rng.randrange(2) for _ in range(rng.randrange(3)))
     period = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))
