@@ -21,11 +21,13 @@ priority at most v_c and img the letter's successor relation.  img is read
 from per-letter tables over 8-bit chunks of a mask, so the monoid closure
 runs on table lookups alone.
 
-The closure is breadth first and lazy: iter_profile_monoid yields each
-profile with its shortest word as it is discovered, so a search can stop at
-its first witness without materializing the monoid, and the budget trips
-only if the search runs that far.  build_profile_monoid and
-build_safe_monoid collect the whole closure into a dict in the same order.
+The closure is breadth first and lazy: iter_profile_monoid and
+iter_safe_monoid yield each profile with its shortest word as it is
+discovered, so a search stops at its first witness without materializing
+the monoid, and the budget trips only if the search runs that far.  Every
+scan of the library reads these iterators; none collects a whole monoid.
+almost_period is the almost-sure scan shared by the simple and the
+structurally simple procedures.
 
 A safe profile, for a fixed set F, stores the state pairs connected by
 positive paths that remain inside F throughout, together with the set of
@@ -34,7 +36,7 @@ states whose entire positive tree stays inside F for the word.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Collection, Iterator, Mapping, Sequence, TypeVar
 
 from .core import Automaton, bits
 from .errors import BudgetExceededError, InputError
@@ -61,10 +63,6 @@ def normalize_priorities(a: Automaton, p: Mapping[str, int] | Sequence[int] | No
     if len(vec) != a.n:
         raise InputError("priority vector length differs from state count")
     return vec
-
-
-def _letter_index(a: Automaton, letter: str | int) -> int:
-    return letter if isinstance(letter, int) else a.word([letter])[0]
 
 
 class _PriorityLetters:
@@ -170,13 +168,31 @@ def iter_profile_monoid(a: Automaton, priorities=None, budget: int = 1_000_000) 
     return _letter_closure(gens, letters.times_letter, budget, "priority profile")
 
 
-def build_profile_monoid(a: Automaton, priorities=None, budget: int = 1_000_000) -> dict[Profile, tuple[int, ...]]:
-    """Closure of the letter profiles; maps profile -> shortest generating word."""
-    return dict(iter_profile_monoid(a, priorities, budget))
+def almost_period(a: Automaton, supports: Collection[int], budget: int) -> tuple[int, tuple[int, ...]] | None:
+    """The first support, in the given order inside the first profile in BFS
+    order, that the profile maps into itself with only even-minimum bottom
+    classes on it, with the profile's word; None once the monoid has none.
+    A bottom class that meets a closed support lies inside it, so the check
+    reads as the support missing every odd-minimum bottom class of the whole
+    digraph, found once per profile."""
+    for prof, rho in iter_profile_monoid(a, None, budget):
+        img = image_table(prof[-1])
+        odd = None
+        for g in supports:
+            if img(g) & ~g:
+                continue
+            if odd is None:
+                odd = 0
+                for comp, mn in class_minima(prof, a.full_mask):
+                    if mn % 2:
+                        odd |= comp
+            if g & odd == 0:
+                return g, rho
+    return None
 
 
-def letter_safe_profile(a: Automaton, safe_mask: int, letter: str | int) -> SafeProfile:
-    rel = a.relation(_letter_index(a, letter))
+def letter_safe_profile(a: Automaton, safe_mask: int, k: int) -> SafeProfile:
+    rel = a.relation(k)
     rows = tuple(rel[i] & safe_mask if safe_mask >> i & 1 else 0 for i in range(a.n))
     full = 0
     for i in bits(safe_mask):
@@ -194,14 +210,8 @@ def _safe_times(x: SafeProfile, img: Image, yfull: int) -> SafeProfile:
     return tuple(map(img, xrows)), full
 
 
-def safe_identity(a: Automaton, safe_mask: int) -> SafeProfile:
-    """Safe profile of the empty word: stay put, inside F."""
-    rows = tuple(1 << i if safe_mask >> i & 1 else 0 for i in range(a.n))
-    return rows, safe_mask
-
-
-def build_safe_monoid(a: Automaton, safe_mask: int, budget: int = 1_000_000) -> dict[SafeProfile, tuple[int, ...]]:
-    """Closure of the letter safe-profiles for the set F given as a mask."""
+def iter_safe_monoid(a: Automaton, safe_mask: int, budget: int = 1_000_000) -> Iterator[tuple[SafeProfile, tuple[int, ...]]]:
+    """The safe profiles of all nonempty words for the mask F in BFS order, each with its shortest word."""
     gens = [letter_safe_profile(a, safe_mask, k) for k in range(len(a.alphabet))]
     steps = [(image_table(rows), full) for rows, full in gens]
-    return dict(_letter_closure(gens, lambda x, k: _safe_times(x, *steps[k]), budget, "safe profile"))
+    return _letter_closure(gens, lambda x, k: _safe_times(x, *steps[k]), budget, "safe profile")

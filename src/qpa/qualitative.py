@@ -1,11 +1,12 @@
 """Decision procedures for positive, almost-sure, and limit acceptance.
 
-The existential word quantification is replaced by two finite closures: the
-subset construction enumerates every exactly reachable support, and the
-profile monoid enumerates the finitely many ways a nonempty word can act on
-state pairs together with the minimal priority seen along the way.  A yes
-answer always ships a lasso witness that is re-verified exactly before it
-is returned.
+The existential word quantification is replaced by finite closures, scanned
+as they are discovered.  An almost-sure "yes" is an exactly reachable
+support that a profile maps into itself and accepts from almost surely.  A
+positive "yes" is a set that a period accepts from almost surely, out of
+each of its states, and that a plain path reaches state by state from the
+initial support.  Every yes ships a lasso witness that is re-verified
+exactly before it is returned.
 """
 from __future__ import annotations
 
@@ -20,9 +21,9 @@ from .core import (
     bits,
 )
 from .errors import BudgetExceededError, InputError
-from .graphs import image, image_table
+from .graphs import image
 from .lasso import lasso_acceptance_probability
-from .profiles import build_safe_monoid, class_minima, iter_profile_monoid, safe_identity
+from .profiles import almost_period, class_minima, iter_profile_monoid, iter_safe_monoid
 from .semantics import reach_as_buchi
 
 PROBLEMS = ("positive", "almost", "limit")
@@ -76,13 +77,63 @@ def _verified_yes(a: Automaton, w: LassoWord, need_one: bool, extra: dict) -> Ve
     return Verdict("yes", witness)
 
 
-def _reach_as_buchi_yes(decide, a: Automaton, budgets: Budgets, need_one: bool, key: str) -> Verdict:
-    """Decide reach on the Buchi reduction; a "yes" is re-verified on a itself."""
-    v = decide(reach_as_buchi(a), budgets)
+def _path_words(a: Automaton, start: int, within: int) -> dict[int, tuple[int, ...]]:
+    """States reached from start by positive paths inside within, each with
+    its shortest word: breadth first over single states, letters in
+    alphabet order; the states of start map to the empty word."""
+    out: dict[int, tuple[int, ...]] = {q: () for q in bits(start)}
+    queue: deque[int] = deque(out)
+    rels = [a.relation(k) for k in range(len(a.alphabet))]
+    while queue:
+        q = queue.popleft()
+        w = out[q]
+        for k, rel in enumerate(rels):
+            for t in bits(rel[q] & within):
+                if t not in out:
+                    out[t] = w + (k,)
+                    queue.append(t)
+    return out
+
+
+def _positive_yes(a: Automaton, start: int, within: int, candidates) -> Verdict:
+    """The first candidate set C, read lazily with a period that accepts
+    almost surely from every state of C, that meets a state reached from
+    start by a path inside within; the shortest such path word glued to the
+    period is the witness."""
+    words = _path_words(a, start, within)
+    reached = sum(1 << q for q in words)
+    for c, rho2 in candidates:
+        if c & reached:
+            rho1 = next(w for q, w in words.items() if c >> q & 1)
+            return _verified_yes(a, _lasso(a, rho1, rho2), False, {"class": list(a.names(c))})
+    return Verdict("no", reason="no set that a period accepts almost surely is reachable")
+
+
+def _fully_safe_sets(a: Automaton, fmask: int, budget: int):
+    """Per safe profile of F in BFS order, with its word, the greatest set of
+    states whose whole tree stays in F and which the profile maps into
+    itself, when nonempty: under the repeated word a run in it stays in F."""
+    for (rows, full), rho in iter_safe_monoid(a, fmask, budget):
+        c = full
+        while True:
+            nxt = 0
+            for i in bits(c):
+                if rows[i] & ~c == 0:
+                    nxt |= 1 << i
+            if nxt == c:
+                break
+            c = nxt
+        if c:
+            yield c, rho
+
+
+def _reach_as_buchi_yes(a: Automaton, budgets: Budgets) -> Verdict:
+    """Almost reach on the Buchi reduction; a "yes" is re-verified on a itself."""
+    v = decide_almost_simple(reach_as_buchi(a), budgets)
     if v.answer != "yes":
         return v
     w = LassoWord(tuple(v.witness["prefix"]), tuple(v.witness["period"]))
-    return _verified_yes(a, w, need_one, {key: v.witness.get(key, [])})
+    return _verified_yes(a, w, True, {"support": v.witness["support"]})
 
 
 def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
@@ -91,17 +142,9 @@ def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
     Yes iff some exactly reachable support G admits a profile P that maps G
     into G with every bottom component of P's graph on G having an even
     internal minimum; the witness lasso glues the support word to P's
-    generating word.
-
-    Profiles are scanned as the monoid closure discovers them, supports
-    inside each profile, so the witness is the first profile in BFS order
-    that admits a reachable support, with the first such support in the
-    subset BFS order.  The monoid budget raises only if it trips before
-    that profile is found; a "no" closes the whole monoid.  Since a bottom
-    component of P's graph that meets a closed G lies inside G and is a
-    bottom component of the graph on G, the parity check reads as G
-    missing every odd-minimum bottom component of P's whole graph, found
-    once per profile.
+    generating word.  The scan is profiles.almost_period over the supports
+    in subset BFS order; the monoid budget raises only if it trips before
+    the witness profile is found, and a "no" closes the whole monoid.
     """
     acc = a.acceptance
     if acc is None:
@@ -109,35 +152,26 @@ def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
     if acc.kind == "safety":
         return decide_safety(a, "almost", budgets)
     if acc.kind == "reach":
-        return _reach_as_buchi_yes(decide_almost_simple, a, budgets, True, "support")
+        return _reach_as_buchi_yes(a, budgets)
     supports = reachable_supports(a, a.initial_support, budgets.subset)
-    for prof, rho2 in iter_profile_monoid(a, None, budgets.monoid):
-        img = image_table(prof[-1])
-        odd = None
-        for g, rho1 in supports.items():
-            if img(g) & ~g:
-                continue
-            if odd is None:
-                odd = 0
-                for comp, mn in class_minima(prof, a.full_mask):
-                    if mn % 2:
-                        odd |= comp
-            if g & odd == 0:
-                return _verified_yes(
-                    a, _lasso(a, rho1, rho2), True, {"support": list(a.names(g))}
-                )
-    return Verdict("no", reason="no reachable support admits an almost-surely accepting period")
+    found = almost_period(a, supports, budgets.monoid)
+    if found is None:
+        return Verdict("no", reason="no reachable support admits an almost-surely accepting period")
+    g, rho2 = found
+    return _verified_yes(a, _lasso(a, supports[g], rho2), True, {"support": list(a.names(g))})
 
 
 def decide_positive_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
     """Is some word accepted with positive probability?
 
-    Yes iff some profile has a bottom component C with even internal minimum
-    that fits inside a reachable support; positive mass lands on C after the
-    support word and then never leaves it.  Profiles are scanned as the
-    monoid closure discovers them, in BFS order, so the monoid budget raises
-    only if it trips before the witness profile is found; a "no" closes the
-    whole monoid.
+    Yes iff some set C, which a period accepts almost surely from each of
+    its states, meets a state that a plain path reaches from the initial
+    support.  C is F for reach, the greatest fully safe set of a safe
+    profile of F for coBüchi, and an even-minimum bottom class of a profile
+    for Büchi and parity: the class is strongly connected under the period,
+    so from any of its states the run sees the class minimum infinitely
+    often, almost surely.  The monoid budget raises only if it trips before
+    the witness is found; a "no" closes the whole monoid.
     """
     acc = a.acceptance
     if acc is None:
@@ -145,18 +179,17 @@ def decide_positive_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
     if acc.kind == "safety":
         return decide_safety(a, "positive", budgets)
     if acc.kind == "reach":
-        return _reach_as_buchi_yes(decide_positive_simple, a, budgets, False, "class")
-    supports = reachable_supports(a, a.initial_support, budgets.subset)
-    for prof, rho2 in iter_profile_monoid(a, None, budgets.monoid):
-        for comp, mn in class_minima(prof, a.full_mask):
-            if mn % 2:
-                continue
-            for s, rho1 in supports.items():
-                if comp & ~s == 0:
-                    return _verified_yes(
-                        a, _lasso(a, rho1, rho2), False, {"class": list(a.names(comp))}
-                    )
-    return Verdict("no", reason="no profile component accepts from a reachable support")
+        candidates = [(a.acceptance_mask(), (0,))]
+    elif acc.kind == "cobuchi":
+        candidates = _fully_safe_sets(a, a.acceptance_mask(), budgets.monoid)
+    else:
+        candidates = (
+            (comp, rho)
+            for prof, rho in iter_profile_monoid(a, None, budgets.monoid)
+            for comp, mn in class_minima(prof, a.full_mask)
+            if mn % 2 == 0
+        )
+    return _positive_yes(a, a.initial_support, -1, candidates)
 
 
 def _safe_subset_walk(a: Automaton, start: int, fmask: int, budget: int):
@@ -200,9 +233,9 @@ def decide_safety(a: Automaton, problem: str, budgets: Budgets = DEFAULT_BUDGETS
 
     Almost: the initial support must sit inside F and some support cycle of
     F-contained supports must be reachable through F-contained images.
-    Positive: a fixed set C inside F must be closed under some word whose
-    whole positive tree stays in F, with C touched by an F-only path from
-    the initial support.
+    Positive: the greatest set C that a word keeps inside F and closed, tree
+    and all, must meet a path inside F from the initial support; the safe
+    monoid is scanned as it is discovered, for the first such word.
     """
     acc = a.acceptance
     if acc is None or acc.kind != "safety":
@@ -222,27 +255,7 @@ def decide_safety(a: Automaton, problem: str, budgets: Budgets = DEFAULT_BUDGETS
     a0 = alpha & fmask
     if not a0:
         return Verdict("no", reason="the initial support misses the safe set")
-    monoid = build_safe_monoid(a, fmask, budgets.monoid)
-    r1_options = [(safe_identity(a, fmask), ())]
-    r1_options.extend((e, w) for e, w in monoid.items())
-    for (rows2, full2), rho2 in monoid.items():
-        c = full2
-        while True:
-            nxt = 0
-            for i in bits(c):
-                if rows2[i] & ~c == 0:
-                    nxt |= 1 << i
-            if nxt == c:
-                break
-            c = nxt
-        if not c:
-            continue
-        for (rows1, _), rho1 in r1_options:
-            if image(rows1, a0) & c:
-                return _verified_yes(
-                    a, _lasso(a, rho1, rho2), False, {"class": list(a.names(c))}
-                )
-    return Verdict("no", reason="no safe set is closed under any word with a fully safe tree")
+    return _positive_yes(a, a0, fmask, _fully_safe_sets(a, fmask, budgets.monoid))
 
 
 def decide(a: Automaton, problem: str, mode: str, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:

@@ -77,7 +77,7 @@ from .graphs import (
     scc_masks,
 )
 from .linked import border_chain, linked_graph_of_word
-from .profiles import build_profile_monoid, class_minima
+from .profiles import almost_period
 from .semantics import sharp_power, vector_product
 
 
@@ -780,14 +780,15 @@ def decide_limit_parity_structsimple(
     """Can words make the run accept with probability arbitrarily close to one?
 
     Yes iff some #-reachable support A admits a word whose relation maps A
-    into A and whose induced chain on A accepts almost surely.  The steps
-    that #-reach A are replayed first, and the period is rechecked without
-    the monoid: its exact lasso probability from the uniform distribution on
-    A must be 1.  The witness reports the stable support, the period word,
-    and, when synthesis succeeds, a pumped prefix with its exact lasso
-    acceptance probability, which must be at least 9/10; when synthesis
-    stops on a budget or an input error, prefix and probability are None
-    and prefix_error says why.  A failed recheck raises RuntimeError.
+    into A and whose induced chain on A accepts almost surely, found by
+    profiles.almost_period over the #-reachable supports in breadth-first
+    order.  The steps that #-reach A are replayed first, and the period is
+    rechecked without the monoid: its exact lasso probability from the
+    uniform distribution on A must be 1.  The witness reports the stable
+    support, the period word, and, when synthesis succeeds, a pumped prefix
+    with its exact lasso acceptance probability, which must be at least
+    9/10; when synthesis stops on a budget or an input error, prefix and
+    probability are None and prefix_error says why.  A failed recheck raises RuntimeError.
     """
     a.priorities()  # InputError unless the acceptance has a parity encoding
     _require_structurally_simple(a, budgets)
@@ -800,43 +801,39 @@ def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
 
     graph = build_extended_support_graph(a, budgets=budgets)
     reach = graph.reachable_with_steps(a.initial_support)
-    monoid = build_profile_monoid(a, None, budgets.monoid)
+    found = almost_period(a, reach, budgets.monoid)
+    if found is None:
+        return Verdict(
+            "no", reason="no #-reachable support admits an almost-surely accepting period"
+        )
+    node, rho = found
+    _check_replay(a, a.initial_support, reach[node], node)
+    period = tuple(a.alphabet[x] for x in rho)
+    # recheck the period without the monoid: from the uniform
+    # distribution on the stable support it accepts almost surely
+    uniform = [Fraction(node >> i & 1, node.bit_count()) for i in range(a.n)]
+    start = Automaton(a.states, a.alphabet, a.matrices, uniform, a.acceptance)
+    p = lasso_acceptance_probability(start, LassoWord((), period))
+    if p != 1:
+        raise RuntimeError(
+            f"period {' '.join(period)} accepts with probability {p}, not 1,"
+            f" from the uniform distribution on {a.names(node)}"
+        )
+    witness = {
+        "support": list(a.names(node)),
+        "period": list(period),
+        "prefix": None,
+        "probability": None,
+    }
     bound = Fraction(1, 10)
-    for node in reach:
-        for prof, rho in monoid.items():
-            if image(prof[-1], node) & ~node:
-                continue
-            if any(mn % 2 for _, mn in class_minima(prof, node)):
-                continue
-            _check_replay(a, a.initial_support, reach[node], node)
-            period = tuple(a.alphabet[x] for x in rho)
-            # recheck the period without the monoid: from the uniform
-            # distribution on the stable support it accepts almost surely
-            uniform = [Fraction(node >> i & 1, node.bit_count()) for i in range(a.n)]
-            start = Automaton(a.states, a.alphabet, a.matrices, uniform, a.acceptance)
-            p = lasso_acceptance_probability(start, LassoWord((), period))
-            if p != 1:
-                raise RuntimeError(
-                    f"period {' '.join(period)} accepts with probability {p}, not 1,"
-                    f" from the uniform distribution on {a.names(node)}"
-                )
-            witness = {
-                "support": list(a.names(node)),
-                "period": list(period),
-                "prefix": None,
-                "probability": None,
-            }
-            try:
-                prefix = _pumped_word(a, reach, node, bound, budgets)
-            except (BudgetExceededError, InputError) as exc:
-                witness["prefix_error"] = f"{type(exc).__name__}: {exc}"
-            else:
-                p = lasso_acceptance_probability(a, LassoWord(prefix, period))
-                if p < 1 - bound:
-                    raise RuntimeError(f"pumped lasso accepts with probability {p} < {1 - bound}")
-                witness["prefix"] = list(prefix)
-                witness["probability"] = str(p)
-            return Verdict("yes", witness)
-    return Verdict(
-        "no", reason="no #-reachable support admits an almost-surely accepting period"
-    )
+    try:
+        prefix = _pumped_word(a, reach, node, bound, budgets)
+    except (BudgetExceededError, InputError) as exc:
+        witness["prefix_error"] = f"{type(exc).__name__}: {exc}"
+    else:
+        p = lasso_acceptance_probability(a, LassoWord(prefix, period))
+        if p < 1 - bound:
+            raise RuntimeError(f"pumped lasso accepts with probability {p} < {1 - bound}")
+        witness["prefix"] = list(prefix)
+        witness["probability"] = str(p)
+    return Verdict("yes", witness)

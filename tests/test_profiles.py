@@ -9,15 +9,14 @@ from qpa.errors import BudgetExceededError
 from qpa.graphs import image
 from qpa.profiles import (
     INF,
-    build_profile_monoid,
-    build_safe_monoid,
+    almost_period,
     class_minima,
     image_table,
     iter_profile_monoid,
+    iter_safe_monoid,
     letter_safe_profile,
     normalize_priorities,
     profile_of_word,
-    safe_identity,
 )
 
 from conftest import random_automaton
@@ -143,16 +142,18 @@ def test_class_minima(ex1):
 
 def test_monoid_closure_words(ex1):
     prios = normalize_priorities(ex1, EX1_PRIOS)
-    monoid = build_profile_monoid(ex1, EX1_PRIOS)
+    monoid = dict(iter_profile_monoid(ex1, EX1_PRIOS))
     pab = profile_of_word(ex1, prios, "ab")
     assert monoid[pab] == (0, 1)
     for profile, word in monoid.items():
         assert profile_of_word(ex1, prios, word) == profile
 
 
-def test_monoid_budget(ex1):
+def test_monoid_budget(ex1, ex2):
     with pytest.raises(BudgetExceededError):
-        build_profile_monoid(ex1, EX1_PRIOS, budget=1)
+        list(iter_profile_monoid(ex1, EX1_PRIOS, budget=1))
+    with pytest.raises(BudgetExceededError):
+        list(iter_safe_monoid(ex2, ex2.mask("1 3"), budget=1))
 
 
 def test_monoid_closure_generic():
@@ -173,46 +174,34 @@ def drain(it):
     return out, False
 
 
-def drain_dict(build):
-    """The items of a built closure and False, or None and True if it tripped its budget."""
-    try:
-        return list(build().items()), False
-    except BudgetExceededError:
-        return None, True
-
-
 def check_lazy_closure_against_eager(rng, n, n_letters):
-    """The closures against the eager one: build_profile_monoid and
-    build_safe_monoid give its elements in its order with its words, and under
-    every budget below the full size iter_profile_monoid (for the safe monoid,
-    build_safe_monoid) yields its prefix and raises where it raises: once the
-    letters and the budget's worth of elements are out."""
+    """The lazy closures against the eager one: iter_profile_monoid and
+    iter_safe_monoid yield its elements in its order with its words, and under
+    every budget below the full size they yield its prefix and raise where it
+    raises: once the letters and the budget's worth of elements are out."""
     a, prios, _ = gap_automaton(rng, n, n_letters, False)
     safe = rng.randrange(1, 1 << n)
     cases = [
         (
             lambda b: drain(iter_profile_monoid(a, prios, b)),
-            build_profile_monoid(a, prios),
             [letter_profile(a, prios, k) for k in range(n_letters)],
             compose_profiles,
         ),
         (
-            lambda b: drain_dict(lambda: build_safe_monoid(a, safe, b)),
-            build_safe_monoid(a, safe),
+            lambda b: drain(iter_safe_monoid(a, safe, b)),
             [letter_safe_profile(a, safe, k) for k in range(n_letters)],
             compose_safe_profiles,
         ),
     ]
-    for under_budget, built, gens, compose in cases:
+    for under_budget, gens, compose in cases:
         full = list(monoid_closure(gens, compose, budget=10**6).items())
-        assert list(built.items()) == full
+        assert under_budget(10**6) == (full, False)
         distinct = len(set(gens))
         for budget in range(1, len(full) + 1):
             reached = max(budget, distinct)
             got, raised = under_budget(budget)
             assert raised == (reached < len(full))
-            if got is not None:
-                assert got == full[:reached]
+            assert got == full[:reached]
         with pytest.raises(BudgetExceededError) if distinct < len(full) else nullcontext():
             monoid_closure(gens, compose, budget=distinct)
 
@@ -264,18 +253,15 @@ def test_safe_profiles(ex2):
     pab = compose_safe_profiles(pa, pb)
     assert pab[0][ex2.state_index["1"]] == ex2.mask("1")
     assert pab[1] == 0
-    ident = safe_identity(ex2, safe)
-    assert compose_safe_profiles(ident, pa) == pa
-    assert compose_safe_profiles(pa, ident) == pa
 
 
 def test_safe_monoid(ex2):
     safe = ex2.mask("1 3")
-    monoid = build_safe_monoid(ex2, safe)
+    monoid = dict(iter_safe_monoid(ex2, safe))
     pa = letter_safe_profile(ex2, safe, 0)
     assert monoid[pa] == (0,)
-    # only nonempty products; the empty word is handled via safe_identity
-    assert safe_identity(ex2, safe) not in monoid
+    # only nonempty products
+    assert all(monoid.values())
     for prof, word in monoid.items():
         got = letter_safe_profile(ex2, safe, word[0])
         for k in word[1:]:
@@ -293,7 +279,7 @@ def test_safe_monoid_matches_oracle_seeded():
             tuple(r & safe if safe >> i & 1 else 0 for i, r in enumerate(rows))
             for rows in O.oletter_rows(a)
         ]
-        for (rows, full), w in build_safe_monoid(a, safe).items():
+        for (rows, full), w in iter_safe_monoid(a, safe):
             expected_rows = tuple(1 << i if safe >> i & 1 else 0 for i in range(n))
             for k in w:
                 expected_rows = O.ocompose_rows(expected_rows, letters[k])
@@ -365,7 +351,7 @@ def gap_automaton(rng, n, n_letters, by_name):
 
 def check_monoid_against_references(rng, n, n_letters, by_name):
     a, prios, given_prios = gap_automaton(rng, n, n_letters, by_name)
-    monoid = build_profile_monoid(a, given_prios)
+    monoid = dict(iter_profile_monoid(a, given_prios))
     reference = matrix_closure(a, prios)
     assert [decode(p) for p in monoid] == list(reference)
     assert list(monoid.values()) == list(reference.values())
@@ -388,7 +374,7 @@ def test_monoid_matches_references(seed, n, n_letters, by_name):
 
 def check_class_minima_by_brute_force(rng, n, by_name):
     a, prios, given_prios = gap_automaton(rng, n, 2, by_name)
-    for p in build_profile_monoid(a, given_prios):
+    for p, _ in iter_profile_monoid(a, given_prios):
         m = decode(p)
         rows = [sum(1 << j for j in range(n) if m[i][j] != INF) for i in range(n)]
         for mask in range(1, 1 << n):
@@ -419,7 +405,7 @@ def check_odd_mask_on_closed_sets(rng, n):
     even minima iff g misses every odd-minimum bottom component of the whole
     digraph."""
     a, prios, _ = gap_automaton(rng, n, 2, False)
-    for p in build_profile_monoid(a, prios):
+    for p, _ in iter_profile_monoid(a, prios):
         odd = 0
         for comp, mn in class_minima(p, a.full_mask):
             if mn % 2:
@@ -440,6 +426,35 @@ def test_odd_mask_matches_class_minima_seeded():
 @given(st.integers(0, 10**9), st.integers(1, 5))
 def test_odd_mask_matches_class_minima(seed, n):
     check_odd_mask_on_closed_sets(random.Random(seed), n)
+
+
+def check_almost_period_against_eager(rng, n):
+    """almost_period against the scan it replaces: the first profile in BFS
+    order and, inside it, the first support in the given order that the
+    profile maps into itself with only even-minimum bottom classes on it,
+    the classes taken on the support itself."""
+    a = random_automaton(rng, n, rng.randint(1, 3), acceptance="parity")
+    supports = rng.sample(range(1, 1 << n), min(4, (1 << n) - 1))
+    expected = None
+    for prof, rho in iter_profile_monoid(a):
+        expected = next(
+            (
+                (g, rho)
+                for g in supports
+                if image(prof[-1], g) & ~g == 0
+                and all(mn % 2 == 0 for _, mn in class_minima(prof, g))
+            ),
+            None,
+        )
+        if expected is not None:
+            break
+    assert almost_period(a, supports, 10**6) == expected
+
+
+def test_almost_period_matches_eager_seeded():
+    rng = random.Random(1107)
+    for _ in range(40):
+        check_almost_period_against_eager(rng, rng.randint(1, 5))
 
 
 @pytest.mark.parametrize("n", [9, 12, 17])

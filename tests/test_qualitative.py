@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpa.core import Acceptance, Budgets, LassoWord, support_mask
+from qpa.core import Acceptance, Budgets, LassoWord, bits, support_mask
 from qpa.errors import BudgetExceededError, InputError
 from qpa.lasso import lasso_acceptance_probability
 from qpa.qualitative import (
@@ -15,7 +15,7 @@ from qpa.qualitative import (
     reachable_supports,
 )
 from qpa.graphs import image
-from qpa.profiles import build_profile_monoid, class_minima
+from qpa.profiles import class_minima, iter_profile_monoid, iter_safe_monoid
 from qpa.semantics import make_accepting_absorbing, reach_as_buchi
 
 from conftest import random_automaton
@@ -144,8 +144,11 @@ def test_budget_errors(ex1):
         decide_almost_simple(odd, Budgets(monoid=1))
     with pytest.raises(BudgetExceededError):
         decide_positive_simple(odd, Budgets(monoid=1))
-    with pytest.raises(BudgetExceededError):
-        decide_positive_simple(a, Budgets(subset=1))
+    # the positive scan walks states, not supports, so the subset budget
+    # does not bind it
+    v = decide_positive_simple(a, Budgets(subset=1))
+    assert v.answer == "yes"
+    assert LassoOracle(a).verdict(*indices(a, v))[1]
 
 
 def test_decide_dispatch(hrd, ex1):
@@ -233,25 +236,18 @@ def test_bounded_completeness_random(seed):
 # -- the on-the-fly scans against the eager scans they replace ------------------
 
 
-def eager_witnesses(a, supports, monoid):
-    """Per problem, the monoid positions of the profiles that witness "yes" in
-    the eager scans, each mapped to that profile's first witness: for almost,
-    the first support the profile maps into itself with only even bottom
-    minima; for positive, the first even bottom component inside a support."""
-    almost, positive = {}, {}
+def eager_witnesses(supports, monoid):
+    """The monoid positions of the profiles that witness almost "yes" in the
+    eager scan, each mapped to that profile's first witness: the first support
+    the profile maps into itself with only even bottom minima."""
+    almost = {}
     for pos, (prof, rho2) in enumerate(monoid.items()):
         for g, rho1 in supports.items():
             if image(prof[-1], g) & ~g == 0 and all(
                 mn % 2 == 0 for _, mn in class_minima(prof, g)
             ):
                 almost.setdefault(pos, (rho1, rho2, g))
-        for comp, mn in class_minima(prof, a.full_mask):
-            if mn % 2:
-                continue
-            for s, rho1 in supports.items():
-                if comp & ~s == 0:
-                    positive.setdefault(pos, (rho1, rho2, comp))
-    return almost, positive
+    return almost
 
 
 def eager_almost(a, supports, monoid):
@@ -265,14 +261,74 @@ def eager_almost(a, supports, monoid):
     return None
 
 
+def old_positive(a) -> bool:
+    """The positive criterion before plain paths: an even-minimum bottom class
+    of some profile fits inside an exactly reachable support.  Reach is read
+    through reach_as_buchi, and safety as coBuchi on the automaton whose
+    unsafe states are sinks, where a run stays safe iff it ends up in F."""
+    acc = a.acceptance
+    if acc.kind == "reach":
+        b = reach_as_buchi(a)
+    elif acc.kind == "safety":
+        unsafe = a.full_mask & ~a.acceptance_mask()
+        b = make_accepting_absorbing(a, unsafe).with_acceptance(Acceptance.cobuchi(acc.states))
+    else:
+        b = a
+    supports = reachable_supports(b, b.initial_support, 1 << 16)
+    return any(
+        mn % 2 == 0 and any(comp & ~s == 0 for s in supports)
+        for prof, _ in iter_profile_monoid(b)
+        for comp, mn in class_minima(prof, b.full_mask)
+    )
+
+
+def plain_reach(a):
+    """The states that some positive path reaches from the initial support."""
+    seen, grown = 0, a.initial_support
+    while grown != seen:
+        seen = grown
+        for k in range(len(a.alphabet)):
+            grown |= image(a.relation(k), seen)
+    return seen
+
+
+def positive_scan(a):
+    """The words of the monoid that the positive scan reads, in BFS order, with
+    the position and set of its first witness (None, None when there is none):
+    for coBuchi the safe monoid of F, each profile's greatest fully safe set
+    that it maps into itself; for Buchi and parity the profile monoid, each
+    profile's even-minimum bottom classes.  A witness set must meet a state
+    that a plain path reaches."""
+    reached = plain_reach(a)
+    if a.acceptance.kind == "cobuchi":
+        monoid = dict(iter_safe_monoid(a, a.acceptance_mask()))
+        sets = []
+        for rows, full in monoid:
+            c = full
+            for _ in range(a.n):  # each pass drops a state or changes nothing
+                c = sum(1 << i for i in bits(c) if rows[i] & ~c == 0)
+            sets.append([c] if c else [])
+    else:
+        monoid = dict(iter_profile_monoid(a))
+        sets = [[comp for comp, mn in class_minima(prof, a.full_mask) if mn % 2 == 0] for prof in monoid]
+    words = list(monoid.values())
+    for pos, candidates in enumerate(sets):
+        for c in candidates:
+            if c & reached:
+                return words, pos, c
+    return words, None, None
+
+
 def check_lazy_scans(rng):
+    """Returns whether positive answered under a monoid budget that stops
+    short of the whole monoid."""
     kind = rng.choice(["parity", "buchi", "cobuchi", "reach"])
     a = random_automaton(rng, rng.randint(2, 5), rng.randint(1, 3), acceptance=kind)
     b = reach_as_buchi(a) if kind == "reach" else a
     supports = reachable_supports(b, support_mask(b.initial), 1 << 16)
-    monoid = build_profile_monoid(b)
+    monoid = dict(iter_profile_monoid(b))
     words = list(monoid.values())
-    almost_at, positive_at = eager_witnesses(b, supports, monoid)
+    almost_at = eager_witnesses(supports, monoid)
     oracle = LassoOracle(a)
 
     def names(w):
@@ -287,39 +343,73 @@ def check_lazy_scans(rng):
         assert almost.witness["period"] == names(rho2)
         assert almost.witness["support"] == list(b.names(g))
         assert oracle.verdict(*indices(a, almost))[0]
-    positive = decide_positive_simple(a)
-    assert (positive.answer == "yes") == bool(positive_at)
-    if positive_at:
-        rho1, rho2, comp = positive_at[min(positive_at)]
-        assert positive.witness["prefix"] == names(rho1)
-        assert positive.witness["period"] == names(rho2)
-        assert positive.witness["class"] == list(b.names(comp))
-        assert oracle.verdict(*indices(a, positive))[1]
-    # under a monoid budget the scan sees the budget's prefix of the BFS order:
-    # the letters, then further profiles up to the budget
+    # under a monoid budget the almost scan sees the budget's prefix of the
+    # BFS order: the letters, then further profiles up to the budget
     letters = sum(len(w) == 1 for w in words)
     for budget in range(1, min(len(words), 40)):
         seen = max(budget, letters)
-        for decide_fn, found, full in (
-            (decide_almost_simple, almost_at, almost),
-            (decide_positive_simple, positive_at, positive),
-        ):
-            if found and min(found) < seen:
-                assert decide_fn(a, Budgets(monoid=budget)).witness == full.witness
-            elif seen < len(words):
-                with pytest.raises(BudgetExceededError):
-                    decide_fn(a, Budgets(monoid=budget))
-            else:
-                assert decide_fn(a, Budgets(monoid=budget)).answer == "no"
+        if almost_at and min(almost_at) < seen:
+            assert decide_almost_simple(a, Budgets(monoid=budget)).witness == almost.witness
+        elif seen < len(words):
+            with pytest.raises(BudgetExceededError):
+                decide_almost_simple(a, Budgets(monoid=budget))
+        else:
+            assert decide_almost_simple(a, Budgets(monoid=budget)).answer == "no"
+    # positive answers the old criterion; its witness is the plain path's
+    positive = decide_positive_simple(a)
+    assert (positive.answer == "yes") == old_positive(a)
+    if positive.answer == "yes":
+        assert oracle.verdict(*indices(a, positive))[1]
+    if kind == "reach":
+        # C is F: no monoid is scanned, so no monoid budget binds
+        for budget in (1, 2):
+            assert decide_positive_simple(a, Budgets(monoid=budget)).witness == positive.witness
+        return False
+    # the positive scan reads its own monoid in BFS order and stops at the
+    # first witness, so under a budget it answers in full once the budget's
+    # prefix holds the witness, and raises before that
+    pwords, pos, c = positive_scan(a)
+    assert (positive.answer == "yes") == (pos is not None)
+    if pos is not None:
+        assert positive.witness["period"] == names(pwords[pos])
+        assert positive.witness["class"] == list(a.names(c))
+    letters = sum(len(w) == 1 for w in pwords)
+    early = False
+    for budget in range(1, min(len(pwords), 40)):
+        seen = max(budget, letters)
+        if pos is not None and pos < seen:
+            assert decide_positive_simple(a, Budgets(monoid=budget)).witness == positive.witness
+            early |= seen < len(pwords)
+        elif seen < len(pwords):
+            with pytest.raises(BudgetExceededError):
+                decide_positive_simple(a, Budgets(monoid=budget))
+        else:
+            assert decide_positive_simple(a, Budgets(monoid=budget)).answer == "no"
+    return early
 
 
 def test_lazy_scans_match_eager_seeded():
     rng = random.Random(2091)
-    for _ in range(40):
-        check_lazy_scans(rng)
+    early = [check_lazy_scans(rng) for _ in range(40)]
+    assert any(early), "no draw answered positive under a budget below its monoid"
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**9))
 def test_lazy_scans_match_eager(seed):
     check_lazy_scans(random.Random(seed))
+
+
+def test_positive_matches_old_criterion_seeded():
+    # all five kinds, "yes" and "no" answers of each; every "yes" goes to the oracle
+    rng = random.Random(1621)
+    answers = {kind: set() for kind in ("parity", "buchi", "cobuchi", "reach", "safety")}
+    for i in range(150):
+        kind = list(answers)[i % 5]
+        a = random_automaton(rng, rng.randint(2, 5), rng.randint(1, 3), acceptance=kind)
+        v = decide_positive_simple(a)
+        assert v.answer == ("yes" if old_positive(a) else "no")
+        if v.answer == "yes":
+            assert LassoOracle(a).verdict(*indices(a, v))[1]
+        answers[kind].add(v.answer)
+    assert all(seen == {"yes", "no"} for seen in answers.values()), answers

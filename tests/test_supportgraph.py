@@ -754,20 +754,22 @@ def test_yes_witness_steps_are_replayed(monkeypatch, ex2, query):
 
 
 def test_limit_parity_rechecks_the_period(monkeypatch):
-    # b keeps p, a swaps p and q: appending a to every monoid word makes
-    # each period visit q forever, so under coBuchi {p} the corrupted period
-    # accepts with probability 0 from the uniform distribution on {p}
+    # b keeps p, a swaps p and q: appending a to the scan's period makes it
+    # visit q forever, so under coBuchi {p} the corrupted period accepts
+    # with probability 0 from the uniform distribution on {p}
     import qpa.supportgraph as sg
 
     a = parse_automaton(DET_SWAP_TEXT).with_acceptance(Acceptance.cobuchi(["p"]))
-    assert decide_limit_parity_structsimple(a).answer == "yes"
-    real = sg.build_profile_monoid
+    v = decide_limit_parity_structsimple(a)
+    assert (v.answer, v.witness["support"], v.witness["period"]) == ("yes", ["p"], ["b"])
+    real = sg.almost_period
     swap = a.letter_index["a"]
 
     def corrupted(*args):
-        return {prof: rho + (swap,) for prof, rho in real(*args).items()}
+        node, rho = real(*args)
+        return node, rho + (swap,)
 
-    monkeypatch.setattr(sg, "build_profile_monoid", corrupted)
+    monkeypatch.setattr(sg, "almost_period", corrupted)
     with pytest.raises(RuntimeError, match="accepts with probability 0, not 1"):
         decide_limit_parity_structsimple(a)
 
