@@ -100,7 +100,6 @@ class Budgets:
     subset: int = 1_000_000
     path_cap: int = 200_000
     extended_states: int = 6
-    pump_doublings: int = 20
     word_cap: int = 100_000
 
 

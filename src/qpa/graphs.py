@@ -18,12 +18,19 @@ bottom_states_mask and funnel (each state's reachable recurrent states, the
 border rule's rewiring) are read off that closure.  scc_masks gives every
 component in reverse topological order, for the callers that need the
 transient ones too.
+
+shortest_words is the one breadth-first search behind every closure that
+records a shortest witness word: the profile monoids, the subset
+construction, the path search over single states and the #-reachability
+walk of the extended support graph.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from collections import deque
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .core import bits
+from .errors import BudgetExceededError
 
 Rows = tuple[int, ...]
 Image = Callable[[int], int]
@@ -79,6 +86,35 @@ def reachable_mask(rows: Sequence[int], seeds: int, node_mask: int = -1) -> int:
         frontier = image(rows, frontier) & node_mask & ~seen
         seen |= frontier
     return seen
+
+
+def shortest_words(
+    starts: Iterable, successors: Callable, budget: int | None = None, what: str = ""
+) -> Iterator[tuple[Hashable, tuple]]:
+    """Elements reachable from the starts, each with its shortest word, as discovered.
+
+    Breadth first: the starts with their given words (a repeated start is
+    skipped), then, element by element, each (label, successor) pair of
+    successors(element) in order; a new successor's word is the element's
+    plus label.  The starts are not counted against a budget; a new element
+    once budget elements are known raises BudgetExceededError, so a caller
+    that stops early never pays for the rest.
+    """
+    words: dict = {}
+    for s, w in starts:
+        words.setdefault(s, w)
+    yield from words.items()
+    queue = deque(words)
+    while queue:
+        e = queue.popleft()
+        w = words[e]
+        for label, t in successors(e):
+            if t not in words:
+                if budget is not None and len(words) >= budget:
+                    raise BudgetExceededError(f"{what} exceeded {budget} elements")
+                words[t] = wt = w + (label,)
+                queue.append(t)
+                yield t, wt
 
 
 def scc_masks(rows: Sequence[int], node_mask: int) -> list[int]:

@@ -21,13 +21,13 @@ priority at most v_c and img the letter's successor relation.  img is read
 from per-letter tables over 8-bit chunks of a mask, so the monoid closure
 runs on table lookups alone.
 
-The closure is breadth first and lazy: iter_profile_monoid and
-iter_safe_monoid yield each profile with its shortest word as it is
-discovered, so a search stops at its first witness without materializing
-the monoid, and the budget trips only if the search runs that far.  Every
-scan of the library reads these iterators; none collects a whole monoid.
-almost_period is the almost-sure scan shared by the simple and the
-structurally simple procedures.
+The closure is graphs.shortest_words, breadth first and lazy:
+iter_profile_monoid and iter_safe_monoid yield each profile with its
+shortest word as it is discovered, so a search stops at its first witness
+without materializing the monoid, and the budget trips only if the search
+runs that far.  Every scan of the library reads these iterators; none
+collects a whole monoid.  almost_period is the almost-sure scan shared by
+the simple and the structurally simple procedures.
 
 A safe profile, for a fixed set F, stores the state pairs connected by
 positive paths that remain inside F throughout, together with the set of
@@ -35,19 +35,16 @@ states whose entire positive tree stays inside F for the word.
 """
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Collection, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 from .core import Automaton, bits
-from .errors import BudgetExceededError, InputError
-from .graphs import Image, bottom_scc_masks, image, image_table
+from .errors import InputError
+from .graphs import Image, bottom_scc_masks, image, image_table, shortest_words
 
 INF = 1 << 30
 
 Profile = tuple[tuple[int, ...], ...]
 SafeProfile = tuple[tuple[int, ...], int]
-
-T = TypeVar("T")
 
 
 def normalize_priorities(a: Automaton, p: Mapping[str, int] | Sequence[int] | None) -> tuple[int, ...]:
@@ -126,39 +123,15 @@ def class_minima(profile: Profile, mask: int) -> list[tuple[int, int]]:
     return out
 
 
-def _letter_closure(
-    generators: list[T], times_letter: Callable[[T, int], T], budget: int, what: str
-) -> Iterator[tuple[T, tuple[int, ...]]]:
-    """Elements generated by the letters, each with its shortest word, as discovered.
-
-    Breadth first from the letter generators, composing on the right with
-    each letter in alphabet order, so elements come in length-lexicographic
-    order of their words and each word is the first generating one.  A
-    letter whose generator repeats an earlier one adds no element but still
-    composes; its step equals the earlier letter's.  The generators are not
-    counted against the budget; discovering a further element once the
-    count has reached it raises BudgetExceededError, so a caller that stops
-    early never pays for the rest.
-    """
-    elems: dict[T, tuple[int, ...]] = {}
-    queue: deque[T] = deque()
-    for k, g in enumerate(generators):
-        if g not in elems:
-            elems[g] = (k,)
-            queue.append(g)
-            yield g, (k,)
+def _letter_closure(generators: list, times_letter: Callable, budget: int, what: str) -> Iterator:
+    """graphs.shortest_words from the letter generators, composing on the right
+    with each letter in alphabet order, so words come length-lexicographic; a
+    letter whose generator repeats an earlier one adds no element but still composes."""
     letters = range(len(generators))
-    while queue:
-        e = queue.popleft()
-        w = elems[e]
-        for k in letters:
-            c = times_letter(e, k)
-            if c not in elems:
-                if len(elems) >= budget:
-                    raise BudgetExceededError(f"{what} closure exceeded {budget} elements")
-                elems[c] = wk = w + (k,)
-                queue.append(c)
-                yield c, wk
+    starts = [(g, (k,)) for k, g in enumerate(generators)]
+    return shortest_words(
+        starts, lambda e: ((k, times_letter(e, k)) for k in letters), budget, f"{what} closure"
+    )
 
 
 def iter_profile_monoid(a: Automaton, priorities=None, budget: int = 1_000_000) -> Iterator[tuple[Profile, tuple[int, ...]]]:

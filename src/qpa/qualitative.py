@@ -10,8 +10,6 @@ exactly before it is returned.
 """
 from __future__ import annotations
 
-from collections import deque
-
 from .core import (
     Automaton,
     Budgets,
@@ -20,14 +18,19 @@ from .core import (
     Verdict,
     bits,
 )
-from .errors import BudgetExceededError, InputError
-from .graphs import image
+from .errors import InputError
+from .graphs import image, shortest_words
 from .lasso import lasso_acceptance_probability
 from .profiles import almost_period, class_minima, iter_profile_monoid, iter_safe_monoid
 from .semantics import reach_as_buchi
+from .supportgraph import _limit_parity, _limit_reach, _require_structurally_simple
 
 PROBLEMS = ("positive", "almost", "limit")
 MODES = ("simple", "general", "lasso", "struct-simple")
+# (problem, kind) pairs that general mode decides besides safety
+_GENERAL_DECIDABLE = {
+    ("almost", "reach"), ("almost", "buchi"), ("positive", "reach"), ("positive", "cobuchi")
+}
 
 
 def reachable_supports(
@@ -35,26 +38,19 @@ def reachable_supports(
 ) -> dict[int, tuple[int, ...]]:
     """Exact supports reachable from start, each with its shortest word.
 
-    Breadth-first over the subset construction, letters in alphabet order,
-    so dict order is shortest-word-first with lexicographic tie-breaking.
-    A step whose support leaves the mask within is not taken.
+    graphs.shortest_words over the subset construction, letters in alphabet
+    order, so dict order is shortest-word-first with lexicographic
+    tie-breaking.  A step whose support leaves the mask within is not taken.
     """
-    out: dict[int, tuple[int, ...]] = {start: ()}
-    queue: deque[int] = deque([start])
     rels = [a.relation(k) for k in range(len(a.alphabet))]
-    while queue:
-        s = queue.popleft()
-        w = out[s]
+
+    def steps(s: int):
         for k, rel in enumerate(rels):
             t = image(rel, s)
-            if t & ~within:
-                continue
-            if t not in out:
-                if len(out) >= budget:
-                    raise BudgetExceededError(f"subset construction exceeded {budget} supports")
-                out[t] = w + (k,)
-                queue.append(t)
-    return out
+            if not t & ~within:
+                yield k, t
+
+    return dict(shortest_words([(start, ())], steps, budget, "subset construction"))
 
 
 def _lasso(a: Automaton, rho1: tuple[int, ...], rho2: tuple[int, ...]) -> LassoWord:
@@ -79,20 +75,16 @@ def _verified_yes(a: Automaton, w: LassoWord, need_one: bool, extra: dict) -> Ve
 
 def _path_words(a: Automaton, start: int, within: int) -> dict[int, tuple[int, ...]]:
     """States reached from start by positive paths inside within, each with
-    its shortest word: breadth first over single states, letters in
+    its shortest word: graphs.shortest_words over single states, letters in
     alphabet order; the states of start map to the empty word."""
-    out: dict[int, tuple[int, ...]] = {q: () for q in bits(start)}
-    queue: deque[int] = deque(out)
     rels = [a.relation(k) for k in range(len(a.alphabet))]
-    while queue:
-        q = queue.popleft()
-        w = out[q]
+
+    def steps(q: int):
         for k, rel in enumerate(rels):
             for t in bits(rel[q] & within):
-                if t not in out:
-                    out[t] = w + (k,)
-                    queue.append(t)
-    return out
+                yield k, t
+
+    return dict(shortest_words(((q, ()) for q in bits(start)), steps))
 
 
 def _positive_yes(a: Automaton, start: int, within: int, candidates) -> Verdict:
@@ -261,10 +253,11 @@ def decide_safety(a: Automaton, problem: str, budgets: Budgets = DEFAULT_BUDGETS
 def decide(a: Automaton, problem: str, mode: str, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
     """Dispatch a decision query to the procedure that is actually decidable.
 
-    simple and lasso modes share the simple procedures; general mode answers
-    only the decidable corners and reports the rest as undecidable; the
-    struct-simple mode first proves the automaton structurally simple and may
-    then answer limit questions through the support-graph procedures.
+    simple and lasso modes share the simple procedures; general mode is a
+    filter in front of them that reports every corner outside safety and
+    _GENERAL_DECIDABLE as undecidable; the struct-simple mode first proves
+    the automaton structurally simple and may then answer limit questions
+    through the support-graph procedures.
     """
     if problem not in PROBLEMS:
         raise InputError(f"unknown problem {problem!r}")
@@ -274,46 +267,21 @@ def decide(a: Automaton, problem: str, mode: str, budgets: Budgets = DEFAULT_BUD
     if acc is None:
         raise InputError("acceptance condition required")
     kind = acc.kind
-    if mode in ("simple", "lasso"):
-        if problem == "almost":
-            return decide_almost_simple(a, budgets)
-        if problem == "positive":
-            return decide_positive_simple(a, budgets)
-        if kind == "safety":
-            return decide_safety(a, "limit", budgets)
-        return Verdict(
-            "undecidable_in_general",
-            reason=f"the simple limit problem is undecidable for {kind} acceptance",
-        )
-    if mode == "general":
-        if kind == "safety":
-            return decide_safety(a, problem, budgets)
-        if problem == "almost" and kind in ("reach", "buchi"):
-            return decide_almost_simple(a, budgets)
-        if problem == "positive" and kind in ("reach", "cobuchi"):
-            return decide_positive_simple(a, budgets)
-        return Verdict(
-            "undecidable_in_general",
-            reason=f"the {problem} problem is undecidable for {kind} acceptance on general automata",
-        )
-    verdict = _structural_gate(a, budgets)
-    if verdict.answer != "yes":
-        raise InputError("struct-simple mode needs a structurally simple automaton")
+    if mode == "general" and kind != "safety" and (problem, kind) not in _GENERAL_DECIDABLE:
+        reason = f"the {problem} problem is undecidable for {kind} acceptance on general automata"
+        return Verdict("undecidable_in_general", reason=reason)
+    if mode == "struct-simple":
+        _require_structurally_simple(a, budgets)
     if problem == "almost":
         return decide_almost_simple(a, budgets)
     if problem == "positive":
         return decide_positive_simple(a, budgets)
     if kind == "safety":
         return decide_safety(a, "limit", budgets)
+    if mode != "struct-simple":
+        reason = f"the simple limit problem is undecidable for {kind} acceptance"
+        return Verdict("undecidable_in_general", reason=reason)
     # The gate above is the one the public limit procedures would repeat.
-    from .supportgraph import _limit_parity, _limit_reach
-
     if kind == "reach":
         return _limit_reach(a, budgets)
     return _limit_parity(a, budgets)
-
-
-def _structural_gate(a: Automaton, budgets: Budgets) -> Verdict:
-    from .classify import is_structurally_simple
-
-    return is_structurally_simple(a, budgets)

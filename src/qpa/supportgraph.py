@@ -75,6 +75,7 @@ from .graphs import (
     image_table,
     restrict,
     scc_masks,
+    shortest_words,
 )
 from .linked import border_chain, linked_graph_of_word
 from .profiles import almost_period
@@ -493,17 +494,11 @@ class ExtendedSupportGraph:
 
     def reachable_with_steps(self, start: int) -> dict[int, list[Step]]:
         """Nodes #-reachable from start, each with the replay steps of a
-        shortest path to it, in breadth-first order."""
-        out: dict[int, list[Step]] = {start: []}
-        queue = deque([start])
-        while queue:
-            s = queue.popleft()
-            for eid in self._by_src.get(s, ()):
-                d = self._dst[eid]
-                if d not in out:
-                    out[d] = out[s] + self.witness_steps(eid)
-                    queue.append(d)
-        return out
+        shortest path to it, in breadth-first order: graphs.shortest_words
+        over edge ids, each path turned into steps at the end."""
+        by_src, dst_of = self._by_src, self._dst
+        paths = shortest_words([(start, ())], lambda s: ((e, dst_of[e]) for e in by_src.get(s, ())))
+        return {t: [self.witness_steps(e)[0] for e in path] for t, path in paths}
 
     def dot(self) -> str:
         a = self.automaton
@@ -600,35 +595,37 @@ def _steps_payload(a: Automaton, steps: Sequence[Step]) -> list[dict]:
     ]
 
 
-def sharp_reachable(
-    a: Automaton,
-    C,
-    D,
-    budgets: Budgets = DEFAULT_BUDGETS,
-    graph: ExtendedSupportGraph | None = None,
-) -> Verdict:
+def _sharp_search(
+    a: Automaton, start: int, want: Callable[[int], bool], budgets: Budgets
+) -> tuple[int, list[Step]] | None:
+    """The first support #-reachable from start, in breadth-first order,
+    that satisfies want, with the steps of a shortest path to it; None when
+    there is none.  The graph seeded at start closes only until such a
+    support becomes #-reachable, so a find costs a prefix of the closure
+    and a None the whole of it.  The steps are replayed before being
+    returned; a mismatch would be an internal error, never a wrong answer.
+    """
+    graph = build_extended_support_graph(a, seeds=[start], budgets=budgets, stop=want)
+    for t, steps in graph.reachable_with_steps(start).items():
+        if want(t):
+            _check_replay(a, start, steps, t)
+            return t, steps
+    return None
+
+
+def sharp_reachable(a: Automaton, C, D, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
     """Is D #-reachable from C?  Yes-verdicts carry replayed witness steps.
 
-    C -> C holds by the trivial path convention (empty step list).  Without
-    a prebuilt graph, the graph seeded at C closes only until D becomes
-    #-reachable, so a "yes" costs a prefix of the closure and a "no" the
-    whole of it.  Witness steps, one per edge of a shortest path in that
-    graph, are re-executed through the layered graphs before being
-    returned; a mismatch would be an internal error, never a wrong answer.
+    C -> C holds by the trivial path convention (empty step list).  The
+    witness steps are _sharp_search's, one per edge of a shortest path.
     """
     cmask, dmask = as_mask(a, C), as_mask(a, D)
     if cmask == 0 or dmask == 0:
         raise InputError("empty support set")
-    if graph is None:
-        graph = build_extended_support_graph(
-            a, seeds=[cmask], budgets=budgets, stop=dmask.__eq__
-        )
-    reach = graph.reachable_with_steps(cmask)
-    if dmask not in reach:
+    found = _sharp_search(a, cmask, dmask.__eq__, budgets)
+    if found is None:
         return Verdict("no", reason="not reachable in the extended support graph")
-    steps = reach[dmask]
-    _check_replay(a, cmask, steps, dmask)
-    return Verdict("yes", {"steps": _steps_payload(a, steps)})
+    return Verdict("yes", {"steps": _steps_payload(a, found[1])})
 
 
 # ---------------------------------------------------------------------------
@@ -662,16 +659,12 @@ def decide_limit_reach_structsimple(
 def _limit_reach(a: Automaton, budgets: Budgets) -> Verdict:
     """decide_limit_reach_structsimple past its input checks and gate."""
     fmask = a.acceptance_mask()
-    graph = build_extended_support_graph(a, budgets=budgets, stop=lambda s: s & ~fmask == 0)
-    for t, steps in graph.reachable_with_steps(a.initial_support).items():
-        if t & ~fmask == 0:
-            _check_replay(a, a.initial_support, steps, t)
-            return Verdict(
-                "yes", {"support": list(a.names(t)), "steps": _steps_payload(a, steps)}
-            )
-    return Verdict(
-        "no", reason="no subset of the target is #-reachable from the initial support"
-    )
+    found = _sharp_search(a, a.initial_support, lambda s: s & ~fmask == 0, budgets)
+    if found is None:
+        reason = "no subset of the target is #-reachable from the initial support"
+        return Verdict("no", reason=reason)
+    t, steps = found
+    return Verdict("yes", {"support": list(a.names(t)), "steps": _steps_payload(a, steps)})
 
 
 def _pumped_length(step: Step, k: int) -> int:
@@ -720,12 +713,11 @@ def synthesize_limit_word(
 ) -> tuple[str, ...]:
     """A word pushing at least 1 - eps of the mass into the target set, exactly.
 
-    The graph seeded at Supp(alpha) closes only until some subset of the
-    target becomes #-reachable; the witness is a shortest path to the first
-    such subset in breadth-first order.  Each border segment of the
+    The witness is _sharp_search's first subset of the target #-reachable
+    from Supp(alpha), with its replayed steps.  Each border segment of the
     witness is repeated k times; k doubles until the exactly computed
-    probability passes the threshold.  InputError when no subset of the
-    target is #-reachable, which the full closure shows.
+    probability passes the threshold or budgets.word_cap trips.  InputError
+    when no subset of the target is #-reachable, which the full closure shows.
     """
     bound = Fraction(eps)
     if bound <= 0 or bound >= 1:
@@ -735,43 +727,41 @@ def synthesize_limit_word(
         raise InputError("empty target set")
     if a.initial_support & ~tmask == 0:
         return ()
-    graph = build_extended_support_graph(a, budgets=budgets, stop=lambda s: s & ~tmask == 0)
-    return _pumped_word(a, graph.reachable_with_steps(a.initial_support), tmask, bound, budgets)
+    found = _sharp_search(a, a.initial_support, lambda s: s & ~tmask == 0, budgets)
+    if found is None:
+        raise InputError("no subset of the target is #-reachable from the initial support")
+    return _pumped_word(a, found[1], tmask, bound, budgets)
 
 
 def _pumped_word(
-    a: Automaton,
-    reach: dict[int, list[Step]],
-    tmask: int,
-    bound: Fraction,
-    budgets: Budgets,
+    a: Automaton, steps: Sequence[Step], tmask: int, bound: Fraction, budgets: Budgets
 ) -> tuple[str, ...]:
-    """synthesize_limit_word past its input checks, on the nodes #-reachable
-    from the initial support of the seeded extended graph."""
-    steps = next((st for t, st in reach.items() if t & ~tmask == 0), None)
-    if steps is None:
-        raise InputError("no subset of the target is #-reachable from the initial support")
-    threshold = 1 - bound
+    """The word of steps that #-reach a subset of tmask, each border segment
+    repeated k times, for the first k in 1, 2, 4, ... at which the exact
+    probability of tmask is at least 1 - bound.  budgets.word_cap ends the
+    doubling: every pumped border adds at least k letters.  A word that
+    stays the same from k to 2k has no border left to pump, so its
+    probability is fixed; only corrupt steps do that: RuntimeError.
+    """
     best = Fraction(0)
-    k = 1
-    for _ in range(budgets.pump_doublings):
+    k, last = 1, -1
+    while True:
         length = sum(_pumped_length(step, k) for step in steps)
         if length > budgets.word_cap:
             raise BudgetExceededError(
                 f"pumped word length {length} exceeds cap; best probability {best}"
             )
+        if length == last:
+            raise RuntimeError(f"pumped word stopped growing at length {length}; best {best}")
         word: list[int] = []
         for step in steps:
             word.extend(_pump_step(step, k))
         vec = vector_product(a.initial, a.scaled_matrices, word)
         p = sum((vec[i] for i in bits(tmask)), Fraction(0))
-        if p >= threshold:
+        if p >= 1 - bound:
             return tuple(a.alphabet[x] for x in word)
         best = max(best, p)
-        k *= 2
-    raise BudgetExceededError(
-        f"pumping budget exhausted before reaching 1 - {bound}; best probability {best}"
-    )
+        k, last = 2 * k, length
 
 
 def decide_limit_parity_structsimple(
@@ -787,8 +777,8 @@ def decide_limit_parity_structsimple(
     uniform distribution on A must be 1.  The witness reports the stable
     support, the period word, and, when synthesis succeeds, a pumped prefix
     with its exact lasso acceptance probability, which must be at least
-    9/10; when synthesis stops on a budget or an input error, prefix and
-    probability are None and prefix_error says why.  A failed recheck raises RuntimeError.
+    9/10; when synthesis stops on a budget, prefix and probability are
+    None and prefix_error says why.  A failed recheck raises RuntimeError.
     """
     a.priorities()  # InputError unless the acceptance has a parity encoding
     _require_structurally_simple(a, budgets)
@@ -826,9 +816,11 @@ def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
         "probability": None,
     }
     bound = Fraction(1, 10)
+    # pump toward the first #-reachable support inside the stable one
+    steps = next(st for t, st in reach.items() if t & ~node == 0)
     try:
-        prefix = _pumped_word(a, reach, node, bound, budgets)
-    except (BudgetExceededError, InputError) as exc:
+        prefix = _pumped_word(a, steps, node, bound, budgets)
+    except BudgetExceededError as exc:
         witness["prefix_error"] = f"{type(exc).__name__}: {exc}"
     else:
         p = lasso_acceptance_probability(a, LassoWord(prefix, period))

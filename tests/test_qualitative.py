@@ -1,22 +1,27 @@
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpa.core import Acceptance, Budgets, LassoWord, bits, support_mask
+from qpa.core import DEFAULT_BUDGETS, Acceptance, Budgets, LassoWord, Verdict, bits, support_mask
 from qpa.errors import BudgetExceededError, InputError
 from qpa.lasso import lasso_acceptance_probability
 from qpa.qualitative import (
+    MODES,
+    PROBLEMS,
     decide,
     decide_almost_simple,
     decide_positive_simple,
     decide_safety,
     reachable_supports,
+    _path_words,
 )
 from qpa.graphs import image
 from qpa.profiles import class_minima, iter_profile_monoid, iter_safe_monoid
 from qpa.semantics import make_accepting_absorbing, reach_as_buchi
+from qpa.supportgraph import build_extended_support_graph
 
 from conftest import random_automaton
 from oracles import LassoOracle
@@ -43,6 +48,93 @@ def test_reachable_supports(ex2):
     # a step whose support leaves `within` is not taken
     inside = reachable_supports(ex2, ex2.mask("1"), 1 << 16, within=ex2.mask("1 3"))
     assert inside == {ex2.mask("1"): (), ex2.mask("1 3"): (0,)}
+
+
+# The breadth-first loops as they were written out before graphs.shortest_words
+# served them all; each search must give their dicts in their order.
+
+
+def old_reachable_supports(a, start, budget, within=-1):
+    out = {start: ()}
+    queue = deque([start])
+    rels = [a.relation(k) for k in range(len(a.alphabet))]
+    while queue:
+        s = queue.popleft()
+        w = out[s]
+        for k, rel in enumerate(rels):
+            t = image(rel, s)
+            if t & ~within:
+                continue
+            if t not in out:
+                if len(out) >= budget:
+                    raise BudgetExceededError(f"subset construction exceeded {budget} supports")
+                out[t] = w + (k,)
+                queue.append(t)
+    return out
+
+
+def old_path_words(a, start, within):
+    out = {q: () for q in bits(start)}
+    queue = deque(out)
+    rels = [a.relation(k) for k in range(len(a.alphabet))]
+    while queue:
+        q = queue.popleft()
+        w = out[q]
+        for k, rel in enumerate(rels):
+            for t in bits(rel[q] & within):
+                if t not in out:
+                    out[t] = w + (k,)
+                    queue.append(t)
+    return out
+
+
+def old_reachable_with_steps(g, start):
+    by_src = {}
+    for eid, (src, _, _) in enumerate(g.edges):
+        by_src.setdefault(src, []).append(eid)
+    out = {start: []}
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        for eid in by_src.get(s, ()):
+            d = g.edges[eid][2]
+            if d not in out:
+                out[d] = out[s] + g.witness_steps(eid)
+                queue.append(d)
+    return out
+
+
+def search_outcome(search, *args):
+    """The items of a search's dict in order, or the error type it raised."""
+    try:
+        return list(search(*args).items())
+    except BudgetExceededError:
+        return BudgetExceededError
+
+
+def check_searches_against_old_loops(rng):
+    n = rng.randint(1, 5)
+    a = random_automaton(rng, n, n_letters=rng.randint(1, 3))
+    start = rng.randrange(1, 1 << n)
+    within = rng.randrange(1 << n)
+    for w in (-1, within):
+        full = search_outcome(old_reachable_supports, a, start, 10**6, w)
+        assert search_outcome(reachable_supports, a, start, 10**6, w) == full
+        for budget in range(1, len(full) + 1):
+            want = search_outcome(old_reachable_supports, a, start, budget, w)
+            assert search_outcome(reachable_supports, a, start, budget, w) == want
+        assert search_outcome(_path_words, a, start, w) == search_outcome(old_path_words, a, start, w)
+    if n <= 4:
+        g = build_extended_support_graph(a, seeds=[start])
+        for s in (start, a.initial_support):
+            want = search_outcome(old_reachable_with_steps, g, s)
+            assert search_outcome(g.reachable_with_steps, s) == want
+
+
+def test_searches_match_old_loops_seeded():
+    rng = random.Random(1107)
+    for _ in range(60):
+        check_searches_against_old_loops(rng)
 
 
 def test_almost_simple_gadget(hrd):
@@ -170,6 +262,80 @@ def test_decide_dispatch(hrd, ex1):
         decide(bu, "almost", "sideways")
     with pytest.raises(InputError):
         decide(ex1, "almost", "simple")
+
+
+def old_decide(a, problem, mode, budgets=DEFAULT_BUDGETS):
+    """decide as it dispatched before general mode became a filter in front
+    of the simple procedures."""
+    from qpa.classify import is_structurally_simple
+    from qpa.supportgraph import _limit_parity, _limit_reach
+
+    if problem not in PROBLEMS:
+        raise InputError(f"unknown problem {problem!r}")
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}")
+    acc = a.acceptance
+    if acc is None:
+        raise InputError("acceptance condition required")
+    kind = acc.kind
+    if mode in ("simple", "lasso"):
+        if problem == "almost":
+            return decide_almost_simple(a, budgets)
+        if problem == "positive":
+            return decide_positive_simple(a, budgets)
+        if kind == "safety":
+            return decide_safety(a, "limit", budgets)
+        return Verdict(
+            "undecidable_in_general",
+            reason=f"the simple limit problem is undecidable for {kind} acceptance",
+        )
+    if mode == "general":
+        if kind == "safety":
+            return decide_safety(a, problem, budgets)
+        if problem == "almost" and kind in ("reach", "buchi"):
+            return decide_almost_simple(a, budgets)
+        if problem == "positive" and kind in ("reach", "cobuchi"):
+            return decide_positive_simple(a, budgets)
+        return Verdict(
+            "undecidable_in_general",
+            reason=f"the {problem} problem is undecidable for {kind} acceptance on general automata",
+        )
+    if is_structurally_simple(a, budgets).answer != "yes":
+        raise InputError("struct-simple mode needs a structurally simple automaton")
+    if problem == "almost":
+        return decide_almost_simple(a, budgets)
+    if problem == "positive":
+        return decide_positive_simple(a, budgets)
+    if kind == "safety":
+        return decide_safety(a, "limit", budgets)
+    if kind == "reach":
+        return _limit_reach(a, budgets)
+    return _limit_parity(a, budgets)
+
+
+def dispatch_outcome(f, *args):
+    """A verdict's answer, reason and witness, or the type of the error raised."""
+    try:
+        v = f(*args)
+    except (InputError, BudgetExceededError) as exc:
+        return type(exc)
+    return v.answer, v.reason, v.witness
+
+
+def test_decide_table_matches_old_dispatch(ex1, ex2, hrd, exlg):
+    rng = random.Random(17)
+    automata = [ex1, ex2, hrd, exlg] + [random_automaton(rng, 3) for _ in range(3)]
+    for a in automata:
+        f = list(a.states[: 1 + a.n // 2])
+        prios = {q: i % 3 for i, q in enumerate(a.states)}
+        accs = [Acceptance.safety(f), Acceptance.reach(f), Acceptance.buchi(f)]
+        accs += [Acceptance.cobuchi(f), Acceptance.parity(prios)]
+        for acc in accs:
+            b = a.with_acceptance(acc)
+            for mode in MODES:
+                for problem in PROBLEMS:
+                    want = dispatch_outcome(old_decide, b, problem, mode)
+                    assert dispatch_outcome(decide, b, problem, mode) == want, (mode, problem, acc)
 
 
 def test_absorbing_preserves_reach(ex1):

@@ -595,12 +595,6 @@ def test_sharp_reachable_trivial_and_negative(ex2):
         sharp_reachable(ex2, "", "1")
 
 
-def test_sharp_reachable_accepts_prebuilt_graph(ex2):
-    g = build_extended_support_graph(ex2)
-    v = sharp_reachable(ex2, "1", "4", graph=g)
-    assert v.answer == "yes"
-
-
 # -- limit procedures -----------------------------------------------------------
 
 
@@ -658,20 +652,29 @@ def test_pump_step_builds_the_cut_prefix(ex2):
                 assert sg._pumped_length(step, k) == len(want)
 
 
-def test_pumping_cut_zero_steps_stops_on_budget(monkeypatch, ex2):
+def test_pumping_cut_zero_steps_stops_growing(monkeypatch, ex2):
     # Steps cut at 0 pump to the empty word, so the probability never
-    # rises and the doublings run out; the atoms past the cut grow k-fold
-    # per nesting level at each doubling and must never be built.
+    # rises and the word stops changing at the first doubling; the atoms
+    # past the cut grow k-fold per nesting level at each doubling and must
+    # never be built.
+    import qpa.supportgraph as sg
+
     real = ExtendedSupportGraph.reachable_with_steps
 
     def cut_zero(self, start):
         return {t: [(w, b, 0) for w, b, _ in sts] for t, sts in real(self, start).items()}
 
-    monkeypatch.setattr(ExtendedSupportGraph, "reachable_with_steps", cut_zero)
+    graph = build_extended_support_graph(ex2)
+    steps = cut_zero(graph, ex2.initial_support)[ex2.mask("4")]
+    assert any(b for _, b, _ in steps)
     t0 = time.perf_counter()
-    with pytest.raises(BudgetExceededError, match="pumping budget exhausted"):
-        synthesize_limit_word(ex2, "4", Fraction(1, 10))
+    with pytest.raises(RuntimeError, match="stopped growing"):
+        sg._pumped_word(ex2, steps, ex2.mask("4"), Fraction(1, 10), DEFAULT_BUDGETS)
     assert time.perf_counter() - t0 < 5
+    # synthesis replays its steps before it pumps them
+    monkeypatch.setattr(ExtendedSupportGraph, "reachable_with_steps", cut_zero)
+    with pytest.raises(RuntimeError, match="witness replay reached"):
+        synthesize_limit_word(ex2, "4", Fraction(1, 10))
 
 
 def test_limit_reach_decisions(ex1, ex2):
@@ -701,11 +704,11 @@ def test_limit_parity_decisions(ex2):
 
 def test_limit_parity_reports_why_synthesis_failed(ex2):
     b = ex2.with_acceptance(Acceptance.buchi(["4"]))
-    v = decide_limit_parity_structsimple(b, Budgets(pump_doublings=0))
+    v = decide_limit_parity_structsimple(b, Budgets(word_cap=2))
     assert v.answer == "yes"
     assert v.witness["support"] == ["4"]
     assert v.witness["prefix"] is None and v.witness["probability"] is None
-    assert v.witness["prefix_error"].startswith("BudgetExceededError: pumping budget exhausted")
+    assert v.witness["prefix_error"].startswith("BudgetExceededError: pumped word length")
     assert "prefix_error" not in decide_limit_parity_structsimple(b).witness
 
 
