@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .core import Automaton, LassoWord, bits, support_mask
 from .errors import BudgetExceededError, InputError
-from .graphs import bottom_scc_masks, image
+from .graphs import bottom_scc_masks, image, shortest_words
 from .semantics import (
     ChainAnalysis,
     _compose,
@@ -306,15 +306,14 @@ def _analyze_class(
     m = len(period)
     states = list(bits(cmask))
     pos = {x: i for i, x in enumerate(states)}
-    # BFS levels; the class period is the gcd of level defects over its edges
-    level = {states[0]: 0}
-    queue = [states[0]]
-    while queue:
-        u = queue.pop(0)
-        for v in bits(prod_rows[u] & cmask):
-            if v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
+    # BFS levels, the shortest word lengths from the first state; the class
+    # period is the gcd of level defects over its edges
+    level = {
+        v: len(w)
+        for v, w in shortest_words(
+            [(states[0], ())], lambda u: ((0, v) for v in bits(prod_rows[u] & cmask))
+        )
+    }
     d = 0
     for u in states:
         for v in bits(prod_rows[u] & cmask):

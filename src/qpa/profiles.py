@@ -29,6 +29,21 @@ runs that far.  Every scan of the library reads these iterators; none
 collects a whole monoid.  almost_period is the almost-sure scan shared by
 the simple and the structurally simple procedures.
 
+The profile scans check only the profiles of iter_checked_profiles: the
+letters and the profiles whose digraph R is idempotent (R.R = R).  The
+whole monoid is still generated and counted against the budget.  This
+loses no answer.  Say P passes on a set g: g is closed under R = R(P), and
+every bottom class C of R inside g has an even P-minimum.  Some power R^k
+is idempotent, and E = P^k is in the monoid.  The bottom classes of R^k
+are the cyclic classes C_r of the bottom classes C of R, and R^k links
+every pair of states of C_r.  So the E-minimum over C_r is the minimum of
+E^m = P^(km) over C_r for every m, and for m large enough some km-step
+path between states of C_r passes the minimum transition of C: the
+E-minimum over C_r is the P-minimum over C.  Hence E passes on g too, and
+the even-minimum bottom classes of E cover the same states as those of P.
+The letters are checked as well because most witnesses are letters, and
+the first idempotent often lies much deeper in the BFS.
+
 A safe profile, for a fixed set F, stores the state pairs connected by
 positive paths that remain inside F throughout, together with the set of
 states whose entire positive tree stays inside F for the word.
@@ -141,14 +156,27 @@ def iter_profile_monoid(a: Automaton, priorities=None, budget: int = 1_000_000) 
     return _letter_closure(gens, letters.times_letter, budget, "priority profile")
 
 
-def almost_period(a: Automaton, supports: Collection[int], budget: int) -> tuple[int, tuple[int, ...]] | None:
-    """The first support, in the given order inside the first profile in BFS
-    order, that the profile maps into itself with only even-minimum bottom
-    classes on it, with the profile's word; None once the monoid has none.
-    A bottom class that meets a closed support lies inside it, so the check
-    reads as the support missing every odd-minimum bottom class of the whole
-    digraph, found once per profile."""
+def iter_checked_profiles(a: Automaton, budget: int) -> Iterator[tuple[Profile, tuple[int, ...]]]:
+    """The profiles of iter_profile_monoid that a scan checks, in BFS order:
+    the letters and those whose digraph is idempotent.  Every profile of
+    the closure still counts against the budget."""
     for prof, rho in iter_profile_monoid(a, None, budget):
+        top = prof[-1]
+        if len(rho) == 1 or all(image(top, row) == row for row in top):
+            yield prof, rho
+
+
+def almost_period(a: Automaton, supports: Collection[int], budget: int) -> tuple[int, tuple[int, ...]] | None:
+    """The first support, in the given order inside the first checked
+    profile in BFS order, that the profile maps into itself with only
+    even-minimum bottom classes on it, with the profile's word; None once
+    the monoid has none.  Only the letters and the idempotent profiles are
+    checked (iter_checked_profiles): when some profile P passes on g, so
+    does its idempotent power, so the answer is the same as over the whole
+    monoid.  A bottom class that meets a closed support lies inside it, so
+    the check reads as the support missing every odd-minimum bottom class
+    of the whole digraph, found once per profile."""
+    for prof, rho in iter_checked_profiles(a, budget):
         img = image_table(prof[-1])
         odd = None
         for g in supports:

@@ -21,7 +21,7 @@ from .core import (
 from .errors import InputError
 from .graphs import image, shortest_words
 from .lasso import lasso_acceptance_probability
-from .profiles import almost_period, class_minima, iter_profile_monoid, iter_safe_monoid
+from .profiles import almost_period, class_minima, iter_checked_profiles, iter_safe_monoid
 from .semantics import reach_as_buchi
 from .supportgraph import _limit_parity, _limit_reach, _require_structurally_simple
 
@@ -162,8 +162,12 @@ def decide_positive_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
     profile of F for coBüchi, and an even-minimum bottom class of a profile
     for Büchi and parity: the class is strongly connected under the period,
     so from any of its states the run sees the class minimum infinitely
-    often, almost surely.  The monoid budget raises only if it trips before
-    the witness is found; a "no" closes the whole monoid.
+    often, almost surely.  Those classes are read off the checked profiles
+    only, the letters and the idempotents (profiles.iter_checked_profiles):
+    the even-minimum bottom classes of a profile's idempotent power cover
+    the same states as the profile's own, so the same states are reached.
+    The monoid budget raises only if it trips before the witness is found;
+    a "no" closes the whole monoid.
     """
     acc = a.acceptance
     if acc is None:
@@ -177,7 +181,7 @@ def decide_positive_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
     else:
         candidates = (
             (comp, rho)
-            for prof, rho in iter_profile_monoid(a, None, budgets.monoid)
+            for prof, rho in iter_checked_profiles(a, budgets.monoid)
             for comp, mn in class_minima(prof, a.full_mask)
             if mn % 2 == 0
         )

@@ -58,6 +58,12 @@ def ocompose_rows(x, y) -> tuple[int, ...]:
     return tuple(oimage(y, row) for row in x)
 
 
+def ochecked_profile(rel, word) -> bool:
+    """Whether the profile scans check a profile: its word is one letter, or
+    its relation is idempotent."""
+    return len(word) == 1 or ocompose_rows(rel, rel) == tuple(rel)
+
+
 def oword_rows(a: Automaton, word) -> tuple[int, ...]:
     rows = tuple(1 << i for i in range(len(a.states)))
     letters = oletter_rows(a)

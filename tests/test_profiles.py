@@ -12,6 +12,7 @@ from qpa.profiles import (
     almost_period,
     class_minima,
     image_table,
+    iter_checked_profiles,
     iter_profile_monoid,
     iter_safe_monoid,
     letter_safe_profile,
@@ -429,14 +430,17 @@ def test_odd_mask_matches_class_minima(seed, n):
 
 
 def check_almost_period_against_eager(rng, n):
-    """almost_period against the scan it replaces: the first profile in BFS
-    order and, inside it, the first support in the given order that the
-    profile maps into itself with only even-minimum bottom classes on it,
-    the classes taken on the support itself."""
+    """almost_period against an eager scan: the first checked profile (a
+    letter or an idempotent) in BFS order and, inside it, the first support
+    in the given order that the profile maps into itself with only
+    even-minimum bottom classes on it, the classes taken on the support
+    itself."""
     a = random_automaton(rng, n, rng.randint(1, 3), acceptance="parity")
     supports = rng.sample(range(1, 1 << n), min(4, (1 << n) - 1))
     expected = None
     for prof, rho in iter_profile_monoid(a):
+        if not O.ochecked_profile(prof[-1], rho):
+            continue
         expected = next(
             (
                 (g, rho)
@@ -455,6 +459,70 @@ def test_almost_period_matches_eager_seeded():
     rng = random.Random(1107)
     for _ in range(40):
         check_almost_period_against_eager(rng, rng.randint(1, 5))
+
+
+def check_checked_profiles(rng, n):
+    """iter_checked_profiles is iter_profile_monoid filtered to the letters
+    and the idempotents, and under a budget it yields the filtered BFS
+    prefix and raises exactly where the unfiltered closure raises."""
+    a = random_automaton(rng, n, rng.randint(1, 3), acceptance="parity")
+    full = list(iter_profile_monoid(a))
+    checked = [(p, w) for p, w in full if O.ochecked_profile(p[-1], w)]
+    assert list(iter_checked_profiles(a, 10**6)) == checked
+    letters = sum(len(w) == 1 for _, w in full)
+    for budget in range(1, min(len(full), 30)):
+        prefix = full[:max(budget, letters)]
+        got = []
+        with pytest.raises(BudgetExceededError) if len(prefix) < len(full) else nullcontext():
+            for item in iter_checked_profiles(a, budget):
+                got.append(item)
+        assert got == [(p, w) for p, w in prefix if O.ochecked_profile(p[-1], w)]
+
+
+def test_checked_profiles_filter_the_monoid_seeded():
+    rng = random.Random(2091)
+    for _ in range(40):
+        check_checked_profiles(rng, rng.randint(1, 5))
+
+
+def check_idempotent_power(rng, n):
+    """The lemma behind the filter.  For a profile P of a word w, with R its
+    digraph, and E = P^k the first power whose digraph is idempotent: every
+    bottom class of E lies in a bottom class of P with the same minimum,
+    the two cover the same states, so the odd-minimum (and even-minimum)
+    classes of both have the same union, and on every set g closed under R
+    the almost check (only even-minimum bottom classes within g) reads the
+    same for P and E."""
+    a, prios, _ = gap_automaton(rng, n, rng.randint(1, 3), False)
+    w = tuple(rng.randrange(len(a.alphabet)) for _ in range(rng.randint(1, 4)))
+    p = profile_of_word(a, prios, w)
+    k, e = 1, p
+    while O.ocompose_rows(e[-1], e[-1]) != e[-1]:
+        k += 1
+        assert k <= 1 << n  # the idempotent power of an n-state relation comes sooner
+        e = profile_of_word(a, prios, w * k)
+    p_classes, e_classes = class_minima(p, a.full_mask), class_minima(e, a.full_mask)
+    for comp, mn in e_classes:
+        assert [pm for pc, pm in p_classes if comp & ~pc == 0] == [mn]
+    assert sum(c for c, _ in e_classes) == sum(c for c, _ in p_classes)
+
+    def odd_union(classes):
+        return sum(c for c, mn in classes if mn % 2)
+
+    assert odd_union(e_classes) == odd_union(p_classes)
+    for g in range(1, 1 << n):
+        if O.oimage(p[-1], g) & ~g:
+            continue
+        assert all(mn % 2 == 0 for _, mn in class_minima(p, g)) == all(
+            mn % 2 == 0 for _, mn in class_minima(e, g)
+        )
+    return k > 1
+
+
+def test_idempotent_power_lemma_seeded():
+    rng = random.Random(1107)
+    powers = [check_idempotent_power(rng, rng.randint(1, 5)) for _ in range(200)]
+    assert sum(powers) >= 50, "too few draws needed a power above one"
 
 
 @pytest.mark.parametrize("n", [9, 12, 17])

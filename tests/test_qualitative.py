@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpa.core import DEFAULT_BUDGETS, Acceptance, Budgets, LassoWord, Verdict, bits, support_mask
+from qpa.core import DEFAULT_BUDGETS, Acceptance, Automaton, Budgets, LassoWord, Verdict, bits, support_mask
 from qpa.errors import BudgetExceededError, InputError
 from qpa.lasso import lasso_acceptance_probability
 from qpa.qualitative import (
@@ -24,7 +24,7 @@ from qpa.semantics import make_accepting_absorbing, reach_as_buchi
 from qpa.supportgraph import build_extended_support_graph
 
 from conftest import random_automaton
-from oracles import LassoOracle
+from oracles import LassoOracle, ochecked_profile
 
 
 def indices(a, verdict):
@@ -403,11 +403,14 @@ def test_bounded_completeness_random(seed):
 
 
 def eager_witnesses(supports, monoid):
-    """The monoid positions of the profiles that witness almost "yes" in the
-    eager scan, each mapped to that profile's first witness: the first support
-    the profile maps into itself with only even bottom minima."""
+    """The monoid positions of the checked profiles (letters and idempotents)
+    that witness almost "yes" in the eager scan, each mapped to that
+    profile's first witness: the first support the profile maps into itself
+    with only even bottom minima."""
     almost = {}
     for pos, (prof, rho2) in enumerate(monoid.items()):
+        if not ochecked_profile(prof[-1], rho2):
+            continue
         for g, rho1 in supports.items():
             if image(prof[-1], g) & ~g == 0 and all(
                 mn % 2 == 0 for _, mn in class_minima(prof, g)
@@ -462,9 +465,10 @@ def positive_scan(a):
     """The words of the monoid that the positive scan reads, in BFS order, with
     the position and set of its first witness (None, None when there is none):
     for coBuchi the safe monoid of F, each profile's greatest fully safe set
-    that it maps into itself; for Buchi and parity the profile monoid, each
-    profile's even-minimum bottom classes.  A witness set must meet a state
-    that a plain path reaches."""
+    that it maps into itself; for Buchi and parity the profile monoid, the
+    even-minimum bottom classes of each checked profile (a letter or an
+    idempotent).  A witness set must meet a state that a plain path
+    reaches."""
     reached = plain_reach(a)
     if a.acceptance.kind == "cobuchi":
         monoid = dict(iter_safe_monoid(a, a.acceptance_mask()))
@@ -476,7 +480,12 @@ def positive_scan(a):
             sets.append([c] if c else [])
     else:
         monoid = dict(iter_profile_monoid(a))
-        sets = [[comp for comp, mn in class_minima(prof, a.full_mask) if mn % 2 == 0] for prof in monoid]
+        sets = [
+            [comp for comp, mn in class_minima(prof, a.full_mask) if mn % 2 == 0]
+            if ochecked_profile(prof[-1], rho)
+            else []
+            for prof, rho in monoid.items()
+        ]
     words = list(monoid.values())
     for pos, candidates in enumerate(sets):
         for c in candidates:
@@ -578,4 +587,58 @@ def test_positive_matches_old_criterion_seeded():
         if v.answer == "yes":
             assert LassoOracle(a).verdict(*indices(a, v))[1]
         answers[kind].add(v.answer)
+    assert all(seen == {"yes", "no"} for seen in answers.values()), answers
+
+
+# -- the letter-and-idempotent scans against the scans of every profile ---------
+
+
+def check_filtered_scans(rng, kind, answers):
+    """Almost (Buchi, coBuchi, parity), positive (Buchi, parity) and, on up
+    to three states, struct-simple limit answer as the scans of every
+    profile do (eager_almost, old_positive), and every "yes" witness passes
+    the lasso oracle.  answers collects the answers per (problem, kind)."""
+    a = random_automaton(rng, rng.randint(2, 5), rng.randint(1, 3), acceptance=kind)
+    oracle = LassoOracle(a)
+    supports = reachable_supports(a, a.initial_support, 1 << 16)
+    monoid = dict(iter_profile_monoid(a))
+    almost = decide_almost_simple(a)
+    assert almost.answer == ("yes" if eager_almost(a, supports, monoid) else "no")
+    if almost.answer == "yes":
+        assert oracle.verdict(*indices(a, almost))[0]
+    answers[("almost", kind)].add(almost.answer)
+    if kind != "cobuchi":
+        positive = decide_positive_simple(a)
+        assert positive.answer == ("yes" if old_positive(a) else "no")
+        if positive.answer == "yes":
+            assert oracle.verdict(*indices(a, positive))[1]
+        answers[("positive", kind)].add(positive.answer)
+    if a.n > 3:
+        return
+    try:
+        limit = decide(a, "limit", "struct-simple")
+    except InputError:
+        return
+    reach = build_extended_support_graph(a).reachable_with_steps(a.initial_support)
+    assert limit.answer == ("yes" if eager_almost(a, reach, monoid) else "no")
+    answers[("limit", kind)].add(limit.answer)
+    if limit.answer == "no":
+        return
+    w = limit.witness
+    node = a.mask(w["support"])
+    uniform = [Fraction(node >> i & 1, node.bit_count()) for i in range(a.n)]
+    start = Automaton(a.states, a.alphabet, a.matrices, uniform, a.acceptance)
+    period = [a.alphabet.index(x) for x in w["period"]]
+    assert LassoOracle(start).verdict((), period)[0]
+    if w["prefix"] is not None:
+        assert oracle.verdict([a.alphabet.index(x) for x in w["prefix"]], period)[1]
+
+
+def test_filtered_scans_match_unfiltered_seeded():
+    rng = random.Random(1818)
+    kinds = ("buchi", "cobuchi", "parity")
+    answers = {(p, k): set() for p in ("almost", "positive", "limit") for k in kinds}
+    del answers[("positive", "cobuchi")]
+    for i in range(330):
+        check_filtered_scans(rng, kinds[i % 3], answers)
     assert all(seen == {"yes", "no"} for seen in answers.values()), answers
