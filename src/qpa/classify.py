@@ -29,7 +29,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import DEFAULT_BUDGETS, Acceptance, Automaton, Budgets, Verdict, as_mask, bits
+from .core import (
+    DEFAULT_BUDGETS,
+    Acceptance,
+    Automaton,
+    Budgets,
+    Verdict,
+    as_fraction,
+    as_mask,
+    bits,
+)
 from .errors import InputError
 from .formats import DFA
 from .graphs import image, scc_masks
@@ -328,7 +337,7 @@ def union_structure(a1: Automaton, a2: Automaton, mix) -> Automaton:
     carries over as the union of both sets when the kinds agree.
     """
     align = _common_letters(a1, a2)
-    mix = Fraction(mix)
+    mix = as_fraction(mix, "mix")
     if not 0 < mix < 1:
         raise InputError("mix must be strictly between 0 and 1")
     if set(a1.states) & set(a2.states):

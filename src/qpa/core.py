@@ -346,6 +346,14 @@ def as_mask(a: Automaton, S: int | Iterable[str]) -> int:
     return S if isinstance(S, int) else a.mask(S)
 
 
+def as_fraction(x: Fraction | int | str, what: str) -> Fraction:
+    """x as an exact number; InputError, naming what, when it is none."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InputError(f"{what} is not a number: {x!r}") from None
+
+
 def support_mask(vec: Sequence[Fraction]) -> int:
     m = 0
     for i, p in enumerate(vec):

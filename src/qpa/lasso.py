@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm, log, sqrt
 from typing import Sequence
 
-from .core import Automaton, LassoWord, bits, support_mask
+from .core import Automaton, LassoWord, as_fraction, bits, support_mask
 from .errors import BudgetExceededError, InputError
 from .graphs import bottom_scc_masks, image, shortest_words
 from .semantics import (
@@ -115,7 +115,7 @@ class JetDecomposition:
         The mass outside the jets never increases once the jets are seeded,
         so the returned step bounds every later aligned step as well.
         """
-        eps = Fraction(eps)
+        eps = as_fraction(eps, "eps")
         if eps <= 0:
             raise InputError("eps must be positive")
         a = self.automaton
@@ -253,7 +253,6 @@ def _min_positive(rows: Sequence[Sequence[int]], den: int) -> Fraction | None:
 @dataclass
 class _ClassInfo:
     mask: int
-    slice0: int
     states: list[int]
     d: int
     kstar: int
@@ -356,7 +355,7 @@ def _analyze_class(
             first_seen.setdefault((cyc[x] - t) % d, t)
     actives = sorted(first_seen)
     t_full = max(first_seen.values())
-    return _ClassInfo(cmask, _slice0(cmask, n), states, d, kstar, eps, blocks, cyc, actives, t_full)
+    return _ClassInfo(cmask, states, d, kstar, eps, blocks, cyc, actives, t_full)
 
 
 def _slice0(cmask: int, n: int) -> int:
@@ -402,7 +401,9 @@ def lasso_jet_decomposition(a: Automaton, w: LassoWord) -> JetDecomposition:
             cand = mass * info.eps
             if lam is None or cand < lam:
                 lam = cand
-    jets_by_slice: dict[int, SupportSequence] = {}
+    # in chain.analysis.classes order: every product class is ordered by its
+    # least bit, the least state of its phase-0 slice, which is a chain class
+    jets = []
     for info in infos:
         cyc = []
         for j in range(info.d):
@@ -410,8 +411,7 @@ def lasso_jet_decomposition(a: Automaton, w: LassoWord) -> JetDecomposition:
             for alignment in info.actives:
                 mask |= _project(info.blocks[(alignment + n_t + j) % info.d], info.states, n)
             cyc.append(mask)
-        jets_by_slice[info.slice0] = SupportSequence((0,) * big_n, tuple(cyc))
-    jets = tuple(jets_by_slice[comp] for comp in chain.analysis.classes)
+        jets.append(SupportSequence((0,) * big_n, tuple(cyc)))
     full = a.full_mask
     l0 = 1
     for info in infos:
@@ -423,7 +423,7 @@ def lasso_jet_decomposition(a: Automaton, w: LassoWord) -> JetDecomposition:
             used |= jet.at(big_n + j)
         cyc0.append(full & ~used)
     j0 = SupportSequence((full,) * big_n, tuple(cyc0))
-    return JetDecomposition(a, w, chain, jets, j0, big_n, lam)
+    return JetDecomposition(a, w, chain, tuple(jets), j0, big_n, lam)
 
 
 # -- Monte Carlo -------------------------------------------------------------

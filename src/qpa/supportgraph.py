@@ -43,10 +43,14 @@ Limit-word synthesis pumps each border segment of such a witness, doubling
 the repetition count until the exact probability passes the threshold.
 
 A "no" needs the closure's fixpoint, a "yes" only one reachable support
-that satisfies the query.  A seeded closure can therefore be given a stop
-predicate on supports: it then ends at the first edge insertion that makes
-a satisfying support #-reachable from its seed, and its edges are a prefix
-of the full closure's edges.
+that satisfies the query.  A closure can therefore be given a stop
+predicate on supports, tested on each support when it is first registered
+as a node.  Seeded at one origin alone, a closure registers only supports
+#-reachable from that origin: every edge leaves a registered node, and a
+product's right factor sits at its left factor's destination.  So a
+stopped closure ends at the first edge insertion that makes a satisfying
+support #-reachable from the origin, and its edges are a prefix of the
+origin's full closure.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from .core import (
     Budgets,
     LassoWord,
     Verdict,
+    as_fraction,
     as_mask,
     bits,
 )
@@ -194,7 +199,7 @@ Step = tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]
 
 
 class _Stopped(Exception):
-    """Ends a closure whose stop predicate holds on a reachable node."""
+    """Ends a closure whose stop predicate holds on a newly registered node."""
 
 
 class ExtendedSupportGraph:
@@ -208,14 +213,12 @@ class ExtendedSupportGraph:
     the plain relation of its first derivation.  An automaton with more than
     budgets.extended_states states is refused before any seed is read.
 
-    With stop, a predicate on supports, the graph keeps the set of nodes
-    #-reachable from its last seed (the origin) as edges are inserted; edges
-    are only ever added, so the set only grows.  The closure ends at the
-    insertion that makes a node satisfying stop reachable, before any
-    further edge, or before the first edge when the origin satisfies it.
-    Nothing else changes, so the edges are a prefix of the full closure's,
-    with the same ids and provenance, and a budget stop is raised only
-    when the budget is hit before the stop.
+    With stop, a predicate on supports, each node is tested once when it
+    is registered (seeds included), before its letter edges are added, and
+    the closure ends at the first node that satisfies it: the last node,
+    and the only one that does.  Nothing else changes, so the edges are a
+    prefix of the full closure's, with the same ids and provenance, and a
+    budget stop is raised only when the budget is hit before the stop.
 
     The closure multiplies edges on the right by atoms only (see the module
     docstring).  Each edge is composed with the letter edges at its
@@ -274,14 +277,10 @@ class ExtendedSupportGraph:
         # a label-keyed graph fills _plain on the first edge_plain call
         self._plain_derived = False
         self._stop = stop
-        # nodes #-reachable from the origin; stays empty without stop
-        self._reached: set[int] = set()
         # compositions and borders attempted, and whether stop ended the closure
         self.products = 0
         self.stopped = False
         try:
-            if stop is not None:
-                self._reach(seeds[-1])
             for s in seeds:
                 self._add_node(s)
             self._run()
@@ -293,45 +292,29 @@ class ExtendedSupportGraph:
     def _key(self, label: Rows, plain: Rows | None) -> Rows | tuple[Rows, Rows]:
         return (label, plain) if self.track_plain else label
 
-    def _add_node(self, s: int, reached: bool = False) -> None:
-        # s is registered, then marked reachable (which may end the closure),
-        # and only then, the first time, given its letter edges.
-        fresh = s not in self._node_set
-        if fresh:
-            self._node_set.add(s)
-            self._nodes.append(s)
-            self._by_src[s] = []
-            self._by_dst[s] = []
-            self._letters_at[s] = []
-            self._funnels_at[s] = {}
-        if reached and s not in self._reached:
-            self._reach(s)
-        if fresh:
-            a = self.automaton
-            letters = self._letters_at[s]
-            for k in range(len(a.alphabet)):
-                plain = a.relation(k)
-                label = restrict(plain, s)
-                self._add(label, plain, ("word", k))
-                # two letters may share a restricted label: keep one edge
-                eid = self._keys[self._key(label, plain)]
-                if all(eid != f for f, _ in letters):
-                    letters.append((eid, self._letter_image[k]))
-
-    def _reach(self, s: int) -> None:
-        """Mark s and every node reachable from it by present edges."""
-        reached, by_src, dst_of, stop = self._reached, self._by_src, self._dst, self._stop
-        reached.add(s)
-        todo = [s]
-        while todo:
-            t = todo.pop()
-            if stop(t):
-                raise _Stopped
-            for eid in by_src.get(t, ()):
-                d = dst_of[eid]
-                if d not in reached:
-                    reached.add(d)
-                    todo.append(d)
+    def _add_node(self, s: int) -> None:
+        # s is registered, then tested against stop (which may end the
+        # closure), and only then given its letter edges.
+        if s in self._node_set:
+            return
+        self._node_set.add(s)
+        self._nodes.append(s)
+        self._by_src[s] = []
+        self._by_dst[s] = []
+        self._letters_at[s] = []
+        self._funnels_at[s] = {}
+        if self._stop is not None and self._stop(s):
+            raise _Stopped
+        a = self.automaton
+        letters = self._letters_at[s]
+        for k in range(len(a.alphabet)):
+            plain = a.relation(k)
+            label = restrict(plain, s)
+            self._add(label, plain, ("word", k))
+            # two letters may share a restricted label: keep one edge
+            eid = self._keys[self._key(label, plain)]
+            if all(eid != f for f, _ in letters):
+                letters.append((eid, self._letter_image[k]))
 
     def _add(self, label: Rows, plain: Rows | None, prov: tuple) -> None:
         key = self._key(label, plain)
@@ -369,7 +352,7 @@ class ExtendedSupportGraph:
         # src is an older node, so the letter edges _add_node(dst) may add
         # never leave it: registering eid first keeps the order of _by_src[src]
         self._by_src[src].append(eid)
-        self._add_node(dst, src in self._reached)
+        self._add_node(dst)
         self._by_dst[dst].append(eid)
         self._pending.append(eid)
 
@@ -541,21 +524,23 @@ def build_extended_support_graph(
     *,
     stop: Callable[[int], bool] | None = None,
 ) -> ExtendedSupportGraph:
-    """Close the graph from Supp(alpha) (or the given seeds) to its fixpoint.
+    """Close the graph from Supp(alpha) and the given seeds to its fixpoint.
 
-    With stop, a predicate on supports, the closure ends as soon as a
-    support satisfying it is #-reachable from the origin: the one given
-    seed, or Supp(alpha) when none is given (see ExtendedSupportGraph).
+    With stop, a predicate on supports, the closure is seeded at its origin
+    alone, the one given seed or Supp(alpha) when none is given, and ends
+    as soon as a support satisfying stop is #-reachable from it (see
+    ExtendedSupportGraph).
     """
     if full:
         if stop is not None:
             raise InputError("a stop predicate needs the seeded form")
         start = range(1, 1 << a.n)
     else:
-        start = [a.initial_support]
         seeds = list(seeds or [])
         if stop is not None and len(seeds) > 1:
             raise InputError("a stop predicate allows at most one seed")
+        # with stop, the origin alone: the one given seed, or Supp(alpha)
+        start = [] if stop is not None and seeds else [a.initial_support]
         for s in seeds:
             m = as_mask(a, s)
             if m == 0:
@@ -598,19 +583,21 @@ def _steps_payload(a: Automaton, steps: Sequence[Step]) -> list[dict]:
 def _sharp_search(
     a: Automaton, start: int, want: Callable[[int], bool], budgets: Budgets
 ) -> tuple[int, list[Step]] | None:
-    """The first support #-reachable from start, in breadth-first order,
-    that satisfies want, with the steps of a shortest path to it; None when
-    there is none.  The graph seeded at start closes only until such a
-    support becomes #-reachable, so a find costs a prefix of the closure
-    and a None the whole of it.  The steps are replayed before being
-    returned; a mismatch would be an internal error, never a wrong answer.
+    """A support #-reachable from start that satisfies want, with the
+    steps of a shortest path to it; None when there is none.  The graph
+    seeded at start alone registers only supports #-reachable from it and
+    stops at the first that satisfies want, its last node, so a find costs
+    a prefix of the closure and a None the whole of it.  The steps are
+    replayed before being returned; a mismatch would be an internal error,
+    never a wrong answer.
     """
     graph = build_extended_support_graph(a, seeds=[start], budgets=budgets, stop=want)
-    for t, steps in graph.reachable_with_steps(start).items():
-        if want(t):
-            _check_replay(a, start, steps, t)
-            return t, steps
-    return None
+    if not graph.stopped:
+        return None
+    t = graph.nodes[-1]
+    steps = graph.reachable_with_steps(start)[t]
+    _check_replay(a, start, steps, t)
+    return t, steps
 
 
 def sharp_reachable(a: Automaton, C, D, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
@@ -713,20 +700,19 @@ def synthesize_limit_word(
 ) -> tuple[str, ...]:
     """A word pushing at least 1 - eps of the mass into the target set, exactly.
 
-    The witness is _sharp_search's first subset of the target #-reachable
-    from Supp(alpha), with its replayed steps.  Each border segment of the
+    The witness is _sharp_search's subset of the target #-reachable from
+    Supp(alpha), with its replayed steps; Supp(alpha) inside the target
+    gives no steps and the empty word.  Each border segment of the
     witness is repeated k times; k doubles until the exactly computed
     probability passes the threshold or budgets.word_cap trips.  InputError
     when no subset of the target is #-reachable, which the full closure shows.
     """
-    bound = Fraction(eps)
+    bound = as_fraction(eps, "eps")
     if bound <= 0 or bound >= 1:
         raise InputError("eps must satisfy 0 < eps < 1")
     tmask = as_mask(a, target)
     if tmask == 0:
         raise InputError("empty target set")
-    if a.initial_support & ~tmask == 0:
-        return ()
     found = _sharp_search(a, a.initial_support, lambda s: s & ~tmask == 0, budgets)
     if found is None:
         raise InputError("no subset of the target is #-reachable from the initial support")
@@ -739,9 +725,10 @@ def _pumped_word(
     """The word of steps that #-reach a subset of tmask, each border segment
     repeated k times, for the first k in 1, 2, 4, ... at which the exact
     probability of tmask is at least 1 - bound.  budgets.word_cap ends the
-    doubling: every pumped border adds at least k letters.  A word that
-    stays the same from k to 2k has no border left to pump, so its
-    probability is fixed; only corrupt steps do that: RuntimeError.
+    doubling: every pumped border adds at least k letters, and the
+    BudgetExceededError carries the best probability reached as best.  A
+    word that stays the same from k to 2k has no border left to pump, so
+    its probability is fixed; only corrupt steps do that: RuntimeError.
     """
     best = Fraction(0)
     k, last = 1, -1
@@ -749,7 +736,8 @@ def _pumped_word(
         length = sum(_pumped_length(step, k) for step in steps)
         if length > budgets.word_cap:
             raise BudgetExceededError(
-                f"pumped word length {length} exceeds cap; best probability {best}"
+                f"pumped word length {length} exceeds cap; best probability {best}",
+                best=best,
             )
         if length == last:
             raise RuntimeError(f"pumped word stopped growing at length {length}; best {best}")

@@ -10,7 +10,10 @@ from qpa.core import (
     as_vector,
     validate_automaton,
 )
+from qpa.classify import union_structure
 from qpa.errors import InputError
+from qpa.lasso import lasso_jet_decomposition
+from qpa.supportgraph import synthesize_limit_word
 
 
 def test_mask_names_roundtrip(ex1):
@@ -101,3 +104,18 @@ def test_verdict_truthiness():
     assert Verdict("yes", None, "")
     assert not Verdict("no", None, "")
     assert not Verdict("undecidable_in_general", None, "")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: synthesize_limit_word(a, "4", "abc"),
+        lambda a: synthesize_limit_word(a, "4", "1/0"),
+        lambda a: union_structure(a, a, "x"),
+        lambda a: lasso_jet_decomposition(a, LassoWord((), ("a",))).horizon("abc"),
+    ],
+    ids=["eps-text", "eps-zero-denominator", "mix-text", "horizon-eps-text"],
+)
+def test_malformed_numbers_are_input_errors(ex2, call):
+    with pytest.raises(InputError, match="not a number"):
+        call(ex2)

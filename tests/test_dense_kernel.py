@@ -169,9 +169,7 @@ def _ref_analyze_class(a, period, prod_rows, cmask, run):
             first_seen.setdefault((cyc[x] - t) % d, t)
     actives = sorted(first_seen)
     t_full = max(first_seen.values())
-    return lasso._ClassInfo(
-        cmask, lasso._slice0(cmask, n), states, d, kstar, eps, blocks, cyc, actives, t_full
-    )
+    return lasso._ClassInfo(cmask, states, d, kstar, eps, blocks, cyc, actives, t_full)
 
 
 def _ref_chain_analysis(a, mask, word):

@@ -194,6 +194,25 @@ def test_jet_invariants_random(seed):
                     assert vec[i] >= d.lambda_bound
 
 
+def test_jets_follow_chain_class_order():
+    # jet i is absorbed by the chain's class i: both come ordered by least
+    # state; a spread initial distribution often reaches several classes
+    rng = random.Random(1107)
+    several = 0
+    for _ in range(60):
+        a = random_automaton(rng, rng.randrange(3, 8), acceptance="parity", dirac_initial=False)
+        prefix = tuple(rng.randrange(2) for _ in range(rng.randrange(3)))
+        period = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))
+        d = lasso_jet_decomposition(a, LassoWord(prefix, period))
+        classes = d.chain.analysis.classes
+        assert len(d.jets) == len(classes)
+        for jet, cls in zip(d.jets, classes):
+            mask = jet.at(d.stabilization_index)
+            assert mask and mask & ~cls == 0
+        several += len(classes) > 1
+    assert several >= 10
+
+
 # -- Monte Carlo ---------------------------------------------------------------
 
 

@@ -468,9 +468,11 @@ def _first_hit(g, origin, sat):
 
 
 def _assert_stops_at_first_witness(a, seed, sat):
+    # a stopped closure is seeded at its origin alone, so it is compared
+    # with the origin's own full closure
     seeds = [] if seed is None else [seed]
     origin = a.initial_support if seed is None else seed
-    full = build_extended_support_graph(a, seeds=seeds)
+    full = ExtendedSupportGraph(a, DEFAULT_BUDGETS, [origin])
     g = build_extended_support_graph(a, seeds=seeds, stop=sat)
     k = g.edge_count
     assert g.edges == full.edges[:k]
@@ -480,7 +482,8 @@ def _assert_stops_at_first_witness(a, seed, sat):
     assert g.stopped == (want is not None) and not full.stopped
     reach = g.reachable_with_steps(origin)
     hits = [t for t in reach if sat(t)]
-    assert bool(hits) == (want is not None)
+    # the satisfying support is the last node, and the only one
+    assert hits == ([g.nodes[-1]] if want is not None else [])
     for t in hits:
         assert _oracle_replay(a, origin, reach[t]) == t
     capped = build_extended_support_graph(a, seeds=seeds, budgets=Budgets(path_cap=k), stop=sat)
@@ -535,6 +538,33 @@ def test_stopped_closure_is_a_prefix_of_the_full_closure():
             dist = propagate(a, a.initial, a.word(word))
             assert sum((dist.get(q, Fraction(0)) for q in names), Fraction(0)) >= Fraction(9, 10)
     assert answers.count("yes") >= 60 and answers.count("no") >= 5
+
+
+# C = {q1} #-reaches only {q0} and {q1} over 4 edges; with Supp(alpha) =
+# {q2} as a second seed the closure has 32
+SEED_WASTE_TEXT = """\
+states: q0 q1 q2
+alphabet: a b
+init: q2=1
+trans: q0 a q1 1
+trans: q1 a q1 1
+trans: q2 a q0 1/2
+trans: q2 a q2 1/2
+trans: q0 b q1 1
+trans: q1 b q0 1
+trans: q2 b q0 1
+"""
+
+
+def test_seeded_search_closes_only_its_seed_graph():
+    a = parse_automaton(SEED_WASTE_TEXT)
+    c, d = a.mask("q1"), a.mask("q0 q1")
+    assert c != a.initial_support
+    own = ExtendedSupportGraph(a, DEFAULT_BUDGETS, [c])
+    assert build_extended_support_graph(a, seeds=[c]).edge_count >= 3 * own.edge_count
+    assert d not in own.reachable_with_steps(c)
+    v = sharp_reachable(a, c, d, Budgets(path_cap=own.edge_count))
+    assert v.answer == "no"
 
 
 # -- #-reachability -------------------------------------------------------------
@@ -623,9 +653,15 @@ def test_synthesize_edge_cases(ex2):
 
 
 def test_synthesize_word_cap(ex2):
-    small = Budgets(word_cap=4)
-    with pytest.raises(BudgetExceededError):
-        synthesize_limit_word(ex2, "4", Fraction(1, 10), budgets=small)
+    # best is the highest probability of a pumped word within the cap: none
+    # fits in 4 letters, the 13-letter one falls short of 9/10
+    bests = []
+    for cap in (4, 20):
+        with pytest.raises(BudgetExceededError) as exc:
+            synthesize_limit_word(ex2, "4", Fraction(1, 10), budgets=Budgets(word_cap=cap))
+        bests.append(exc.value.best)
+        assert f"best probability {exc.value.best}" in str(exc.value)
+    assert bests[0] == 0 and 0 < bests[1] < Fraction(9, 10)
 
 
 def _full_pump(step, k):
