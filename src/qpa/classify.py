@@ -229,8 +229,11 @@ def is_structurally_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
     returner found in phase 1 is a real "no".  Phase 2 closes the
     plain-tracked graph, which holds every derivation, and runs the same
     scan; it is only needed when phase 1 finds no returner.  The
-    label-keyed graph never has more edges than the plain-tracked one, so
-    phase 1 stops on budgets.path_cap only where phase 2 would.
+    label-keyed graph never has more edges than the plain-tracked one, nor
+    more products: each of its (edge, letter) and (edge, funnel atom) pairs
+    has its own pair in the plain-tracked graph, on an edge with the same
+    label and an atom with the same funnel.  So phase 1 stops on a budget
+    only where phase 2 would.
     """
     n = a.n
     g = ExtendedSupportGraph(a, budgets, range(1, 1 << n))

@@ -98,6 +98,8 @@ class Budgets:
 
     monoid: int = 1_000_000
     subset: int = 1_000_000
+    # extended support graph edges; its products are capped at
+    # supportgraph.PRODUCTS_PER_EDGE x path_cap
     path_cap: int = 200_000
     extended_states: int = 6
     word_cap: int = 100_000
@@ -324,9 +326,9 @@ def as_vector(a: Automaton, beta: Mapping[str, Fraction | int | str] | Sequence[
         for q, p in beta.items():
             if q not in a.state_index:
                 raise InputError(f"unknown state {q!r}")
-            vec[a.state_index[q]] = Fraction(p)
+            vec[a.state_index[q]] = as_fraction(p, f"probability of {q!r}")
     else:
-        vec = [Fraction(p) for p in beta]
+        vec = [as_fraction(p, "probability") for p in beta]
         if len(vec) != a.n:
             raise InputError("distribution length differs from state count")
     if any(p < 0 for p in vec):

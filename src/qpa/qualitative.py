@@ -7,6 +7,11 @@ positive "yes" is a set that a period accepts from almost surely, out of
 each of its states, and that a plain path reaches state by state from the
 initial support.  Every yes ships a lasso witness that is re-verified
 exactly before it is returned.
+
+A word accepted almost surely is accepted with positive probability, so a
+positive "no" is an almost "no".  Almost coBüchi uses this: positive
+coBüchi is decided over all words on the small safe monoid, so its "no"
+answers the almost question before the profile monoid is closed.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ from .core import (
     Verdict,
     bits,
 )
-from .errors import InputError
+from .errors import BudgetExceededError, InputError
 from .graphs import image, shortest_words
 from .lasso import lasso_acceptance_probability
 from .profiles import almost_period, class_minima, iter_checked_profiles, iter_safe_monoid
@@ -87,18 +92,27 @@ def _path_words(a: Automaton, start: int, within: int) -> dict[int, tuple[int, .
     return dict(shortest_words(((q, ()) for q in bits(start)), steps))
 
 
-def _positive_yes(a: Automaton, start: int, within: int, candidates) -> Verdict:
+def _first_reached(a: Automaton, start: int, within: int, candidates):
     """The first candidate set C, read lazily with a period that accepts
     almost surely from every state of C, that meets a state reached from
-    start by a path inside within; the shortest such path word glued to the
-    period is the witness."""
+    start by a path inside within, as (C, the shortest such path word, the
+    period); None once the candidates run out."""
     words = _path_words(a, start, within)
     reached = sum(1 << q for q in words)
     for c, rho2 in candidates:
         if c & reached:
             rho1 = next(w for q, w in words.items() if c >> q & 1)
-            return _verified_yes(a, _lasso(a, rho1, rho2), False, {"class": list(a.names(c))})
-    return Verdict("no", reason="no set that a period accepts almost surely is reachable")
+            return c, rho1, rho2
+    return None
+
+
+def _positive_yes(a: Automaton, start: int, within: int, candidates) -> Verdict:
+    """_first_reached as a verdict: the path word glued to the period is the witness."""
+    found = _first_reached(a, start, within, candidates)
+    if found is None:
+        return Verdict("no", reason="no set that a period accepts almost surely is reachable")
+    c, rho1, rho2 = found
+    return _verified_yes(a, _lasso(a, rho1, rho2), False, {"class": list(a.names(c))})
 
 
 def _fully_safe_sets(a: Automaton, fmask: int, budget: int):
@@ -128,6 +142,17 @@ def _reach_as_buchi_yes(a: Automaton, budgets: Budgets) -> Verdict:
     return _verified_yes(a, w, True, {"support": v.witness["support"]})
 
 
+def _positive_cobuchi_refuted(a: Automaton, budgets: Budgets) -> bool:
+    """Positive coBüchi answers "no": no fully safe set meets a state that a
+    plain path reaches from the initial support.  False, not a raise, when
+    the safe monoid trips the monoid budget first."""
+    safe = _fully_safe_sets(a, a.acceptance_mask(), budgets.monoid)
+    try:
+        return _first_reached(a, a.initial_support, -1, safe) is None
+    except BudgetExceededError:
+        return False
+
+
 def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
     """Is some word accepted with probability one?
 
@@ -137,6 +162,12 @@ def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
     generating word.  The scan is profiles.almost_period over the supports
     in subset BFS order; the monoid budget raises only if it trips before
     the witness profile is found, and a "no" closes the whole monoid.
+
+    A word accepted almost surely is accepted with positive probability, so
+    for coBüchi the positive criterion, which is decided over all words on
+    the much smaller safe monoid, runs first: when it has no witness the
+    answer is "no" without the profile monoid.  When its own scan trips the
+    monoid budget, the almost scan decides as above.
     """
     acc = a.acceptance
     if acc is None:
@@ -145,6 +176,8 @@ def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
         return decide_safety(a, "almost", budgets)
     if acc.kind == "reach":
         return _reach_as_buchi_yes(a, budgets)
+    if acc.kind == "cobuchi" and _positive_cobuchi_refuted(a, budgets):
+        return Verdict("no", reason="no word is accepted with positive probability")
     supports = reachable_supports(a, a.initial_support, budgets.subset)
     found = almost_period(a, supports, budgets.monoid)
     if found is None:

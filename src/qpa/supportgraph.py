@@ -198,6 +198,11 @@ def is_sharp_acyclic(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
 Step = tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]
 
 
+# products allowed per edge of budgets.path_cap: the work of a closure is
+# edges x atoms, and the edge cap alone leaves the atoms unbounded
+PRODUCTS_PER_EDGE = 64
+
+
 class _Stopped(Exception):
     """Ends a closure whose stop predicate holds on a newly registered node."""
 
@@ -228,7 +233,9 @@ class ExtendedSupportGraph:
     node costs (letters + distinct funnels) products per incoming edge,
     where a pairwise closure pays in-degree times out-degree.  products
     counts the compositions and borders attempted, and stopped is True when
-    the stop predicate ended the closure.
+    the stop predicate ended the closure.  Edges are capped at
+    budgets.path_cap and products at PRODUCTS_PER_EDGE times that, so a
+    closure that keeps adding atoms on few nodes stops in bounded work.
     """
 
     def __init__(
@@ -261,9 +268,12 @@ class ExtendedSupportGraph:
         self._letter_image = [image_table(a.relation(k)) for k in range(len(a.alphabet))]
         self._letters_at: dict[int, list[tuple[int, Image]]] = {}
         self._funnels_at: dict[int, dict[Rows | tuple[Rows, Rows], int]] = {}
-        # image tables of a funnel atom's funnel and, when tracked, its plain
+        # image tables of a funnel atom's funnel and, when tracked, its plain,
+        # shared through _table; a border segment's funnel, by label
         self._funnel_image: dict[int, Image] = {}
         self._plain_image: dict[int, Image] = {}
+        self._tables: dict[Rows, Image] = {}
+        self._funnel_of: dict[Rows, Rows] = {}
         # edge count when a popped edge's own products / a popped funnel
         # atom's incoming loop started; 0 until the edge is popped
         self._out_at: list[int] = []
@@ -279,6 +289,7 @@ class ExtendedSupportGraph:
         self._stop = stop
         # compositions and borders attempted, and whether stop ended the closure
         self.products = 0
+        self._max_products = PRODUCTS_PER_EDGE * budgets.path_cap
         self.stopped = False
         try:
             for s in seeds:
@@ -337,15 +348,18 @@ class ExtendedSupportGraph:
         self._dst.append(dst)
         if dst & ~src == 0:
             # a border segment: the edge is a funnel atom of src when no
-            # earlier edge from src has the same funnel (and plain relation)
-            fun = funnel(label, src)
+            # earlier edge from src has the same funnel (and plain relation);
+            # a plain-tracked graph holds many edges per label
+            fun = self._funnel_of.get(label)
+            if fun is None:
+                fun = self._funnel_of[label] = funnel(label, src)
             atoms = self._funnels_at[src]
             fkey = self._key(fun, plain)
             if fkey not in atoms:
                 atoms[fkey] = eid
-                self._funnel_image[eid] = image_table(fun)
+                self._funnel_image[eid] = self._table(fun)
                 if self.track_plain:
-                    self._plain_image[eid] = image_table(plain)
+                    self._plain_image[eid] = self._table(plain)
         self._prov.append(prov)
         self._out_at.append(0)
         self._in_at.append(0)
@@ -355,6 +369,12 @@ class ExtendedSupportGraph:
         self._add_node(dst)
         self._by_dst[dst].append(eid)
         self._pending.append(eid)
+
+    def _table(self, rows: Rows) -> Image:
+        img = self._tables.get(rows)
+        if img is None:
+            img = self._tables[rows] = image_table(rows)
+        return img
 
     def _run(self) -> None:
         # A popped edge is composed with every letter edge at its destination
@@ -393,6 +413,11 @@ class ExtendedSupportGraph:
         # image tables of what it applies; most results are edges already
         # present, recognised here without building a provenance
         self.products += 1
+        if self.products > self._max_products:
+            raise BudgetExceededError(
+                f"extended support graph products reached {self.products}, over"
+                f" {PRODUCTS_PER_EDGE} x path_cap = {self._max_products}"
+            )
         key = label = tuple(map(img, self._label[e]))
         plain = None
         if self.track_plain:

@@ -271,6 +271,40 @@ def test_structurally_simple_refutes_before_plain_budget():
     assert not O.ostructurally_simple(a, max_len=4)
 
 
+# draw 195 of random.Random(7) in the loop random_automaton(rng, randint(2, 6),
+# randint(1, 3), acceptance=kind), kinds cycling parity, buchi, cobuchi,
+# reach, safety: phase 1 finds no returner, and phase 2 keeps adding funnel
+# atoms on 15 nodes, so its products grow far faster than its edges
+PRODUCTS_STOP_TEXT = """\
+states: q0 q1 q2 q3
+alphabet: a b c
+init: q3=1
+acceptance: parity q0=3 q1=3 q2=0 q3=2
+trans: q0 a q1 1
+trans: q1 a q3 1
+trans: q2 a q2 1/2
+trans: q2 a q3 1/2
+trans: q3 a q2 1
+trans: q0 b q2 1
+trans: q1 b q0 1
+trans: q2 b q1 1
+trans: q3 b q1 1
+trans: q0 c q1 1
+trans: q1 c q2 1
+trans: q2 c q2 1/2
+trans: q2 c q3 1/2
+trans: q3 c q0 1
+"""
+
+
+def test_structurally_simple_stops_on_products():
+    # products are capped at 64 per edge of path_cap; at 24000 edges phase 2
+    # trips the products cap before the edge cap, after about 1.5M products
+    a = parse_automaton(PRODUCTS_STOP_TEXT)
+    with pytest.raises(BudgetExceededError, match=r"products reached 1536001, over 64 x path_cap = 1536000"):
+        is_structurally_simple(a, Budgets(path_cap=24_000))
+
+
 def _returner_free(a, budgets, track_plain) -> bool:
     """No minimal support plainly reaches the source of an edge that
     #-returns to it with a different plain image, on one all-seeds graph.

@@ -13,6 +13,7 @@ from qpa.core import (
 from qpa.classify import union_structure
 from qpa.errors import InputError
 from qpa.lasso import lasso_jet_decomposition
+from qpa.semantics import propagate
 from qpa.supportgraph import synthesize_limit_word
 
 
@@ -113,8 +114,17 @@ def test_verdict_truthiness():
         lambda a: synthesize_limit_word(a, "4", "1/0"),
         lambda a: union_structure(a, a, "x"),
         lambda a: lasso_jet_decomposition(a, LassoWord((), ("a",))).horizon("abc"),
+        lambda a: propagate(a, {"1": "x"}, "a"),
+        lambda a: propagate(a, ["x"] + [0] * (a.n - 1), "a"),
     ],
-    ids=["eps-text", "eps-zero-denominator", "mix-text", "horizon-eps-text"],
+    ids=[
+        "eps-text",
+        "eps-zero-denominator",
+        "mix-text",
+        "horizon-eps-text",
+        "distribution-text-by-name",
+        "distribution-text-by-index",
+    ],
 )
 def test_malformed_numbers_are_input_errors(ex2, call):
     with pytest.raises(InputError, match="not a number"):

@@ -1,5 +1,5 @@
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -19,7 +19,7 @@ from qpa.qualitative import (
     _path_words,
 )
 from qpa.graphs import image
-from qpa.profiles import class_minima, iter_profile_monoid, iter_safe_monoid
+from qpa.profiles import almost_period, class_minima, iter_profile_monoid, iter_safe_monoid
 from qpa.semantics import make_accepting_absorbing, reach_as_buchi
 from qpa.supportgraph import build_extended_support_graph
 
@@ -518,13 +518,26 @@ def check_lazy_scans(rng):
         assert almost.witness["period"] == names(rho2)
         assert almost.witness["support"] == list(b.names(g))
         assert oracle.verdict(*indices(a, almost))[0]
-    # under a monoid budget the almost scan sees the budget's prefix of the
-    # BFS order: the letters, then further profiles up to the budget
+    if kind != "reach":
+        pwords, pos, c = positive_scan(a)
+        pletters = sum(len(w) == 1 for w in pwords)
+    # a coBuchi draw with no positive witness is refuted on the safe monoid
+    # first: "no" under every budget at which the safe monoid closes, that
+    # is, holds at most max(budget, its letters) elements
+    refuted = kind == "cobuchi" and pos is None
+    if refuted:
+        assert not almost_at
+        assert almost.reason == "no word is accepted with positive probability"
+    # otherwise, under a monoid budget the almost scan sees the budget's
+    # prefix of the BFS order: the letters, then further profiles up to the
+    # budget
     letters = sum(len(w) == 1 for w in words)
     for budget in range(1, min(len(words), 40)):
         seen = max(budget, letters)
         if almost_at and min(almost_at) < seen:
             assert decide_almost_simple(a, Budgets(monoid=budget)).witness == almost.witness
+        elif refuted and len(pwords) <= max(budget, pletters):
+            assert decide_almost_simple(a, Budgets(monoid=budget)).answer == "no"
         elif seen < len(words):
             with pytest.raises(BudgetExceededError):
                 decide_almost_simple(a, Budgets(monoid=budget))
@@ -543,15 +556,13 @@ def check_lazy_scans(rng):
     # the positive scan reads its own monoid in BFS order and stops at the
     # first witness, so under a budget it answers in full once the budget's
     # prefix holds the witness, and raises before that
-    pwords, pos, c = positive_scan(a)
     assert (positive.answer == "yes") == (pos is not None)
     if pos is not None:
         assert positive.witness["period"] == names(pwords[pos])
         assert positive.witness["class"] == list(a.names(c))
-    letters = sum(len(w) == 1 for w in pwords)
     early = False
     for budget in range(1, min(len(pwords), 40)):
-        seen = max(budget, letters)
+        seen = max(budget, pletters)
         if pos is not None and pos < seen:
             assert decide_positive_simple(a, Budgets(monoid=budget)).witness == positive.witness
             early |= seen < len(pwords)
@@ -573,6 +584,28 @@ def test_lazy_scans_match_eager_seeded():
 @given(st.integers(0, 10**9))
 def test_lazy_scans_match_eager(seed):
     check_lazy_scans(random.Random(seed))
+
+
+def test_cobuchi_refutation_matches_almost_scan_seeded():
+    # almost coBuchi answers "no" first where positive coBuchi does; at the
+    # default budgets, where both scans decide, the answer is the one of
+    # the almost scan alone, and a refuted draw has no positive lasso
+    rng = random.Random(1107)
+    outcomes = Counter()
+    for _ in range(120):
+        a = random_automaton(rng, rng.randint(2, 5), rng.randint(1, 3), acceptance="cobuchi")
+        supports = reachable_supports(a, a.initial_support, 1 << 16)
+        monoid = dict(iter_profile_monoid(a))
+        unrefuted = almost_period(a, supports, DEFAULT_BUDGETS.monoid)
+        assert (unrefuted is None) == (eager_almost(a, supports, monoid) is None)
+        v = decide_almost_simple(a)
+        assert v.answer == ("no" if unrefuted is None else "yes")
+        refuted = v.reason == "no word is accepted with positive probability"
+        assert refuted == (decide_positive_simple(a).answer == "no")
+        if refuted:
+            assert LassoOracle(a).sweep(2, 3)["positive"] is None
+        outcomes[v.answer, refuted] += 1
+    assert set(outcomes) == {("yes", False), ("no", False), ("no", True)}, outcomes
 
 
 def test_positive_matches_old_criterion_seeded():
