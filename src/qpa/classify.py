@@ -42,9 +42,8 @@ from .core import (
 from .errors import InputError
 from .formats import DFA
 from .graphs import image, scc_masks
-from .qualitative import reachable_supports
 from .semantics import propagate, sharp_power, support_step
-from .supportgraph import ExtendedSupportGraph, replay_steps
+from .supportgraph import ExtendedSupportGraph, reachable_supports, replay_steps
 
 
 def _start_mask(a: Automaton, start) -> int:

@@ -344,8 +344,13 @@ def as_weights(a: Automaton, vec: Sequence[Fraction]) -> dict[str, Fraction]:
 
 
 def as_mask(a: Automaton, S: int | Iterable[str]) -> int:
-    """A state set given as a bitmask or by names (see Automaton.mask), as a bitmask."""
-    return S if isinstance(S, int) else a.mask(S)
+    """A state set given as a bitmask or by names (see Automaton.mask), as a
+    bitmask.  InputError for an int outside 0..a.full_mask; 0 is returned."""
+    if not isinstance(S, int):
+        return a.mask(S)
+    if not 0 <= S <= a.full_mask:
+        raise InputError(f"state mask {S} is out of range for {a.n} states")
+    return S
 
 
 def as_fraction(x: Fraction | int | str, what: str) -> Fraction:

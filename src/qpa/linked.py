@@ -131,7 +131,7 @@ def rec(lg: LinkedGraph) -> int:
 
 def rec_from(s: int, lg: LinkedGraph) -> int:
     """Part of rec(lg) reachable from state index s in the compaction."""
-    if not lg.org >> s & 1:
+    if s < 0 or not lg.org >> s & 1:
         raise InputError("state is not in the origin")
     return reachable_mask(compaction(lg), 1 << s, lg.org) & rec(lg)
 

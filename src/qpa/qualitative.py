@@ -15,6 +15,7 @@ answers the almost question before the profile monoid is closed.
 """
 from __future__ import annotations
 
+from . import classify
 from .core import (
     Automaton,
     Budgets,
@@ -28,7 +29,7 @@ from .graphs import image, shortest_words
 from .lasso import lasso_acceptance_probability
 from .profiles import almost_period, class_minima, iter_checked_profiles, iter_safe_monoid
 from .semantics import reach_as_buchi
-from .supportgraph import _limit_parity, _limit_reach, _require_structurally_simple
+from .supportgraph import _limit_parity, _limit_reach, reachable_supports
 
 PROBLEMS = ("positive", "almost", "limit")
 MODES = ("simple", "general", "lasso", "struct-simple")
@@ -38,31 +39,8 @@ _GENERAL_DECIDABLE = {
 }
 
 
-def reachable_supports(
-    a: Automaton, start: int, budget: int, within: int = -1
-) -> dict[int, tuple[int, ...]]:
-    """Exact supports reachable from start, each with its shortest word.
-
-    graphs.shortest_words over the subset construction, letters in alphabet
-    order, so dict order is shortest-word-first with lexicographic
-    tie-breaking.  A step whose support leaves the mask within is not taken.
-    """
-    rels = [a.relation(k) for k in range(len(a.alphabet))]
-
-    def steps(s: int):
-        for k, rel in enumerate(rels):
-            t = image(rel, s)
-            if not t & ~within:
-                yield k, t
-
-    return dict(shortest_words([(start, ())], steps, budget, "subset construction"))
-
-
 def _lasso(a: Automaton, rho1: tuple[int, ...], rho2: tuple[int, ...]) -> LassoWord:
-    return LassoWord(
-        tuple(a.alphabet[k] for k in rho1),
-        tuple(a.alphabet[k] for k in rho2),
-    )
+    return LassoWord(a.letters(rho1), a.letters(rho2))
 
 
 def _verified_yes(a: Automaton, w: LassoWord, need_one: bool, extra: dict) -> Verdict:
@@ -292,9 +270,10 @@ def decide(a: Automaton, problem: str, mode: str, budgets: Budgets = DEFAULT_BUD
 
     simple and lasso modes share the simple procedures; general mode is a
     filter in front of them that reports every corner outside safety and
-    _GENERAL_DECIDABLE as undecidable; the struct-simple mode first proves
-    the automaton structurally simple and may then answer limit questions
-    through the support-graph procedures.
+    _GENERAL_DECIDABLE as undecidable; the struct-simple mode raises
+    InputError("automaton not structurally simple") unless classify's gate
+    proves the automaton structurally simple, and may then answer limit
+    questions through the support-graph procedures, which it alone calls.
     """
     if problem not in PROBLEMS:
         raise InputError(f"unknown problem {problem!r}")
@@ -307,8 +286,8 @@ def decide(a: Automaton, problem: str, mode: str, budgets: Budgets = DEFAULT_BUD
     if mode == "general" and kind != "safety" and (problem, kind) not in _GENERAL_DECIDABLE:
         reason = f"the {problem} problem is undecidable for {kind} acceptance on general automata"
         return Verdict("undecidable_in_general", reason=reason)
-    if mode == "struct-simple":
-        _require_structurally_simple(a, budgets)
+    if mode == "struct-simple" and not classify.is_structurally_simple(a, budgets):
+        raise InputError("automaton not structurally simple")
     if problem == "almost":
         return decide_almost_simple(a, budgets)
     if problem == "positive":
@@ -318,7 +297,6 @@ def decide(a: Automaton, problem: str, mode: str, budgets: Budgets = DEFAULT_BUD
     if mode != "struct-simple":
         reason = f"the simple limit problem is undecidable for {kind} acceptance"
         return Verdict("undecidable_in_general", reason=reason)
-    # The gate above is the one the public limit procedures would repeat.
     if kind == "reach":
         return _limit_reach(a, budgets)
     return _limit_parity(a, budgets)

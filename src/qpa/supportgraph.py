@@ -1,15 +1,15 @@
 """Support graphs, #-reachability, and limit procedures on top of them.
 
-The plain support graph walks subsets of states under single letters and
-adds a sharp edge S -> S.a^# wherever a letter keeps S stable.  The
-extended graph goes further: starting from source-restricted letter
-relations it closes edges under relational composition and under a border
-rule.  The border rule takes chained edges e1: A -> B and e2: B -> B2
-with B2 contained in B, funnels e1's destinations into the recurrent
-states of e2's relation on B, and emits the rewired edge together with
-its continuation through e2.  Destinations shrink below anything a plain
-word can reach; that is what makes limit reachability decidable for
-structurally simple automata.
+The subset construction (reachable_supports) and the plain support graph
+walk subsets of states under single letters; the graph adds a sharp edge
+S -> S.a^# wherever a letter keeps S stable.  The extended graph goes
+further: starting from source-restricted letter relations it closes edges
+under relational composition and under a border rule.  The border rule
+takes chained edges e1: A -> B and e2: B -> B2 with B2 contained in B,
+funnels e1's destinations into the recurrent states of e2's relation on
+B, and emits the rewired edge together with its continuation through e2.
+Destinations shrink below anything a plain word can reach; that is what
+makes limit reachability decidable for structurally simple automata.
 
 The closure is a worklist over edges that multiplies on the right by atoms
 only: letters and funnels.  Every label is total on its source, so
@@ -51,6 +51,9 @@ product's right factor sits at its left factor's destination.  So a
 stopped closure ends at the first edge insertion that makes a satisfying
 support #-reachable from the origin, and its edges are a prefix of the
 origin's full closure.
+
+The limit procedures hold for structurally simple automata only, so their
+one caller is qualitative.decide, which runs the classify gate first.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from . import lasso
 from .core import (
     DEFAULT_BUDGETS,
     Automaton,
@@ -124,6 +128,26 @@ class SupportGraph:
 
 def _set_label(a: Automaton, mask: int) -> str:
     return "{" + ",".join(a.names(mask)) + "}"
+
+
+def reachable_supports(
+    a: Automaton, start: int, budget: int, within: int = -1
+) -> dict[int, tuple[int, ...]]:
+    """Exact supports reachable from start, each with its shortest word.
+
+    graphs.shortest_words over the subset construction, letters in alphabet
+    order, so dict order is shortest-word-first with lexicographic
+    tie-breaking.  A step whose support leaves the mask within is not taken.
+    """
+    rels = [a.relation(k) for k in range(len(a.alphabet))]
+
+    def steps(s: int):
+        for k, rel in enumerate(rels):
+            t = image(rel, s)
+            if not t & ~within:
+                yield k, t
+
+    return dict(shortest_words([(start, ())], steps, budget, "subset construction"))
 
 
 def build_support_graph(
@@ -644,32 +668,10 @@ def sharp_reachable(a: Automaton, C, D, budgets: Budgets = DEFAULT_BUDGETS) -> V
 # Limit procedures for structurally simple automata
 
 
-def _require_structurally_simple(a: Automaton, budgets: Budgets) -> None:
-    from .classify import is_structurally_simple
-
-    if not is_structurally_simple(a, budgets):
-        raise InputError("automaton not structurally simple")
-
-
-def decide_limit_reach_structsimple(
-    a: Automaton, budgets: Budgets = DEFAULT_BUDGETS
-) -> Verdict:
-    """Can the acceptance set soak up probability arbitrarily close to one?
-
-    Yes iff some subset of the target set is #-reachable from the initial
-    support; the witness steps are replayed before they are returned.  Only
-    structurally simple automata are accepted; the problem is undecidable
-    without that gate.
-    """
-    acc = a.acceptance
-    if acc is None or acc.kind != "reach":
-        raise InputError("reach acceptance required")
-    _require_structurally_simple(a, budgets)
-    return _limit_reach(a, budgets)
-
-
 def _limit_reach(a: Automaton, budgets: Budgets) -> Verdict:
-    """decide_limit_reach_structsimple past its input checks and gate."""
+    """Limit reach on a structurally simple automaton (decide runs the
+    gate): yes iff some subset of the target is #-reachable from the initial
+    support; the witness steps are replayed before they are returned."""
     fmask = a.acceptance_mask()
     found = _sharp_search(a, a.initial_support, lambda s: s & ~fmask == 0, budgets)
     if found is None:
@@ -772,36 +774,21 @@ def _pumped_word(
         vec = vector_product(a.initial, a.scaled_matrices, word)
         p = sum((vec[i] for i in bits(tmask)), Fraction(0))
         if p >= 1 - bound:
-            return tuple(a.alphabet[x] for x in word)
+            return a.letters(word)
         best = max(best, p)
         k, last = 2 * k, length
 
 
-def decide_limit_parity_structsimple(
-    a: Automaton, budgets: Budgets = DEFAULT_BUDGETS
-) -> Verdict:
-    """Can words make the run accept with probability arbitrarily close to one?
-
-    Yes iff some #-reachable support A admits a word whose relation maps A
-    into A and whose induced chain on A accepts almost surely, found by
-    profiles.almost_period over the #-reachable supports in breadth-first
-    order.  The steps that #-reach A are replayed first, and the period is
-    rechecked without the monoid: its exact lasso probability from the
-    uniform distribution on A must be 1.  The witness reports the stable
-    support, the period word, and, when synthesis succeeds, a pumped prefix
-    with its exact lasso acceptance probability, which must be at least
-    9/10; when synthesis stops on a budget, prefix and probability are
-    None and prefix_error says why.  A failed recheck raises RuntimeError.
-    """
-    a.priorities()  # InputError unless the acceptance has a parity encoding
-    _require_structurally_simple(a, budgets)
-    return _limit_parity(a, budgets)
-
-
 def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
-    """decide_limit_parity_structsimple past its input checks and gate."""
-    from .lasso import lasso_acceptance_probability
-
+    """Limit parity on a structurally simple automaton (decide runs the
+    gate): yes iff profiles.almost_period finds, over the #-reachable
+    supports in breadth-first order, a support A and a period that maps A
+    into A and accepts almost surely on it.  The steps to A are replayed and
+    the period's exact lasso probability from the uniform distribution on A
+    is rechecked to be 1; a failed recheck raises RuntimeError.  The witness
+    has A, the period and a pumped prefix whose lasso accepts with
+    probability at least 9/10, or, when synthesis stops on a budget, prefix
+    and probability None and prefix_error saying why."""
     graph = build_extended_support_graph(a, budgets=budgets)
     reach = graph.reachable_with_steps(a.initial_support)
     found = almost_period(a, reach, budgets.monoid)
@@ -811,12 +798,12 @@ def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
         )
     node, rho = found
     _check_replay(a, a.initial_support, reach[node], node)
-    period = tuple(a.alphabet[x] for x in rho)
+    period = a.letters(rho)
     # recheck the period without the monoid: from the uniform
     # distribution on the stable support it accepts almost surely
     uniform = [Fraction(node >> i & 1, node.bit_count()) for i in range(a.n)]
     start = Automaton(a.states, a.alphabet, a.matrices, uniform, a.acceptance)
-    p = lasso_acceptance_probability(start, LassoWord((), period))
+    p = lasso.lasso_acceptance_probability(start, LassoWord((), period))
     if p != 1:
         raise RuntimeError(
             f"period {' '.join(period)} accepts with probability {p}, not 1,"
@@ -836,7 +823,7 @@ def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
     except BudgetExceededError as exc:
         witness["prefix_error"] = f"{type(exc).__name__}: {exc}"
     else:
-        p = lasso_acceptance_probability(a, LassoWord(prefix, period))
+        p = lasso.lasso_acceptance_probability(a, LassoWord(prefix, period))
         if p < 1 - bound:
             raise RuntimeError(f"pumped lasso accepts with probability {p} < {1 - bound}")
         witness["prefix"] = list(prefix)

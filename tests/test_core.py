@@ -7,14 +7,21 @@ from qpa.core import (
     Automaton,
     LassoWord,
     Verdict,
+    as_mask,
     as_vector,
     validate_automaton,
 )
-from qpa.classify import union_structure
+from qpa.classify import is_sharp_reduction, union_structure
 from qpa.errors import InputError
 from qpa.lasso import lasso_jet_decomposition
-from qpa.semantics import propagate
-from qpa.supportgraph import synthesize_limit_word
+from qpa.linked import linked_graph_of_word, rec_from
+from qpa.semantics import chain_analysis, propagate, sharp_power, support_step
+from qpa.supportgraph import (
+    build_extended_support_graph,
+    replay_steps,
+    sharp_reachable,
+    synthesize_limit_word,
+)
 
 
 def test_mask_names_roundtrip(ex1):
@@ -24,6 +31,45 @@ def test_mask_names_roundtrip(ex1):
     assert ex1.mask("") == 0
     with pytest.raises(InputError):
         ex1.mask("nope")
+
+
+def test_mask_range_is_inclusive(ex1):
+    assert as_mask(ex1, 0) == 0
+    assert as_mask(ex1, ex1.full_mask) == 0b111
+    with pytest.raises(InputError, match="state mask 8 is out of range for 3 states"):
+        as_mask(ex1, 8)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda a: sharp_reachable(a, 1, 1 << 7), "out of range"),
+        (lambda a: sharp_reachable(a, 1 << 5, 4), "out of range"),
+        (lambda a: build_extended_support_graph(a, seeds=[1 << 8]), "out of range"),
+        (lambda a: support_step(a, 1 << 20, "a"), "out of range"),
+        (lambda a: sharp_power(a, -1, "a"), "out of range"),
+        (lambda a: chain_analysis(a, 1 << 20, "a"), "out of range"),
+        (lambda a: linked_graph_of_word(a, -1, "a"), "out of range"),
+        (lambda a: is_sharp_reduction(a, 1, 1 << 20, "a"), "out of range"),
+        (lambda a: replay_steps(a, 1 << 9, []), "out of range"),
+        (lambda a: rec_from(-1, linked_graph_of_word(a, 1, "a")), "not in the origin"),
+    ],
+    ids=[
+        "sharp_reachable-target",
+        "sharp_reachable-source",
+        "extended-graph-seed",
+        "support_step",
+        "sharp_power",
+        "chain_analysis",
+        "linked_graph_of_word",
+        "is_sharp_reduction",
+        "replay_steps",
+        "rec_from",
+    ],
+)
+def test_out_of_range_masks_are_input_errors(ex1, call, match):
+    with pytest.raises(InputError, match=match):
+        call(ex1)
 
 
 def test_word_normalization(ex1):

@@ -19,8 +19,6 @@ from qpa.supportgraph import (
     ExtendedSupportGraph,
     build_extended_support_graph,
     build_support_graph,
-    decide_limit_parity_structsimple,
-    decide_limit_reach_structsimple,
     is_sharp_acyclic,
     replay_steps,
     sharp_reachable,
@@ -714,38 +712,36 @@ def test_pumping_cut_zero_steps_stops_growing(monkeypatch, ex2):
 
 
 def test_limit_reach_decisions(ex1, ex2):
-    v = decide_limit_reach_structsimple(ex2.with_acceptance(Acceptance.reach(["4"])))
+    v = decide(ex2.with_acceptance(Acceptance.reach(["4"])), "limit", "struct-simple")
     assert v.answer == "yes"
     assert v.witness["support"] == ["4"]
     with pytest.raises(InputError, match="structurally simple"):
-        decide_limit_reach_structsimple(ex1.with_acceptance(Acceptance.reach(["u"])))
-    with pytest.raises(InputError, match="reach acceptance"):
-        decide_limit_reach_structsimple(ex2)
+        decide(ex1.with_acceptance(Acceptance.reach(["u"])), "limit", "struct-simple")
     split = parse_automaton(DET_SPLIT_TEXT)
-    v2 = decide_limit_reach_structsimple(split.with_acceptance(Acceptance.reach(["q"])))
+    v2 = decide(split.with_acceptance(Acceptance.reach(["q"])), "limit", "struct-simple")
     assert v2.answer == "no"
 
 
 def test_limit_parity_decisions(ex2):
-    v = decide_limit_parity_structsimple(ex2.with_acceptance(Acceptance.buchi(["4"])))
+    v = decide(ex2.with_acceptance(Acceptance.buchi(["4"])), "limit", "struct-simple")
     assert v.answer == "yes"
     assert v.witness["support"] == ["4"]
     assert v.witness["period"] == ["a"]
     p = Fraction(v.witness["probability"])
     assert p >= Fraction(9, 10)
     sink = parse_automaton(DET_SINK_TEXT)
-    v2 = decide_limit_parity_structsimple(sink.with_acceptance(Acceptance.buchi(["p"])))
+    v2 = decide(sink.with_acceptance(Acceptance.buchi(["p"])), "limit", "struct-simple")
     assert v2.answer == "no"
 
 
 def test_limit_parity_reports_why_synthesis_failed(ex2):
     b = ex2.with_acceptance(Acceptance.buchi(["4"]))
-    v = decide_limit_parity_structsimple(b, Budgets(word_cap=2))
+    v = decide(b, "limit", "struct-simple", Budgets(word_cap=2))
     assert v.answer == "yes"
     assert v.witness["support"] == ["4"]
     assert v.witness["prefix"] is None and v.witness["probability"] is None
     assert v.witness["prefix_error"].startswith("BudgetExceededError: pumped word length")
-    assert "prefix_error" not in decide_limit_parity_structsimple(b).witness
+    assert "prefix_error" not in decide(b, "limit", "struct-simple").witness
 
 
 def test_limit_parity_builds_the_seeded_graph_once(monkeypatch, ex2):
@@ -759,7 +755,7 @@ def test_limit_parity_builds_the_seeded_graph_once(monkeypatch, ex2):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sg, "build_extended_support_graph", counting)
-    v = decide_limit_parity_structsimple(ex2.with_acceptance(Acceptance.buchi(["4"])))
+    v = decide(ex2.with_acceptance(Acceptance.buchi(["4"])), "limit", "struct-simple")
     assert len(calls) == 1
     # the same witness as when synthesis built a second graph of its own
     assert v.witness == {
@@ -774,8 +770,8 @@ def test_limit_parity_builds_the_seeded_graph_once(monkeypatch, ex2):
     "query",
     [
         lambda a: sharp_reachable(a, "1", "4"),
-        lambda a: decide_limit_reach_structsimple(a.with_acceptance(Acceptance.reach(["4"]))),
-        lambda a: decide_limit_parity_structsimple(a.with_acceptance(Acceptance.buchi(["4"]))),
+        lambda a: decide(a.with_acceptance(Acceptance.reach(["4"])), "limit", "struct-simple"),
+        lambda a: decide(a.with_acceptance(Acceptance.buchi(["4"])), "limit", "struct-simple"),
     ],
     ids=["sharp_reachable", "limit_reach", "limit_parity"],
 )
@@ -799,7 +795,7 @@ def test_limit_parity_rechecks_the_period(monkeypatch):
     import qpa.supportgraph as sg
 
     a = parse_automaton(DET_SWAP_TEXT).with_acceptance(Acceptance.cobuchi(["p"]))
-    v = decide_limit_parity_structsimple(a)
+    v = decide(a, "limit", "struct-simple")
     assert (v.answer, v.witness["support"], v.witness["period"]) == ("yes", ["p"], ["b"])
     real = sg.almost_period
     swap = a.letter_index["a"]
@@ -810,7 +806,7 @@ def test_limit_parity_rechecks_the_period(monkeypatch):
 
     monkeypatch.setattr(sg, "almost_period", corrupted)
     with pytest.raises(RuntimeError, match="accepts with probability 0, not 1"):
-        decide_limit_parity_structsimple(a)
+        decide(a, "limit", "struct-simple")
 
 
 def test_limit_parity_rechecks_the_lasso_probability(monkeypatch, ex2):
@@ -818,7 +814,7 @@ def test_limit_parity_rechecks_the_lasso_probability(monkeypatch, ex2):
 
     real = lasso.lasso_acceptance_probability
     buchi = ex2.with_acceptance(Acceptance.buchi(["4"]))
-    assert decide_limit_parity_structsimple(buchi).answer == "yes"
+    assert decide(buchi, "limit", "struct-simple").answer == "yes"
 
     def corrupted(a, w):
         # the period recheck (empty prefix) is left alone
@@ -826,7 +822,7 @@ def test_limit_parity_rechecks_the_lasso_probability(monkeypatch, ex2):
 
     monkeypatch.setattr(lasso, "lasso_acceptance_probability", corrupted)
     with pytest.raises(RuntimeError, match="pumped lasso accepts with probability"):
-        decide_limit_parity_structsimple(buchi)
+        decide(buchi, "limit", "struct-simple")
 
 
 def test_struct_simple_limit_runs_the_gate_once(monkeypatch, ex1, ex2):
@@ -845,9 +841,9 @@ def test_struct_simple_limit_runs_the_gate_once(monkeypatch, ex1, ex2):
         assert decide(ex2.with_acceptance(acc), "limit", "struct-simple").answer == "yes"
         assert len(calls) == 1
     with pytest.raises(InputError, match="structurally simple"):
-        decide_limit_reach_structsimple(ex1.with_acceptance(Acceptance.reach(["u"])))
+        decide(ex1.with_acceptance(Acceptance.reach(["u"])), "limit", "struct-simple")
     with pytest.raises(InputError, match="structurally simple"):
-        decide_limit_parity_structsimple(ex1.with_acceptance(Acceptance.buchi(["u"])))
+        decide(ex1.with_acceptance(Acceptance.buchi(["u"])), "limit", "struct-simple")
 
 
 # -- rendering -------------------------------------------------------------------
