@@ -7,14 +7,19 @@ the extended support graph: a minimal support (one that cannot #-shrink)
 must never plainly reach a support that #-returns to it through a word
 whose plain image overshoots.
 
-The gate runs in two phases.  Phase 1 closes the all-seeds graph keyed on
-labels and reads each edge's plain relation off its first derivation; a
-returner found there is a real "no", because the plain-tracked closure
-derives the same labels and holds every first derivation.  Only when
-phase 1 finds none does phase 2 close the plain-tracked graph, which holds
-every derivation, and scan it the same way.  The label-keyed graph never
-has more edges, so phase 1 adds no budget stop, and every "yes" still
-comes from the plain-tracked graph.
+The gate runs in two phases, each on an extended graph that it grows a
+few seeds at a time and scans as it grows: a grown node already has all
+the out-edges it has in the graph seeded at every support, because those
+depend only on the nodes #-reachable from it.  Phase 1 grows the graph
+keyed on labels one support at a time, in mask order, and reads each
+edge's plain relation off its first derivation; it stops at the first
+minimal support with a returner, which is a real "no", because the
+plain-tracked closure derives the same labels and holds every first
+derivation.  Only when phase 1 finds none does phase 2 grow the
+plain-tracked graph, which holds every derivation, and then only from the
+supports that a returner to a minimal support can leave: those the
+minimal support plainly reaches that have a label edge into it.  Every
+"yes" comes from the plain-tracked scans.
 
 Hierarchical automata stratify states into levels that no transition
 descends, with at most one same-level successor per letter.  The module
@@ -51,7 +56,7 @@ def _start_mask(a: Automaton, start) -> int:
     if isinstance(start, Mapping):
         m = 0
         for q, p in start.items():
-            if Fraction(p) > 0:
+            if as_fraction(p, f"probability of {q!r}") > 0:
                 m |= a.mask([q])
         if m == 0:
             raise InputError("start distribution has empty support")
@@ -211,91 +216,115 @@ def is_hierarchical(a: Automaton) -> Verdict:
 
 
 def is_structurally_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
-    """Decide structural simplicity on the extended graph, in two phases.
+    """Decide structural simplicity on growing extended graphs, in two phases.
 
     A support C is minimal when no #-destination from C is a proper subset
     of C.  The automaton fails exactly when some minimal C plainly reaches
     a support A admitting a word that #-returns to C while its plain image
     differs from C; the witness replays that word with its borders.
 
-    Phase 1 closes the all-seeds graph keyed on labels alone and scans each
-    edge's first-derivation plain relation for such a returner.  Both
-    closures multiply edges on the right by the same letters and funnels,
-    and by associativity each reaches the fixpoint of pairwise composition
-    and bordering, so their label sets (and minimal supports) are equal.
-    A first derivation is a product of letter relations and funnel atoms'
-    plains, and it is also a derivation in the plain-tracked graph: a
-    returner found in phase 1 is a real "no".  Phase 2 closes the
-    plain-tracked graph, which holds every derivation, and runs the same
-    scan; it is only needed when phase 1 finds no returner.  The
-    label-keyed graph never has more edges than the plain-tracked one, nor
-    more products: each of its (edge, letter) and (edge, funnel atom) pairs
-    has its own pair in the plain-tracked graph, on an edge with the same
-    label and an atom with the same funnel.  So phase 1 stops on a budget
-    only where phase 2 would.
+    Both phases grow an ExtendedSupportGraph a few seeds at a time, and
+    after each grow every registered node has its final out-edges (see
+    ExtendedSupportGraph), so a scan over them is exact.
+
+    Phase 1 grows the label-keyed graph by C = 1, 2, ..., 2^n - 1 in mask
+    order.  After C's step, C and every support #-reachable from it are
+    final, so whether C is minimal is known, and every support that C
+    plainly reaches is a letter-edge path away.  For a minimal C it scans
+    the edges into C from those supports, in breadth-first order, and
+    answers "no" at the first whose first-derivation plain image differs
+    from C.  A first derivation is a product of letter relations and
+    funnel atoms' plains, so it is also a derivation in the plain-tracked
+    graph: a returner found in phase 1 is a real "no".
+
+    Phase 2 runs when phase 1 finds none, and the label-keyed graph is
+    then complete.  Both closures multiply edges on the right by the same
+    letters and funnels, and by associativity each reaches the fixpoint of
+    pairwise composition and bordering, so they have the same labels.  A
+    returner to a minimal C therefore leaves a support in S_C, the supports
+    C plainly reaches that have a label edge into C.  For each minimal C in
+    mask order, phase 2 grows the plain-tracked graph, which holds every
+    derivation, by S_C alone (C is skipped when S_C is empty) and runs the
+    same scan on it; every "yes" comes from these scans.  Each phase meets
+    a subset of the (edge, factor) pairs that its graph seeded at every
+    support meets, so it stops on a budget only where that graph would.
     """
     n = a.n
-    g = ExtendedSupportGraph(a, budgets, range(1, 1 << n))
-    shrinkable: set[int] = set()
-    for eid in range(g.edge_count):
-        src, _, dst = g.edge_parts(eid)
-        if dst != src and dst & src == dst:
-            shrinkable.add(src)
-    verdict = _returner_verdict(a, g, shrinkable)
-    if verdict is None:
-        g = ExtendedSupportGraph(a, budgets, range(1, 1 << n), track_plain=True)
-        verdict = _returner_verdict(a, g, shrinkable)
-    return Verdict("yes") if verdict is None else verdict
+    labels = ExtendedSupportGraph(a, budgets, ())
+    minimal = []
+    for c in range(1, 1 << n):
+        labels.grow((c,))
+        dsts = (labels.edge_parts(e)[2] for e in labels.out_edges(c))
+        if any(d != c and d & c == d for d in dsts):
+            continue
+        minimal.append(c)
+        verdict = _returner_verdict(a, labels, c)
+        if verdict is not None:
+            return verdict
+    plain = ExtendedSupportGraph(a, budgets, (), track_plain=True)
+    for c in minimal:
+        reach = reachable_supports(a, c, 1 << n)
+        into = {labels.edge_parts(e)[0] for e in labels.in_edges(c)}
+        seeds = [s for s in reach if s in into]
+        if not seeds:
+            continue
+        plain.grow(seeds)
+        verdict = _returner_verdict(a, plain, c, reach)
+        if verdict is not None:
+            return verdict
+    return Verdict("yes")
 
 
 def _returner_verdict(
-    a: Automaton, g: ExtendedSupportGraph, shrinkable: set[int]
+    a: Automaton, g: ExtendedSupportGraph, c: int, reach: dict[int, tuple[int, ...]] | None = None
 ) -> Verdict | None:
-    """The "no" of the first minimal support, in mask order, that plainly
-    reaches the source of a returner edge of g; None when there is none.
+    """The "no" of the first support that the minimal support c plainly
+    reaches, in breadth-first order, that is the source of a returner edge
+    of g into c, through its first such edge by id; None when there is
+    none.  reach is reachable_supports from c, computed here when not given
+    and only once g has a returner into c.
 
-    The sources are tried in breadth-first order from the minimal support.
-    The witness is checked in full before it is returned: its reach word
-    leads to the source, its bordered graph replays back to the minimal
-    support, and its plain image differs from that support.
+    Every support c plainly reaches that g has registered must have its
+    final out-edges.  The witness is checked in full before it is returned:
+    its reach word leads to the source, its bordered graph replays back to
+    c, and its plain image differs from c.
     """
-    n = a.n
-    returners: dict[int, dict[int, int]] = {}
-    for eid in range(g.edge_count):
-        src, _, dst = g.edge_parts(eid)
-        if image(g.edge_plain(eid), src) != dst:
-            returners.setdefault(dst, {}).setdefault(src, eid)
-    for c in range(1, 1 << n):
-        back = returners.get(c)
-        if not back or c in shrinkable:
+    back: dict[int, int] = {}
+    for eid in g.in_edges(c):
+        s = g.edge_parts(eid)[0]
+        if s not in back and image(g.edge_plain(eid), s) != c:
+            back[s] = eid
+    if not back:
+        return None
+    if reach is None:
+        reach = reachable_supports(a, c, 1 << a.n)
+    for s, reach_word in reach.items():
+        eid = back.get(s)
+        if eid is None:
             continue
-        for s, reach_word in reachable_supports(a, c, 1 << n).items():
-            eid = back.get(s)
-            if eid is None:
-                continue
-            (step,) = g.witness_steps(eid)
-            word, borders, _ = step
-            plain = support_step(a, s, word)
-            if (
-                support_step(a, c, reach_word) != s
-                or replay_steps(a, s, [step]) != c
-                or plain == c
-            ):
-                raise RuntimeError("#-return witness failed its replay")
-            witness = {
-                "minimal_support": list(a.names(c)),
-                "reach_word": list(a.letters(reach_word)),
-                "from_support": list(a.names(s)),
-                "word": list(a.letters(word)),
-                "borders": [list(b) for b in borders],
-                "plain_image": list(a.names(plain)),
-            }
-            return Verdict(
-                "no",
-                witness,
-                reason="a minimal support plainly reaches a support that "
-                "#-returns to it with a larger plain image",
-            )
+        (step,) = g.witness_steps(eid)
+        word, borders, _ = step
+        plain = support_step(a, s, word)
+        if (
+            support_step(a, c, reach_word) != s
+            or replay_steps(a, s, [step]) != c
+            or plain == c
+        ):
+            raise RuntimeError("#-return witness failed its replay")
+        witness = {
+            "minimal_support": list(a.names(c)),
+            "reach_word": list(a.letters(reach_word)),
+            "from_support": list(a.names(s)),
+            "word": list(a.letters(word)),
+            "borders": [list(b) for b in borders],
+            "plain_image": list(a.names(plain)),
+        }
+        return Verdict(
+            "no",
+            witness,
+            reason="a minimal support plainly reaches a support that "
+            "#-returns to it with a larger plain image",
+        )
     return None
 
 

@@ -31,7 +31,6 @@ from .semantics import (
     chain_parity_almost,
     int_pow,
     solve_linear,
-    support_step,
     vector_product,
 )
 
@@ -150,7 +149,7 @@ def _support_run(a: Automaton, start: int, period: Sequence[int]) -> SupportSequ
     while (t % m, cur) not in seen:
         seen[(t % m, cur)] = t
         sups.append(cur)
-        cur = support_step(a, cur, (period[t % m],))
+        cur = image(a.relation(period[t % m]), cur)
         t += 1
     t_start = seen[(t % m, cur)]
     return SupportSequence(tuple(sups[:t_start]), tuple(sups[t_start:]))

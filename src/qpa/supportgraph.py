@@ -260,6 +260,19 @@ class ExtendedSupportGraph:
     the stop predicate ended the closure.  Edges are capped at
     budgets.path_cap and products at PRODUCTS_PER_EDGE times that, so a
     closure that keeps adding atoms on few nodes stops in bounded work.
+
+    grow registers more seeds and runs the closure to its fixpoint again;
+    the constructor is grow on the given seeds.  After grow returns, every
+    registered node has exactly the out-edges (keys) it has in the graph
+    seeded at every support.  The keys out of a support s depend only on
+    the closure at the nodes #-reachable from s: every edge from s is a
+    letter edge at s multiplied on the right by letter edges and funnel
+    atoms at nodes #-reachable from s.  A product depends on an atom only
+    through the atom's funnel key, and the set of funnel keys at a node is
+    fixed by that node's own segment edges.  The out_at/in_at pair
+    bookkeeping is by ids and counts, so it holds across resumed runs.
+    Ids, and so first derivations, follow the growth order.  A closure
+    with a stop predicate is not grown.
     """
 
     def __init__(
@@ -308,21 +321,31 @@ class ExtendedSupportGraph:
         self._node_set: set[int] = set()
         self._pending: deque[int] = deque()
         self._steps_memo: dict[int, Step] = {}
-        # a label-keyed graph fills _plain on the first edge_plain call
-        self._plain_derived = False
+        # a label-keyed graph derives the _plain of its edges past this count
+        # at each edge_plain call
+        self._plain_derived = 0
         self._stop = stop
         # compositions and borders attempted, and whether stop ended the closure
         self.products = 0
         self._max_products = PRODUCTS_PER_EDGE * budgets.path_cap
         self.stopped = False
         try:
-            for s in seeds:
-                self._add_node(s)
-            self._run()
+            self._close(seeds)
         except _Stopped:
             self.stopped = True
 
     # -- construction ------------------------------------------------------
+
+    def grow(self, seeds: Iterable[int]) -> None:
+        """Register more seeds and close the graph to its fixpoint again."""
+        if self._stop is not None:
+            raise InputError("a closure with a stop predicate is not grown")
+        self._close(seeds)
+
+    def _close(self, seeds: Iterable[int]) -> None:
+        for s in seeds:
+            self._add_node(s)
+        self._run()
 
     def _key(self, label: Rows, plain: Rows | None) -> Rows | tuple[Rows, Rows]:
         return (label, plain) if self.track_plain else label
@@ -467,29 +490,39 @@ class ExtendedSupportGraph:
     def edge_count(self) -> int:
         return len(self._label)
 
+    def out_edges(self, s: int) -> tuple[int, ...]:
+        """Ids of the edges from node s, in id order."""
+        return tuple(self._by_src.get(s, ()))
+
+    def in_edges(self, t: int) -> tuple[int, ...]:
+        """Ids of the edges into node t, in id order."""
+        return tuple(self._by_dst.get(t, ()))
+
     def edge_plain(self, eid: int) -> Rows:
         """Unrestricted one-word relation of the edge's complete witness word.
 
         A plain-tracked graph keys every edge on it.  A label-keyed graph
-        derives all of them at the first call, in one forward pass over
-        provenance: a word edge has its letter's relation, and a compose or
-        border edge the composition of its operands' (which have smaller
-        ids), so each edge gets the plain relation of its first derivation.
-        The right operand is always a letter edge or a funnel atom, so that
-        plain relation is a product of letter relations and atoms' plains.
+        derives the edges added since its last call, in one forward pass
+        over provenance: a word edge has its letter's relation, and a
+        compose or border edge the composition of its operands' (which have
+        smaller ids), so each edge gets the plain relation of its first
+        derivation.  The right operand is always a letter edge or a funnel
+        atom, so that plain relation is a product of letter relations and
+        atoms' plains.
         """
-        if not self.track_plain and not self._plain_derived:
-            plain = self._plain
+        if not self.track_plain and self._plain_derived < len(self._prov):
+            plain, provs = self._plain, self._prov
             # few distinct operand pairs recur across many edges
             composed: dict[tuple[Rows, Rows], Rows] = {}
-            for e, prov in enumerate(self._prov):
+            for e in range(self._plain_derived, len(provs)):
+                prov = provs[e]
                 if prov[0] == "word":
                     continue
                 pair = plain[prov[1]], plain[prov[2]]
                 if pair not in composed:
                     composed[pair] = compose(*pair)
                 plain[e] = composed[pair]
-            self._plain_derived = True
+            self._plain_derived = len(provs)
         return self._plain[eid]
 
     # -- witness flattening --------------------------------------------------

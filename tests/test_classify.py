@@ -23,7 +23,7 @@ from qpa.graphs import image
 from qpa.lasso import lasso_acceptance_probability
 from qpa.qualitative import decide_almost_simple
 from qpa.semantics import propagate, support_step
-from qpa.supportgraph import ExtendedSupportGraph, is_sharp_acyclic
+from qpa.supportgraph import ExtendedSupportGraph, is_sharp_acyclic, reachable_supports
 import oracles as O
 
 LEMMA5_PIN_TEXT = """\
@@ -222,20 +222,24 @@ def test_structurally_simple_pins(ex1, ex2):
     assert w["word"] == ["a", "a", "b", "a"]
     assert w["borders"] == [[2, 4], [1, 4]]
     assert w["plain_image"] == ["s", "t", "u"]
-    # independent replay: the reach word leads to the source, and the
-    # bordered graph of the word, on the oracle's layers, returns to the
-    # minimal support while the plain image overshoots it
-    c = ex1.mask(w["minimal_support"])
-    s = O.osupport(ex1, c, ex1.word(w["reach_word"]))
-    assert s == ex1.mask(w["from_support"])
+    _assert_return_witness_replays(ex1, w)
+
+
+def _assert_return_witness_replays(a, w):
+    """Independent replay: the reach word leads to the source, and the
+    bordered graph of the word, on the oracle's layers, returns to the
+    minimal support while the plain image overshoots it."""
+    c = a.mask(w["minimal_support"])
+    s = O.osupport(a, c, a.word(w["reach_word"]))
+    assert s == a.mask(w["from_support"])
     org = frozenset(O.obits(s))
-    word = ex1.word(w["word"])
-    layers = O.olayers(ex1, org, word)
+    word = a.word(w["word"])
+    layers = O.olayers(a, org, word)
     for border in w["borders"]:
         layers = O.oapply_border(org, layers, tuple(border))
     assert sum(1 << i for i in O.oboundaries(org, layers)[len(word)]) == c
-    plain = O.osupport(ex1, s, word)
-    assert plain == ex1.mask(w["plain_image"]) and plain != c
+    plain = O.osupport(a, s, word)
+    assert plain == a.mask(w["plain_image"]) and plain != c
 
 
 def test_structurally_simple_budget_gate(hrd):
@@ -361,6 +365,70 @@ def test_two_phase_gate_agrees_with_one_phase_reference():
             assert got == "no"
             late = _returner_free(a, budgets, track_plain=False)
             kinds.add("no in phase 2" if late else "no in phase 1")
+    assert {"yes", "no in phase 1", "no in phase 2", "budget -> no"} <= kinds
+
+
+def _all_seeds_gate(a, budgets) -> str:
+    """The gate as two closures seeded at every support: phase 1 scans the
+    label-keyed graph's first derivations, phase 2 the plain-tracked graph,
+    each only after its graph is closed."""
+    n = a.n
+    seeds = range(1, 1 << n)
+    g = ExtendedSupportGraph(a, budgets, seeds)
+    shrinkable = {src for src, _, dst in g.edges if dst != src and dst & src == dst}
+    for track_plain in (False, True):
+        if track_plain:
+            g = ExtendedSupportGraph(a, budgets, seeds, track_plain=True)
+        returners = set()
+        for eid in range(g.edge_count):
+            src, _, dst = g.edge_parts(eid)
+            if image(g.edge_plain(eid), src) != dst:
+                returners.add((src, dst))
+        for c in range(1, 1 << n):
+            if c not in shrinkable and any(
+                (s, c) in returners for s in reachable_supports(a, c, 1 << n)
+            ):
+                return "no"
+    return "yes"
+
+
+def test_grown_gate_agrees_with_all_seeds_gate(monkeypatch):
+    import qpa.classify as C
+
+    plain_graphs = []
+
+    def spy(*args, track_plain=False):
+        plain_graphs.append(track_plain)
+        return ExtendedSupportGraph(*args, track_plain=track_plain)
+
+    monkeypatch.setattr(C, "ExtendedSupportGraph", spy)
+    rng = random.Random(1107)
+    budgets = Budgets(path_cap=800)
+    kinds = set()
+    for _ in range(60):
+        a = random_automaton(rng, rng.randrange(3, 5), 2)
+        try:
+            want = _all_seeds_gate(a, budgets)
+        except BudgetExceededError:
+            want = "budget"
+        plain_graphs.clear()
+        try:
+            got = is_structurally_simple(a, budgets)
+        except BudgetExceededError:
+            # each phase meets a subset of the all-seeds closures' pairs
+            assert want == "budget"
+            continue
+        if want == "budget":
+            assert bool(got) == O.ostructurally_simple(a, max_len=4)
+        else:
+            assert got.answer == want
+        if got.answer == "no":
+            _assert_return_witness_replays(a, got.witness)
+            kinds.add("no in phase 2" if any(plain_graphs) else "no in phase 1")
+        else:
+            kinds.add("yes")
+        if want == "budget":
+            kinds.add(f"budget -> {got.answer}")
     assert {"yes", "no in phase 1", "no in phase 2", "budget -> no"} <= kinds
 
 

@@ -11,7 +11,7 @@ from qpa.core import (
     as_vector,
     validate_automaton,
 )
-from qpa.classify import is_sharp_reduction, union_structure
+from qpa.classify import is_chain_recurrent, is_sharp_reduction, union_structure
 from qpa.errors import InputError
 from qpa.lasso import lasso_jet_decomposition
 from qpa.linked import linked_graph_of_word, rec_from
@@ -162,6 +162,8 @@ def test_verdict_truthiness():
         lambda a: lasso_jet_decomposition(a, LassoWord((), ("a",))).horizon("abc"),
         lambda a: propagate(a, {"1": "x"}, "a"),
         lambda a: propagate(a, ["x"] + [0] * (a.n - 1), "a"),
+        lambda a: is_chain_recurrent(a, {"1": "x"}, "a"),
+        lambda a: is_chain_recurrent(a, {"1": "1/0"}, "a"),
     ],
     ids=[
         "eps-text",
@@ -170,6 +172,8 @@ def test_verdict_truthiness():
         "horizon-eps-text",
         "distribution-text-by-name",
         "distribution-text-by-index",
+        "start-distribution-text",
+        "start-distribution-zero-denominator",
     ],
 )
 def test_malformed_numbers_are_input_errors(ex2, call):

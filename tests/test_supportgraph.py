@@ -424,6 +424,46 @@ def test_label_keyed_edge_plain_is_witness_word_relation(ex1, ex2, exlg):
             assert g.edge_plain(eid) == word_relation(a, word)
 
 
+def _out_keys(g, s):
+    if g.track_plain:
+        return {(g.edge_parts(e)[1], g.edge_plain(e)) for e in g.out_edges(s)}
+    return {g.edge_parts(e)[1] for e in g.out_edges(s)}
+
+
+def test_grown_graph_matches_the_one_shot_build():
+    # seeds one at a time in a shuffled order: after each grow every
+    # registered node already has its one-shot out-edges, and the fixpoint
+    # is the one-shot graph up to ids
+    rng = random.Random(2407)
+    for _ in range(16):
+        a = random_automaton(rng, rng.randrange(2, 5), 2)
+        seeds = list(range(1, 1 << a.n))
+        rng.shuffle(seeds)
+        for track_plain in (False, True):
+            full = ExtendedSupportGraph(a, DEFAULT_BUDGETS, seeds, track_plain=track_plain)
+            g = ExtendedSupportGraph(a, DEFAULT_BUDGETS, (), track_plain=track_plain)
+            assert g.edge_count == 0 and not g.nodes
+            for s in seeds:
+                g.grow([s])
+                for t in g.nodes:
+                    assert _out_keys(g, t) == _out_keys(full, t)
+                # every edge is read after every grow: the edges of earlier
+                # grows keep their plain relation, and the new ones get theirs
+                for eid in range(g.edge_count):
+                    ((word, _, _),) = g.witness_steps(eid)
+                    assert g.edge_plain(eid) == word_relation(a, word)
+            assert set(g.nodes) == set(full.nodes)
+            assert _key_set(g) == _key_set(full)
+            assert g.edge_count == full.edge_count
+            assert g.products == full.products
+
+
+def test_a_stopped_closure_is_not_grown(ex2):
+    g = build_extended_support_graph(ex2, seeds=["1"], stop=bool)
+    with pytest.raises(InputError, match="not grown"):
+        g.grow([ex2.mask("2")])
+
+
 def test_extended_edge_cap_matches_reference(ex2):
     seeds = [ex2.initial_support]
     full = _ReferenceClosure(ex2, seeds).edges
