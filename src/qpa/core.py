@@ -128,9 +128,10 @@ class Automaton:
         self.states = tuple(states)
         self.alphabet = tuple(alphabet)
         self.matrices: tuple[Matrix, ...] = tuple(
-            tuple(tuple(Fraction(p) for p in row) for row in mat) for mat in matrices
+            tuple(tuple(as_fraction(p, "transition probability") for p in row) for row in mat)
+            for mat in matrices
         )
-        self.initial = tuple(Fraction(p) for p in initial)
+        self.initial = tuple(as_fraction(p, "initial probability") for p in initial)
         self.acceptance = acceptance
         self.state_index = {q: i for i, q in enumerate(self.states)}
         self.letter_index = {a: k for k, a in enumerate(self.alphabet)}
@@ -354,7 +355,10 @@ def as_mask(a: Automaton, S: int | Iterable[str]) -> int:
 
 
 def as_fraction(x: Fraction | int | str, what: str) -> Fraction:
-    """x as an exact number; InputError, naming what, when it is none."""
+    """x as an exact number; InputError, naming what, when it is none.  A
+    Fraction is immutable and is returned as it is, not copied."""
+    if type(x) is Fraction:
+        return x
     try:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):

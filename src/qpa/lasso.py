@@ -2,16 +2,20 @@
 
 After its prefix, a lasso word rho1 . rho2^omega drives the automaton as a
 time-homogeneous Markov chain on pairs (state, position inside the period).
-This module computes that chain exactly, derives acceptance probabilities,
-builds an eventually-periodic jet decomposition with a certified positive
-floor on jet-state masses, and offers seeded Monte Carlo simulation as an
+This module derives acceptance probabilities exactly, builds an
+eventually-periodic jet decomposition with a certified positive floor on
+jet-state masses, and offers seeded Monte Carlo simulation as an
 independent cross-check.
 
 The supports a lasso word visits after its prefix are walked once, by
-_support_run, and every analysis of the word reads that one run.  Reach
-needs no reduction to Buchi: a run either visits F or stays in Q - F
-forever, so P(reach F) = 1 - P(safe in Q - F), the survival probability
-outside F, both exactly and in the simulation.
+_support_run, and every analysis of the word reads that one run.  Each
+analysis builds only the chain it reads: the acceptance probability takes
+the absorption of the period chain on the closed set, the phase-0 union of
+the run (semantics.chain_analysis); the jet decomposition and the
+simulation take the product chain on (state, phase) pairs, which needs no
+linear system.  Reach needs no reduction to Buchi: a run either visits F
+or stays in Q - F forever, so P(reach F) = 1 - P(safe in Q - F), the
+survival probability outside F, both exactly and in the simulation.
 """
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ from .core import Automaton, LassoWord, as_fraction, bits, support_mask
 from .errors import BudgetExceededError, InputError
 from .graphs import bottom_scc_masks, image, shortest_words
 from .semantics import (
-    ChainAnalysis,
     _compose,
     chain_analysis,
     chain_parity_almost,
@@ -42,6 +45,10 @@ class SupportSequence:
     head: tuple[int, ...]
     cycle: tuple[int, ...]
 
+    def __post_init__(self):
+        if not self.cycle:
+            raise InputError("support sequence needs a nonempty cycle")
+
     def at(self, n: int) -> int:
         if n < 0:
             raise InputError("step index must be nonnegative")
@@ -51,36 +58,18 @@ class SupportSequence:
 
 
 @dataclass
-class LassoChain:
-    """The periodic chain induced by a lasso word, homogenized over one period.
-
-    run is the support sequence after the prefix; product_states lists the
-    (state, phase) pairs it visits, where phase p means the next letter read
-    is period[p].  analysis describes the m-step chain on the phase-0 union
-    of the run, the closure of the post-prefix support under the period.
-    """
-
-    automaton: Automaton
-    word: LassoWord
-    m: int
-    prefix_vector: tuple[Fraction, ...]
-    product_states: tuple[tuple[str, int], ...]
-    run: SupportSequence
-    analysis: ChainAnalysis
-
-
-@dataclass
 class JetDecomposition:
     """Per recurrent class, the periodic support its absorbed mass occupies.
 
-    For every step n the masks (j0.at(n), jets[0].at(n), ...) partition Q.
+    Jets come in the order semantics.chain_analysis gives the recurrent
+    classes of the period chain on the closed set, by least state.  For
+    every step n the masks (j0.at(n), jets[0].at(n), ...) partition Q.
     From stabilization_index on, each jet is forward-closed under the word
     and every jet state carries exact probability at least lambda_bound.
     """
 
     automaton: Automaton
     word: LassoWord
-    chain: LassoChain
     jets: tuple[SupportSequence, ...]
     j0: SupportSequence
     stabilization_index: int
@@ -163,19 +152,14 @@ def _per_phase(run: SupportSequence, m: int) -> list[int]:
     return out
 
 
-def build_lasso_chain(a: Automaton, w: LassoWord) -> LassoChain:
-    """Exact prefix distribution plus the homogenized chain of the period."""
-    prefix = a.word(w.prefix)
+def _after_prefix(
+    a: Automaton, w: LassoWord
+) -> tuple[tuple[int, ...], tuple[Fraction, ...], SupportSequence]:
+    """The period's letter indices, the exact distribution after the prefix,
+    and the support run from its support."""
     period = a.word(w.period)
-    m = len(period)
-    vec0 = vector_product(a.initial, a.scaled_matrices, prefix)
-    run = _support_run(a, support_mask(vec0), period)
-    per_phase = _per_phase(run, m)
-    analysis = chain_analysis(a, per_phase[0], period)
-    product_states = tuple(
-        (a.states[q], phase) for phase in range(m) for q in bits(per_phase[phase])
-    )
-    return LassoChain(a, w, m, vec0, product_states, run, analysis)
+    vec = vector_product(a.initial, a.scaled_matrices, a.word(w.prefix))
+    return period, vec, _support_run(a, support_mask(vec), period)
 
 
 def lasso_acceptance_probability(a: Automaton, w: LassoWord) -> Fraction:
@@ -192,11 +176,12 @@ def lasso_acceptance_probability(a: Automaton, w: LassoWord) -> Fraction:
         return 1 - _safety_probability(a, w, a.full_mask & ~a.acceptance_mask())
     if acc.kind == "safety":
         return _safety_probability(a, w, a.acceptance_mask())
-    chain = build_lasso_chain(a, w)
-    _, minima = chain_parity_almost(a, chain.analysis.closed_set, w.period)
+    period, vec, run = _after_prefix(a, w)
+    analysis = chain_analysis(a, _per_phase(run, len(period))[0], period)
+    _, minima = chain_parity_almost(a, analysis.closed_set, period)
     ok = {comp: mn % 2 == 0 for comp, mn in minima}
-    masses = chain.analysis.class_mass(chain.prefix_vector)
-    return sum((mass for comp, mass in zip(chain.analysis.classes, masses) if ok[comp]), Fraction(0))
+    masses = analysis.class_mass(vec)
+    return sum((mass for comp, mass in zip(analysis.classes, masses) if ok[comp]), Fraction(0))
 
 
 def _safety_probability(a: Automaton, w: LassoWord, fmask: int) -> Fraction:
@@ -378,18 +363,16 @@ def lasso_jet_decomposition(a: Automaton, w: LassoWord) -> JetDecomposition:
     the column minima of stochastic powers never decrease with the exponent,
     so the bound holds for every step past the stabilization index.
     """
-    chain = build_lasso_chain(a, w)
-    prefix = a.word(w.prefix)
-    period = a.word(w.period)
+    period, vec, run = _after_prefix(a, w)
     n = a.n
     m = len(period)
-    prod_rows, classes = _product_chain(a, period, chain.run)
-    infos = [_analyze_class(a, period, prod_rows, cmask, chain.run) for cmask in classes]
+    prod_rows, classes = _product_chain(a, period, run)
+    infos = [_analyze_class(a, period, prod_rows, cmask, run) for cmask in classes]
     t0 = max(info.t_full for info in infos)
     n_t = t0 + max(info.d * info.kstar for info in infos)
     n_t += (-n_t) % m
-    big_n = len(prefix) + n_t
-    vec = vector_product(chain.prefix_vector, a.scaled_matrices, [period[t % m] for t in range(t0)])
+    big_n = len(a.word(w.prefix)) + n_t
+    vec = vector_product(vec, a.scaled_matrices, [period[t % m] for t in range(t0)])
     lam: Fraction | None = None
     for info in infos:
         for alignment in info.actives:
@@ -400,8 +383,9 @@ def lasso_jet_decomposition(a: Automaton, w: LassoWord) -> JetDecomposition:
             cand = mass * info.eps
             if lam is None or cand < lam:
                 lam = cand
-    # in chain.analysis.classes order: every product class is ordered by its
-    # least bit, the least state of its phase-0 slice, which is a chain class
+    # in the order chain_analysis gives the classes of the closed set: every
+    # product class is ordered by its least bit, the least state of its
+    # phase-0 slice, and that slice is a class of the period chain
     jets = []
     for info in infos:
         cyc = []
@@ -422,7 +406,7 @@ def lasso_jet_decomposition(a: Automaton, w: LassoWord) -> JetDecomposition:
             used |= jet.at(big_n + j)
         cyc0.append(full & ~used)
     j0 = SupportSequence((full,) * big_n, tuple(cyc0))
-    return JetDecomposition(a, w, chain, tuple(jets), j0, big_n, lam)
+    return JetDecomposition(a, w, tuple(jets), j0, big_n, lam)
 
 
 # -- Monte Carlo -------------------------------------------------------------
@@ -460,11 +444,9 @@ def simulate_runs(a: Automaton, w: LassoWord, samples: int, seed: int) -> dict[s
     if acc is None:
         raise InputError("acceptance condition required")
     prefix = a.word(w.prefix)
-    period = a.word(w.period)
+    period, _, run = _after_prefix(a, w)
     n = a.n
     m = len(period)
-    vec0 = vector_product(a.initial, a.scaled_matrices, prefix)
-    run = _support_run(a, support_mask(vec0), period)
     _, classes = _product_chain(a, period, run)
     class_of: dict[int, int] = {}
     for ci, cmask in enumerate(classes):

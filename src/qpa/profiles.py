@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Iterator, Mapping, Sequence
 
-from .core import Automaton, bits
+from .core import Automaton, as_fraction, bits
 from .errors import InputError
 from .graphs import Image, bottom_scc_masks, image, image_table, shortest_words
 
@@ -70,11 +70,18 @@ def normalize_priorities(a: Automaton, p: Mapping[str, int] | Sequence[int] | No
         missing = [q for q in a.states if q not in p]
         if missing:
             raise InputError(f"priorities missing for {missing}")
-        return tuple(int(p[q]) for q in a.states)
-    vec = tuple(int(x) for x in p)
+        return tuple(_priority(p[q]) for q in a.states)
+    vec = tuple(_priority(x) for x in p)
     if len(vec) != a.n:
         raise InputError("priority vector length differs from state count")
     return vec
+
+
+def _priority(x: int | str) -> int:
+    v = as_fraction(x, "priority")
+    if v.denominator != 1:
+        raise InputError(f"priority is not an integer: {x!r}")
+    return int(v)
 
 
 class _PriorityLetters:

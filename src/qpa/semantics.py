@@ -254,22 +254,9 @@ def make_accepting_absorbing(a: Automaton, F=None) -> Automaton:
     mask = a.acceptance_mask() if F is None else as_mask(a, F)
     if mask == 0:
         return a
-    return Automaton(a.states, a.alphabet, _absorbing(a, mask), a.initial, a.acceptance)
-
-
-def _absorbing(a: Automaton, mask: int) -> list[tuple]:
-    """The letter matrices of a with every state in mask made a sink."""
-    one, zero = Fraction(1), Fraction(0)
-    mats = []
-    for mat in a.matrices:
-        rows = []
-        for i in range(a.n):
-            if mask >> i & 1:
-                rows.append(tuple(one if j == i else zero for j in range(a.n)))
-            else:
-                rows.append(mat[i])
-        mats.append(tuple(rows))
-    return mats
+    sink = [tuple(Fraction(int(i == j)) for j in range(a.n)) for i in range(a.n)]
+    mats = [[sink[i] if mask >> i & 1 else row for i, row in enumerate(mat)] for mat in a.matrices]
+    return Automaton(a.states, a.alphabet, mats, a.initial, a.acceptance)
 
 
 def reach_as_buchi(a: Automaton) -> Automaton:
@@ -278,5 +265,4 @@ def reach_as_buchi(a: Automaton) -> Automaton:
     Acceptance probabilities of every word are preserved; see
     make_accepting_absorbing.
     """
-    buchi = Acceptance.buchi(a.acceptance.states)
-    return Automaton(a.states, a.alphabet, _absorbing(a, a.acceptance_mask()), a.initial, buchi)
+    return make_accepting_absorbing(a).with_acceptance(Acceptance.buchi(a.acceptance.states))

@@ -147,7 +147,7 @@ def reachable_supports(
             if not t & ~within:
                 yield k, t
 
-    return dict(shortest_words([(start, ())], steps, budget, "subset construction"))
+    return dict(shortest_words([(as_mask(a, start), ())], steps, budget, "subset construction"))
 
 
 def build_support_graph(
@@ -241,6 +241,8 @@ class ExtendedSupportGraph:
     label may carry several edges; without it, edge_plain gives each edge
     the plain relation of its first derivation.  An automaton with more than
     budgets.extended_states states is refused before any seed is read.
+    Seeds, in the constructor and in grow, are read through core.as_mask,
+    and an empty seed is an InputError.
 
     With stop, a predicate on supports, each node is tested once when it
     is registered (seeds included), before its letter edges are added, and
@@ -342,8 +344,11 @@ class ExtendedSupportGraph:
             raise InputError("a closure with a stop predicate is not grown")
         self._close(seeds)
 
-    def _close(self, seeds: Iterable[int]) -> None:
-        for s in seeds:
+    def _close(self, seeds: Iterable) -> None:
+        masks = [as_mask(self.automaton, s) for s in seeds]
+        if 0 in masks:
+            raise InputError("empty seed support")
+        for s in masks:
             self._add_node(s)
         self._run()
 
@@ -622,13 +627,7 @@ def build_extended_support_graph(
         if stop is not None and len(seeds) > 1:
             raise InputError("a stop predicate allows at most one seed")
         # with stop, the origin alone: the one given seed, or Supp(alpha)
-        start = [] if stop is not None and seeds else [a.initial_support]
-        for s in seeds:
-            m = as_mask(a, s)
-            if m == 0:
-                raise InputError("empty seed support")
-            if m not in start:
-                start.append(m)
+        start = ([] if stop is not None and seeds else [a.initial_support]) + seeds
     return ExtendedSupportGraph(a, budgets, start, stop=stop)
 
 

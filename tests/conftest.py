@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from qpa.core import Automaton
+from qpa.core import Automaton, LassoWord
 from qpa.formats import DFA, parse_automaton, parse_dfa
+from qpa.semantics import support_step
 
 EX1_TEXT = """\
 # three-state automaton with a non-trivial sharp power on (ab)
@@ -139,6 +140,18 @@ def dfa2() -> DFA:
 @pytest.fixture
 def hrd() -> Automaton:
     return parse_automaton(HRD_TEXT)
+
+
+def lasso_closed_set(a: Automaton, w: LassoWord) -> int:
+    """The support after the prefix, closed under the period: the set whose
+    period chain the lasso probability reads, as a fixpoint of its own, apart
+    from the library's support run."""
+    g = support_step(a, a.initial_support, w.prefix)
+    while True:
+        nxt = g | support_step(a, g, w.period)
+        if nxt == g:
+            return g
+        g = nxt
 
 
 def random_automaton(

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qpa.core import (
+    DEFAULT_BUDGETS,
     Acceptance,
     Automaton,
     LassoWord,
@@ -13,11 +14,14 @@ from qpa.core import (
 )
 from qpa.classify import is_chain_recurrent, is_sharp_reduction, union_structure
 from qpa.errors import InputError
-from qpa.lasso import lasso_jet_decomposition
+from qpa.lasso import SupportSequence, lasso_jet_decomposition
 from qpa.linked import linked_graph_of_word, rec_from
+from qpa.profiles import normalize_priorities
 from qpa.semantics import chain_analysis, propagate, sharp_power, support_step
 from qpa.supportgraph import (
+    ExtendedSupportGraph,
     build_extended_support_graph,
+    reachable_supports,
     replay_steps,
     sharp_reachable,
     synthesize_limit_word,
@@ -53,6 +57,13 @@ def test_mask_range_is_inclusive(ex1):
         (lambda a: is_sharp_reduction(a, 1, 1 << 20, "a"), "out of range"),
         (lambda a: replay_steps(a, 1 << 9, []), "out of range"),
         (lambda a: rec_from(-1, linked_graph_of_word(a, 1, "a")), "not in the origin"),
+        (lambda a: ExtendedSupportGraph(a, DEFAULT_BUDGETS, [1 << 8]), "out of range"),
+        (lambda a: ExtendedSupportGraph(a, DEFAULT_BUDGETS, [-1]), "out of range"),
+        (lambda a: ExtendedSupportGraph(a, DEFAULT_BUDGETS, [["1"]]), "unknown state"),
+        (lambda a: ExtendedSupportGraph(a, DEFAULT_BUDGETS, [0]), "empty seed support"),
+        (lambda a: ExtendedSupportGraph(a, DEFAULT_BUDGETS, []).grow([1 << 9]), "out of range"),
+        (lambda a: reachable_supports(a, 1 << 9, 100), "out of range"),
+        (lambda a: SupportSequence((), ()), "nonempty cycle"),
     ],
     ids=[
         "sharp_reachable-target",
@@ -65,6 +76,13 @@ def test_mask_range_is_inclusive(ex1):
         "is_sharp_reduction",
         "replay_steps",
         "rec_from",
+        "extended-graph-class-seed-high",
+        "extended-graph-class-seed-negative",
+        "extended-graph-class-seed-names",
+        "extended-graph-class-seed-empty",
+        "extended-graph-grow-seed",
+        "reachable_supports",
+        "support-sequence-empty-cycle",
     ],
 )
 def test_out_of_range_masks_are_input_errors(ex1, call, match):
@@ -164,6 +182,11 @@ def test_verdict_truthiness():
         lambda a: propagate(a, ["x"] + [0] * (a.n - 1), "a"),
         lambda a: is_chain_recurrent(a, {"1": "x"}, "a"),
         lambda a: is_chain_recurrent(a, {"1": "1/0"}, "a"),
+        lambda a: Automaton(["q"], ["a"], [[["x"]]], [1]),
+        lambda a: Automaton(["q"], ["a"], [[["1/0"]]], [1]),
+        lambda a: Automaton(["q"], ["a"], [[[None]]], [1]),
+        lambda a: Automaton(["q"], ["a"], [[[1]]], ["x"]),
+        lambda a: normalize_priorities(a, {"1": "x", "2": 0, "3": 0, "4": 0}),
     ],
     ids=[
         "eps-text",
@@ -174,6 +197,11 @@ def test_verdict_truthiness():
         "distribution-text-by-index",
         "start-distribution-text",
         "start-distribution-zero-denominator",
+        "transition-text",
+        "transition-zero-denominator",
+        "transition-none",
+        "initial-text",
+        "priority-text",
     ],
 )
 def test_malformed_numbers_are_input_errors(ex2, call):

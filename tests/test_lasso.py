@@ -4,17 +4,17 @@ from math import lcm
 
 import pytest
 
+import qpa.lasso as lasso
 from qpa.core import Acceptance, Automaton, LassoWord
 from qpa.errors import InputError
 from qpa.lasso import (
-    build_lasso_chain,
     lasso_acceptance_probability,
     lasso_jet_decomposition,
     simulate_runs,
 )
-from qpa.semantics import support_step
+from qpa.semantics import chain_analysis, propagate, support_step
 
-from conftest import random_automaton
+from conftest import lasso_closed_set, random_automaton
 from oracles import LassoOracle, olasso_verdict
 
 XBAAX = LassoWord((), ("x", "b", "a", "a", "x"))
@@ -99,11 +99,11 @@ def test_probability_matches_oracle_random():
 
 
 def test_chain_shape(ex1):
-    chain = build_lasso_chain(ex1, LassoWord((), ("a", "b")))
-    assert chain.m == 2
-    assert chain.prefix_vector == (Fraction(1), Fraction(0), Fraction(0))
-    assert set(chain.product_states) == {("s", 0), ("u", 0), ("s", 1), ("t", 1)}
-    assert chain.analysis.classes == (ex1.mask("u"),)
+    w = LassoWord((), ("a", "b"))
+    assert propagate(ex1, ex1.initial, w.prefix) == {"s": Fraction(1)}
+    analysis = chain_analysis(ex1, lasso_closed_set(ex1, w), w.period)
+    assert analysis.closed_set == ex1.mask("s u")
+    assert analysis.classes == (ex1.mask("u"),)
 
 
 # -- jet decompositions --------------------------------------------------------
@@ -141,6 +141,18 @@ def test_jets_alternating(ex1):
     assert d.j0.at(0) == ex1.full_mask
 
 
+def test_jets_solve_no_absorption_system(monkeypatch, ex2):
+    # the jets read the product chain alone
+    def refused(*args):
+        raise AssertionError("absorption system solved for the jets")
+
+    monkeypatch.setattr(lasso, "chain_analysis", refused)
+    monkeypatch.setattr(lasso, "solve_linear", refused)
+    d = lasso_jet_decomposition(ex2, LassoWord((), ("a",)))
+    assert d.jets[0].at(2) == ex2.mask("3")
+    assert d.lambda_bound == Fraction(1, 2)
+
+
 def test_jet_horizon(ex2):
     d = lasso_jet_decomposition(ex2, LassoWord((), ("a",)))
     n = d.horizon(Fraction(1, 10**6))
@@ -168,7 +180,7 @@ def test_jet_invariants_random(seed):
     d = lasso_jet_decomposition(a, w)
     assert 1 <= len(d.jets) <= len(a.states)
     assert d.lambda_bound > 0
-    assert len(d.jets) == len(d.chain.analysis.classes)
+    assert len(d.jets) == len(chain_analysis(a, lasso_closed_set(a, w), period).classes)
     n0 = d.stabilization_index
     window = 2 * lcm(len(period), len(d.j0.cycle))
     for n in range(n0 + window):
@@ -203,8 +215,9 @@ def test_jets_follow_chain_class_order():
         a = random_automaton(rng, rng.randrange(3, 8), acceptance="parity", dirac_initial=False)
         prefix = tuple(rng.randrange(2) for _ in range(rng.randrange(3)))
         period = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))
-        d = lasso_jet_decomposition(a, LassoWord(prefix, period))
-        classes = d.chain.analysis.classes
+        w = LassoWord(prefix, period)
+        d = lasso_jet_decomposition(a, w)
+        classes = chain_analysis(a, lasso_closed_set(a, w), period).classes
         assert len(d.jets) == len(classes)
         for jet, cls in zip(d.jets, classes):
             mask = jet.at(d.stabilization_index)
