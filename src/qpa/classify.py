@@ -30,6 +30,7 @@ question.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -44,7 +45,7 @@ from .core import (
     as_mask,
     bits,
 )
-from .errors import InputError
+from .errors import BudgetExceededError, InputError
 from .formats import DFA
 from .graphs import image, scc_masks
 from .semantics import propagate, sharp_power, support_step
@@ -216,12 +217,35 @@ def is_hierarchical(a: Automaton) -> Verdict:
 
 
 def is_structurally_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
-    """Decide structural simplicity on growing extended graphs, in two phases.
+    """Decide structural simplicity; see _two_phase_gate for how.
 
     A support C is minimal when no #-destination from C is a proper subset
     of C.  The automaton fails exactly when some minimal C plainly reaches
     a support A admitting a word that #-returns to C while its plain image
     differs from C; the witness replays that word with its borders.
+
+    The verdict is a property of the support structure alone, so it is
+    computed once per automaton and Budgets value and kept on the
+    automaton; later calls return a copy of it.  A budget stop is kept as
+    its message and raised again, as a new BudgetExceededError, on every
+    later call: the gate's order is fixed by masks and edge ids, so the
+    same budgets stop it at the same point.
+    """
+    memo = a._gate
+    if budgets not in memo:
+        try:
+            memo[budgets] = _two_phase_gate(a, budgets)
+        except BudgetExceededError as exc:
+            memo[budgets] = str(exc)
+            raise
+    kept = memo[budgets]
+    if isinstance(kept, str):
+        raise BudgetExceededError(kept)
+    return Verdict(kept.answer, deepcopy(kept.witness), kept.reason)
+
+
+def _two_phase_gate(a: Automaton, budgets: Budgets) -> Verdict:
+    """Decide structural simplicity on growing extended graphs, in two phases.
 
     Both phases grow an ExtendedSupportGraph a few seeds at a time, and
     after each grow every registered node has its final out-edges (see

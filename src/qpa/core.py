@@ -113,8 +113,14 @@ class Automaton:
 
     states and alphabet are ordered; matrices[k][i][j] is the probability of
     moving from state i to state j on letter k.  Entries are exact Fractions
-    and every row sums to 1.  Instances are treated as immutable; state sets
-    are bitmasks over the state indices throughout the library.
+    and every row sums to 1.  State sets are bitmasks over the state
+    indices throughout the library.
+
+    Instances are treated as immutable, and the library relies on it: an
+    instance keeps memos of what it derives from its tables (the letter
+    relations, the scaled matrices, and classify.is_structurally_simple's
+    verdict per Budgets value) and trusts them for its lifetime.  Build a new Automaton (as
+    with_acceptance does) rather than changing one.
     """
 
     def __init__(
@@ -136,6 +142,8 @@ class Automaton:
         self.state_index = {q: i for i, q in enumerate(self.states)}
         self.letter_index = {a: k for k, a in enumerate(self.alphabet)}
         self._relations: dict[int, tuple[int, ...]] = {}
+        # classify.is_structurally_simple's verdict, or its budget-stop message
+        self._gate: dict[Budgets, Verdict | str] = {}
 
     # -- basic views -------------------------------------------------------
 

@@ -7,7 +7,13 @@ class QpaError(Exception):
 
 
 class InputError(QpaError):
-    """A query or argument violates a documented precondition."""
+    """A query or argument violates a documented precondition.
+
+    `verdict` is None, except when decide refuses a struct-simple question:
+    there it is the structural gate's "no" Verdict, whose witness replays.
+    """
+
+    verdict: object | None = None
 
 
 class FormatError(InputError):

@@ -274,6 +274,10 @@ def decide(a: Automaton, problem: str, mode: str, budgets: Budgets = DEFAULT_BUD
     InputError("automaton not structurally simple") unless classify's gate
     proves the automaton structurally simple, and may then answer limit
     questions through the support-graph procedures, which it alone calls.
+    The error's verdict attribute is the gate's "no", with its replayed
+    witness.  The gate runs once per automaton and Budgets value (see
+    classify.is_structurally_simple), so every further struct-simple
+    question on the same automaton reads its kept verdict.
     """
     if problem not in PROBLEMS:
         raise InputError(f"unknown problem {problem!r}")
@@ -286,8 +290,12 @@ def decide(a: Automaton, problem: str, mode: str, budgets: Budgets = DEFAULT_BUD
     if mode == "general" and kind != "safety" and (problem, kind) not in _GENERAL_DECIDABLE:
         reason = f"the {problem} problem is undecidable for {kind} acceptance on general automata"
         return Verdict("undecidable_in_general", reason=reason)
-    if mode == "struct-simple" and not classify.is_structurally_simple(a, budgets):
-        raise InputError("automaton not structurally simple")
+    if mode == "struct-simple":
+        gate = classify.is_structurally_simple(a, budgets)
+        if not gate:
+            exc = InputError("automaton not structurally simple")
+            exc.verdict = gate
+            raise exc
     if problem == "almost":
         return decide_almost_simple(a, budgets)
     if problem == "positive":

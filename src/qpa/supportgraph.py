@@ -795,11 +795,13 @@ def _pumped_word(
         length = sum(_pumped_length(step, k) for step in steps)
         if length > budgets.word_cap:
             raise BudgetExceededError(
-                f"pumped word length {length} exceeds cap; best probability {best}",
+                f"pumped word length {length} exceeds cap; best probability {_short(best)}",
                 best=best,
             )
         if length == last:
-            raise RuntimeError(f"pumped word stopped growing at length {length}; best {best}")
+            raise RuntimeError(
+                f"pumped word stopped growing at length {length}; best {_short(best)}"
+            )
         word: list[int] = []
         for step in steps:
             word.extend(_pump_step(step, k))
@@ -809,6 +811,16 @@ def _pumped_word(
             return a.letters(word)
         best = max(best, p)
         k, last = 2 * k, length
+
+
+def _short(p: Fraction) -> str:
+    """A probability for a message: exact while its terms fit in 128 bits,
+    else "~" and its first 12 decimals, rounded down, in integer arithmetic
+    (str of an int past 4300 digits raises ValueError)."""
+    if max(p.numerator.bit_length(), p.denominator.bit_length()) <= 128:
+        return str(p)
+    whole, rest = divmod(p.numerator, p.denominator)
+    return f"~{whole}.{rest * 10**12 // p.denominator:012d}"
 
 
 def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:

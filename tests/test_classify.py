@@ -18,10 +18,10 @@ from qpa.classify import (
 )
 from qpa.core import Acceptance, Automaton, Budgets, LassoWord
 from qpa.errors import BudgetExceededError, InputError
-from qpa.formats import DFA, parse_automaton, parse_dfa
+from qpa.formats import DFA, parse_automaton, parse_dfa, serialize_automaton
 from qpa.graphs import image
 from qpa.lasso import lasso_acceptance_probability
-from qpa.qualitative import decide_almost_simple
+from qpa.qualitative import decide, decide_almost_simple
 from qpa.semantics import propagate, support_step
 from qpa.supportgraph import ExtendedSupportGraph, is_sharp_acyclic, reachable_supports
 import oracles as O
@@ -398,16 +398,22 @@ def _all_seeds_gate(a, budgets) -> str:
     return "yes"
 
 
-def test_grown_gate_agrees_with_all_seeds_gate(monkeypatch):
+def _spy_gate_graphs(monkeypatch) -> list[bool]:
+    """Record the track_plain flag of every graph the gate constructs."""
     import qpa.classify as C
 
-    plain_graphs = []
+    built = []
 
     def spy(*args, track_plain=False):
-        plain_graphs.append(track_plain)
+        built.append(track_plain)
         return ExtendedSupportGraph(*args, track_plain=track_plain)
 
     monkeypatch.setattr(C, "ExtendedSupportGraph", spy)
+    return built
+
+
+def test_grown_gate_agrees_with_all_seeds_gate(monkeypatch):
+    plain_graphs = _spy_gate_graphs(monkeypatch)
     rng = random.Random(1107)
     budgets = Budgets(path_cap=800)
     kinds = set()
@@ -425,7 +431,7 @@ def test_grown_gate_agrees_with_all_seeds_gate(monkeypatch):
             assert want == "budget"
             continue
         if want == "budget":
-            assert bool(got) == O.ostructurally_simple(a, max_len=4)
+            assert bool(got) == O.ostructurally_simple(a, max_len=5)
         else:
             assert got.answer == want
         if got.answer == "no":
@@ -488,6 +494,85 @@ def test_simplicity_and_acyclicity_are_independent(ex1, ex2):
     # not #-acyclic and not simple
     assert not is_sharp_acyclic(ex1)
     assert not is_structurally_simple(ex1)
+
+
+# -- the gate's kept verdict ----------------------------------------------------
+
+
+def test_gate_runs_once_per_automaton_and_budgets(monkeypatch, ex2):
+    built = _spy_gate_graphs(monkeypatch)
+    b = ex2.with_acceptance(Acceptance.buchi(["4"]))
+    assert decide(b, "limit", "struct-simple").answer == "yes"
+    assert built == [False, True]
+    assert decide(b, "almost", "struct-simple") == decide_almost_simple(b)
+    assert decide(b, "limit", "struct-simple").answer == "yes"
+    assert is_structurally_simple(b)
+    assert built == [False, True]
+    # another Budgets value is another question
+    assert is_structurally_simple(b, Budgets(path_cap=5000))
+    assert built == [False, True] * 2
+    # and another automaton, even an equal one, keeps its own verdict
+    assert is_structurally_simple(ex2.with_acceptance(Acceptance.buchi(["4"])))
+    assert built == [False, True] * 3
+
+
+def test_gate_budget_stop_recurs_as_fresh_errors(monkeypatch):
+    built = _spy_gate_graphs(monkeypatch)
+    a = parse_automaton(BUDGET_STOP_TEXT)
+    budgets = Budgets(path_cap=100)
+    errors = []
+    for _ in range(3):
+        with pytest.raises(BudgetExceededError) as exc:
+            is_structurally_simple(a, budgets)
+        errors.append(exc.value)
+    for problem in ("limit", "almost"):
+        with pytest.raises(BudgetExceededError) as exc:
+            decide(a, problem, "struct-simple", budgets)
+        errors.append(exc.value)
+    assert built == [False]
+    assert len({id(e) for e in errors}) == len(errors)
+    assert {str(e) for e in errors} == {"extended support graph exceeded 100 edges"}
+
+
+def test_kept_gate_verdict_equals_a_fresh_run():
+    rng = random.Random(31)
+    budgets = Budgets(path_cap=800)
+    seen = set()
+
+    def outcome(a):
+        try:
+            v = is_structurally_simple(a, budgets)
+        except BudgetExceededError as exc:
+            return ("budget", str(exc), None), None
+        return (v.answer, v.witness, v.reason), v
+
+    for _ in range(60):
+        text = serialize_automaton(random_automaton(rng, rng.randrange(3, 5), 2))
+        a = parse_automaton(text)
+        first, v = outcome(a)
+        kept, _ = outcome(a)
+        fresh, _ = outcome(parse_automaton(text))
+        assert kept == fresh == first
+        if v is not None and v.witness is not None:
+            # a caller's edit to its copy does not reach the kept verdict
+            v.witness["word"].append("?")
+            v.witness["minimal_support"] = []
+            assert outcome(a)[0] == fresh
+        seen.add(first[0])
+    assert seen == {"yes", "no", "budget"}
+
+
+def test_struct_simple_rejection_carries_the_gate_witness(ex1):
+    assert InputError("any other refusal").verdict is None
+    b = ex1.with_acceptance(Acceptance.reach(["u"]))
+    for problem in ("limit", "almost", "positive"):
+        with pytest.raises(InputError) as exc:
+            decide(b, problem, "struct-simple")
+        assert str(exc.value) == "automaton not structurally simple"
+        v = exc.value.verdict
+        assert v.answer == "no"
+        assert v == is_structurally_simple(ex1)
+        _assert_return_witness_replays(b, v.witness)
 
 
 # -- product ------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpa.core import DEFAULT_BUDGETS, Acceptance, Automaton, Budgets, LassoWord, Verdict, bits, support_mask
+from qpa.classify import is_structurally_simple
 from qpa.errors import BudgetExceededError, InputError
 from qpa.lasso import lasso_acceptance_probability
 from qpa.qualitative import (
@@ -267,7 +268,6 @@ def test_decide_dispatch(hrd, ex1):
 def old_decide(a, problem, mode, budgets=DEFAULT_BUDGETS):
     """decide as it dispatched before general mode became a filter in front
     of the simple procedures."""
-    from qpa.classify import is_structurally_simple
     from qpa.supportgraph import _limit_parity, _limit_reach
 
     if problem not in PROBLEMS:
@@ -336,6 +336,64 @@ def test_decide_table_matches_old_dispatch(ex1, ex2, hrd, exlg):
                 for problem in PROBLEMS:
                     want = dispatch_outcome(old_decide, b, problem, mode)
                     assert dispatch_outcome(decide, b, problem, mode) == want, (mode, problem, acc)
+
+
+def _relabelled(a: Automaton, rng: random.Random) -> Automaton:
+    """A copy of a with its states permuted and renamed, and its letters
+    reordered and renamed."""
+    perm = rng.sample(range(a.n), a.n)
+    order = rng.sample(range(len(a.alphabet)), len(a.alphabet))
+    name = {a.states[i]: f"r{j}" for j, i in enumerate(perm)}
+    mats = [[[a.matrices[k][i][j] for j in perm] for i in perm] for k in order]
+    acc = a.acceptance
+    if acc.kind == "parity":
+        acc = Acceptance.parity({name[q]: p for q, p in acc.priorities})
+    else:
+        acc = Acceptance(acc.kind, frozenset(name[q] for q in acc.states))
+    return Automaton(
+        [name[a.states[i]] for i in perm],
+        [f"x{k}" for k in order],
+        mats,
+        [a.initial[i] for i in perm],
+        acc,
+    )
+
+
+def test_decide_is_invariant_under_relabelling():
+    # every copy is a distinct Automaton, so the gate's kept verdict of one
+    # can never answer for another
+    rng = random.Random(5)
+    budgets = Budgets(monoid=3000, path_cap=800)
+    kinds = ("safety", "reach", "buchi", "cobuchi", "parity")
+
+    def outcome(a, problem, mode):
+        try:
+            return decide(a, problem, mode, budgets).answer
+        except BudgetExceededError:
+            return "budget"
+        except InputError:
+            return "rejected"
+
+    seen, order_dependent_stops = Counter(), 0
+    for d in range(160):
+        a = random_automaton(rng, rng.randrange(3, 5), 2, acceptance=kinds[d % 5])
+        b = _relabelled(a, rng)
+        for mode in MODES:
+            for problem in PROBLEMS:
+                got = outcome(a, problem, mode), outcome(b, problem, mode)
+                seen[got[0]] += 1
+                if got[0] == got[1]:
+                    continue
+                # the gate's phase 1 stops at the first refuted minimal
+                # support in mask order, so a state order can meet the
+                # path_cap first where another meets a returner; beyond
+                # the cap both orders refute
+                assert mode == "struct-simple" and set(got) == {"budget", "rejected"}
+                more = Budgets(monoid=3000, path_cap=20_000)
+                assert [is_structurally_simple(c, more).answer for c in (a, b)] == ["no", "no"]
+                order_dependent_stops += 1
+    assert set(seen) == {"yes", "no", "undecidable_in_general", "rejected", "budget"}
+    assert order_dependent_stops < seen["budget"]
 
 
 def test_absorbing_preserves_reach(ex1):

@@ -751,6 +751,39 @@ def test_pumping_cut_zero_steps_stops_growing(monkeypatch, ex2):
         synthesize_limit_word(ex2, "4", Fraction(1, 10))
 
 
+SLOW_LEAK_TEXT = """\
+states: p q
+alphabet: a
+init: p=1
+trans: p a p 999/1000
+trans: p a q 1/1000
+trans: q a q 1
+"""
+
+
+def test_pumped_word_messages_bound_a_huge_best():
+    # after 2050 letters best = 1 - (999/1000)^2050, whose denominator has
+    # 6150 digits: past the 4300 that str of an int allows
+    import qpa.supportgraph as sg
+
+    a = parse_automaton(SLOW_LEAK_TEXT)
+    want = 1 - Fraction(999, 1000) ** 2050
+    assert want.denominator > 10**4300
+    cases = [
+        # one border: k + 2 letters, k doubling until 4098 passes the cap
+        (BudgetExceededError, ((0, 0), ((1, 2),), 2)),
+        # no border: the word cannot grow, so the second round stops it
+        (RuntimeError, ((0,) * 2050, (), 2050)),
+    ]
+    for error, step in cases:
+        with pytest.raises(error) as exc:
+            sg._pumped_word(a, [step], a.mask("q"), Fraction(1, 100), Budgets(word_cap=3000))
+        message = str(exc.value)
+        assert message.endswith(" ~0.871397070030") and len(message) < 80
+        if error is BudgetExceededError:
+            assert exc.value.best == want
+
+
 def test_limit_reach_decisions(ex1, ex2):
     v = decide(ex2.with_acceptance(Acceptance.reach(["4"])), "limit", "struct-simple")
     assert v.answer == "yes"
