@@ -22,11 +22,10 @@ from per-letter tables over 8-bit chunks of a mask, so the monoid closure
 runs on table lookups alone.
 
 The closure is graphs.shortest_words, breadth first and lazy:
-iter_profile_monoid and iter_safe_monoid yield each profile with its
-shortest word as it is discovered, so a search stops at its first witness
-without materializing the monoid, and the budget trips only if the search
-runs that far.  Every scan of the library reads these iterators; none
-collects a whole monoid.  almost_period is the almost-sure scan shared by
+iter_profile_monoid yields each profile with its shortest word as it is
+discovered, so a search stops at its first witness without materializing
+the monoid, and the budget trips only if the search runs that far.  Every
+scan of the library reads this iterator; none collects a whole monoid.  almost_period is the almost-sure scan shared by
 the simple and the structurally simple procedures.
 
 The profile scans check only the profiles of iter_checked_profiles: the
@@ -44,22 +43,20 @@ the even-minimum bottom classes of E cover the same states as those of P.
 The letters are checked as well because most witnesses are letters, and
 the first idempotent often lies much deeper in the BFS.
 
-A safe profile, for a fixed set F, stores the state pairs connected by
-positive paths that remain inside F throughout, together with the set of
-states whose entire positive tree stays inside F for the word.
+The safety-shaped questions (safety, and positive coBüchi) need no
+monoid: qualitative decides them by a lasso search over supports.
 """
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
-from .core import Automaton, as_fraction, bits
+from .core import Automaton, as_fraction
 from .errors import InputError
-from .graphs import Image, bottom_scc_masks, image, image_table, shortest_words
+from .graphs import bottom_scc_masks, image, image_table, shortest_words
 
 INF = 1 << 30
 
 Profile = tuple[tuple[int, ...], ...]
-SafeProfile = tuple[tuple[int, ...], int]
 
 
 def normalize_priorities(a: Automaton, p: Mapping[str, int] | Sequence[int] | None) -> tuple[int, ...]:
@@ -145,22 +142,22 @@ def class_minima(profile: Profile, mask: int) -> list[tuple[int, int]]:
     return out
 
 
-def _letter_closure(generators: list, times_letter: Callable, budget: int, what: str) -> Iterator:
-    """graphs.shortest_words from the letter generators, composing on the right
-    with each letter in alphabet order, so words come length-lexicographic; a
-    letter whose generator repeats an earlier one adds no element but still composes."""
-    letters = range(len(generators))
-    starts = [(g, (k,)) for k, g in enumerate(generators)]
-    return shortest_words(
-        starts, lambda e: ((k, times_letter(e, k)) for k in letters), budget, f"{what} closure"
-    )
-
-
 def iter_profile_monoid(a: Automaton, priorities=None, budget: int = 1_000_000) -> Iterator[tuple[Profile, tuple[int, ...]]]:
-    """The profiles of all nonempty words in BFS order, each with its shortest word."""
+    """The profiles of all nonempty words in BFS order, each with its shortest word.
+
+    graphs.shortest_words from the letter profiles, composing on the right
+    with each letter in alphabet order, so words come length-lexicographic;
+    a letter whose profile repeats an earlier one adds no element but still
+    composes."""
     letters = _PriorityLetters(a, priorities)
-    gens = [letters.letter(k) for k in range(len(a.alphabet))]
-    return _letter_closure(gens, letters.times_letter, budget, "priority profile")
+    ks = range(len(a.alphabet))
+    starts = [(letters.letter(k), (k,)) for k in ks]
+    return shortest_words(
+        starts,
+        lambda x: ((k, letters.times_letter(x, k)) for k in ks),
+        budget,
+        "priority profile closure",
+    )
 
 
 def iter_checked_profiles(a: Automaton, budget: int) -> Iterator[tuple[Profile, tuple[int, ...]]]:
@@ -197,29 +194,3 @@ def almost_period(a: Automaton, supports: Collection[int], budget: int) -> tuple
             if g & odd == 0:
                 return g, rho
     return None
-
-
-def letter_safe_profile(a: Automaton, safe_mask: int, k: int) -> SafeProfile:
-    rel = a.relation(k)
-    rows = tuple(rel[i] & safe_mask if safe_mask >> i & 1 else 0 for i in range(a.n))
-    full = 0
-    for i in bits(safe_mask):
-        if rel[i] & ~safe_mask == 0:
-            full |= 1 << i
-    return rows, full
-
-
-def _safe_times(x: SafeProfile, img: Image, yfull: int) -> SafeProfile:
-    xrows, xfull = x
-    full = 0
-    for i in bits(xfull):
-        if xrows[i] & ~yfull == 0:
-            full |= 1 << i
-    return tuple(map(img, xrows)), full
-
-
-def iter_safe_monoid(a: Automaton, safe_mask: int, budget: int = 1_000_000) -> Iterator[tuple[SafeProfile, tuple[int, ...]]]:
-    """The safe profiles of all nonempty words for the mask F in BFS order, each with its shortest word."""
-    gens = [letter_safe_profile(a, safe_mask, k) for k in range(len(a.alphabet))]
-    steps = [(image_table(rows), full) for rows, full in gens]
-    return _letter_closure(gens, lambda x, k: _safe_times(x, *steps[k]), budget, "safe profile")

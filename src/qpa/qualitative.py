@@ -8,9 +8,11 @@ each of its states, and that a plain path reaches state by state from the
 initial support.  Every yes ships a lasso witness that is re-verified
 exactly before it is returned.
 
-A word accepted almost surely is accepted with positive probability, so a
-positive "no" is an almost "no".  Almost coBüchi uses this: positive
-coBüchi is decided over all words on the small safe monoid, so its "no"
+Every safety-shaped question, almost and limit safety, positive safety
+and positive coBüchi, is one depth-first lasso search over the supports
+inside F (_safe_lasso).  A word accepted almost surely is accepted with
+positive probability, so a positive "no" is an almost "no".  Almost
+coBüchi uses this: the positive coBüchi search runs first, and its "no"
 answers the almost question before the profile monoid is closed.
 """
 from __future__ import annotations
@@ -25,11 +27,11 @@ from .core import (
     bits,
 )
 from .errors import BudgetExceededError, InputError
-from .graphs import image, shortest_words
+from .graphs import image_table, shortest_words
 from .lasso import lasso_acceptance_probability
-from .profiles import almost_period, class_minima, iter_checked_profiles, iter_safe_monoid
+from .profiles import almost_period, class_minima, iter_checked_profiles
 from .semantics import reach_as_buchi
-from .supportgraph import _limit_parity, _limit_reach, reachable_supports
+from .supportgraph import _limit_parity, _limit_reach, probability_text, reachable_supports
 
 PROBLEMS = ("positive", "almost", "limit")
 MODES = ("simple", "general", "lasso", "struct-simple")
@@ -46,11 +48,13 @@ def _lasso(a: Automaton, rho1: tuple[int, ...], rho2: tuple[int, ...]) -> LassoW
 def _verified_yes(a: Automaton, w: LassoWord, need_one: bool, extra: dict) -> Verdict:
     p = lasso_acceptance_probability(a, w)
     if (p != 1) if need_one else (p <= 0):
-        raise RuntimeError(f"witness {w} failed exact re-verification (probability {p})")
+        raise RuntimeError(
+            f"witness {w} failed exact re-verification (probability {probability_text(p)})"
+        )
     witness = {
         "prefix": list(w.prefix),
         "period": list(w.period),
-        "probability": str(p),
+        "probability": probability_text(p),
     }
     witness.update(extra)
     return Verdict("yes", witness)
@@ -70,45 +74,83 @@ def _path_words(a: Automaton, start: int, within: int) -> dict[int, tuple[int, .
     return dict(shortest_words(((q, ()) for q in bits(start)), steps))
 
 
-def _first_reached(a: Automaton, start: int, within: int, candidates):
+def _positive_yes(a: Automaton, candidates) -> Verdict:
     """The first candidate set C, read lazily with a period that accepts
-    almost surely from every state of C, that meets a state reached from
-    start by a path inside within, as (C, the shortest such path word, the
-    period); None once the candidates run out."""
-    words = _path_words(a, start, within)
+    almost surely from every state of C, that meets a state a plain path
+    reaches from the initial support; the shortest such path word glued to
+    the period is the witness."""
+    words = _path_words(a, a.initial_support, -1)
     reached = sum(1 << q for q in words)
     for c, rho2 in candidates:
         if c & reached:
             rho1 = next(w for q, w in words.items() if c >> q & 1)
-            return c, rho1, rho2
+            return _verified_yes(a, _lasso(a, rho1, rho2), False, {"class": list(a.names(c))})
+    return Verdict("no", reason="no set that a period accepts almost surely is reachable")
+
+
+def _safe_lasso(a: Automaton, starts, fmask: int, budget: int):
+    """The first lasso that keeps a support inside F forever, as (its start,
+    the support S its cycle returns to, the prefix to S, the period from S
+    back to S); None when no start has one.
+
+    Depth first over the supports inside F, from the starts in order,
+    along the letters whose image stays inside F.  Entering a support, it
+    first takes the edge back to the deepest support on the path, so a loop
+    at hand is never passed over for a longer cycle.  A support left
+    without a cycle has none and is not entered again; a new support past
+    budget raises BudgetExceededError.
+
+    Started from the singletons of the states of F that a path reaches, it
+    decides the criterion of a word v whose greatest set C, inside the
+    states whose whole v-tree stays in F and mapped by v into C, meets a
+    reached state.  If C meets the reached q, v^omega keeps {q} inside C,
+    so the finite support graph has a cycle that {q} reaches.  Conversely,
+    if u.v^omega keeps {q}'s support inside F, S = {q}.u has S.v = S with
+    every step inside F, so S lies in C(v), and every state of S is reached
+    from q by a path inside F, so C(v) meets a reached state.
+    """
+    imgs = [image_table(a.relation(k)) for k in range(len(a.alphabet))]
+    # a support on the current path: its depth; one left without a cycle: None
+    depth: dict[int, int | None] = {}
+    # word[d] is the letter into path[d]; the starts come in on None
+    path: list[int] = []
+    word: list[int | None] = []
+    stack = [iter([(None, s) for s in starts])]
+    while stack:
+        for k, t in stack[-1]:
+            if t in depth:  # left without a cycle: edges into the path return on entry
+                continue
+            if len(depth) >= budget:
+                raise BudgetExceededError(f"subset construction exceeded {budget} elements")
+            depth[t] = len(path)
+            path.append(t)
+            word.append(k)
+            out = [(j, u) for j, img in enumerate(imgs) if not (u := img(t)) & ~fmask]
+            back = [(depth[u], j) for j, u in out if depth.get(u) is not None]
+            if back:
+                d, j = max(back, key=lambda b: b[0])  # the first letter among the deepest
+                return path[0], path[d], tuple(word[1:d + 1]), tuple(word[d + 1:]) + (j,)
+            stack.append(iter(out))
+            break
+        else:
+            stack.pop()
+            if path:
+                depth[path.pop()] = None
+                word.pop()
     return None
 
 
-def _positive_yes(a: Automaton, start: int, within: int, candidates) -> Verdict:
-    """_first_reached as a verdict: the path word glued to the period is the witness."""
-    found = _first_reached(a, start, within, candidates)
+def _positive_safe_yes(a: Automaton, start: int, within: int, budgets: Budgets) -> Verdict:
+    """Positive safety or coBüchi: the path word to the search's start, glued
+    to its lasso, is the witness."""
+    fmask = a.acceptance_mask()
+    words = _path_words(a, start, within)
+    found = _safe_lasso(a, [1 << q for q in words if fmask >> q & 1], fmask, budgets.subset)
     if found is None:
-        return Verdict("no", reason="no set that a period accepts almost surely is reachable")
-    c, rho1, rho2 = found
-    return _verified_yes(a, _lasso(a, rho1, rho2), False, {"class": list(a.names(c))})
-
-
-def _fully_safe_sets(a: Automaton, fmask: int, budget: int):
-    """Per safe profile of F in BFS order, with its word, the greatest set of
-    states whose whole tree stays in F and which the profile maps into
-    itself, when nonempty: under the repeated word a run in it stays in F."""
-    for (rows, full), rho in iter_safe_monoid(a, fmask, budget):
-        c = full
-        while True:
-            nxt = 0
-            for i in bits(c):
-                if rows[i] & ~c == 0:
-                    nxt |= 1 << i
-            if nxt == c:
-                break
-            c = nxt
-        if c:
-            yield c, rho
+        return Verdict("no", reason="no word keeps the support of a reached state of F inside F")
+    q, s, rho1, rho2 = found
+    w = _lasso(a, words[q.bit_length() - 1] + rho1, rho2)
+    return _verified_yes(a, w, False, {"class": list(a.names(s))})
 
 
 def _reach_as_buchi_yes(a: Automaton, budgets: Budgets) -> Verdict:
@@ -118,17 +160,6 @@ def _reach_as_buchi_yes(a: Automaton, budgets: Budgets) -> Verdict:
         return v
     w = LassoWord(tuple(v.witness["prefix"]), tuple(v.witness["period"]))
     return _verified_yes(a, w, True, {"support": v.witness["support"]})
-
-
-def _positive_cobuchi_refuted(a: Automaton, budgets: Budgets) -> bool:
-    """Positive coBüchi answers "no": no fully safe set meets a state that a
-    plain path reaches from the initial support.  False, not a raise, when
-    the safe monoid trips the monoid budget first."""
-    safe = _fully_safe_sets(a, a.acceptance_mask(), budgets.monoid)
-    try:
-        return _first_reached(a, a.initial_support, -1, safe) is None
-    except BudgetExceededError:
-        return False
 
 
 def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
@@ -142,10 +173,10 @@ def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
     the witness profile is found, and a "no" closes the whole monoid.
 
     A word accepted almost surely is accepted with positive probability, so
-    for coBüchi the positive criterion, which is decided over all words on
-    the much smaller safe monoid, runs first: when it has no witness the
-    answer is "no" without the profile monoid.  When its own scan trips the
-    monoid budget, the almost scan decides as above.
+    for coBüchi the positive criterion, a lasso search over the supports
+    inside F bounded by Budgets.subset, runs first: when it has no witness
+    the answer is "no" without the profile monoid.  When the search trips
+    the subset budget, the almost scan decides as above.
     """
     acc = a.acceptance
     if acc is None:
@@ -154,8 +185,15 @@ def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
         return decide_safety(a, "almost", budgets)
     if acc.kind == "reach":
         return _reach_as_buchi_yes(a, budgets)
-    if acc.kind == "cobuchi" and _positive_cobuchi_refuted(a, budgets):
-        return Verdict("no", reason="no word is accepted with positive probability")
+    if acc.kind == "cobuchi":
+        fmask = a.acceptance_mask()
+        starts = [1 << q for q in _path_words(a, a.initial_support, -1) if fmask >> q & 1]
+        try:
+            refuted = _safe_lasso(a, starts, fmask, budgets.subset) is None
+        except BudgetExceededError:  # not a "no": the almost scan decides
+            refuted = False
+        if refuted:
+            return Verdict("no", reason="no word is accepted with positive probability")
     supports = reachable_supports(a, a.initial_support, budgets.subset)
     found = almost_period(a, supports, budgets.monoid)
     if found is None:
@@ -169,80 +207,43 @@ def decide_positive_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
 
     Yes iff some set C, which a period accepts almost surely from each of
     its states, meets a state that a plain path reaches from the initial
-    support.  C is F for reach, the greatest fully safe set of a safe
-    profile of F for coBüchi, and an even-minimum bottom class of a profile
-    for Büchi and parity: the class is strongly connected under the period,
-    so from any of its states the run sees the class minimum infinitely
-    often, almost surely.  Those classes are read off the checked profiles
-    only, the letters and the idempotents (profiles.iter_checked_profiles):
-    the even-minimum bottom classes of a profile's idempotent power cover
-    the same states as the profile's own, so the same states are reached.
-    The monoid budget raises only if it trips before the witness is found;
-    a "no" closes the whole monoid.
+    support.  C is F for reach, and an even-minimum bottom class of a
+    profile for Büchi and parity: the class is strongly connected under the
+    period, so from any of its states the run sees the class minimum
+    infinitely often, almost surely.  Those classes are read off the
+    checked profiles only, the letters and the idempotents
+    (profiles.iter_checked_profiles): the even-minimum bottom classes of a
+    profile's idempotent power cover the same states as the profile's own,
+    so the same states are reached.  The monoid budget raises only if it
+    trips before the witness is found; a "no" closes the whole monoid.
+    Safety and coBüchi are _safe_lasso searches instead, bounded by
+    Budgets.subset and not by the monoid budget.
     """
     acc = a.acceptance
     if acc is None:
         raise InputError("acceptance condition required")
     if acc.kind == "safety":
         return decide_safety(a, "positive", budgets)
+    if acc.kind == "cobuchi":
+        return _positive_safe_yes(a, a.initial_support, -1, budgets)
     if acc.kind == "reach":
-        candidates = [(a.acceptance_mask(), (0,))]
-    elif acc.kind == "cobuchi":
-        candidates = _fully_safe_sets(a, a.acceptance_mask(), budgets.monoid)
-    else:
-        candidates = (
-            (comp, rho)
-            for prof, rho in iter_checked_profiles(a, budgets.monoid)
-            for comp, mn in class_minima(prof, a.full_mask)
-            if mn % 2 == 0
-        )
-    return _positive_yes(a, a.initial_support, -1, candidates)
-
-
-def _safe_subset_walk(a: Automaton, start: int, fmask: int, budget: int):
-    """Lasso through supports that stay inside F, or None.
-
-    Nodes are supports contained in F; an edge exists only when the letter
-    image stays inside F.  A lasso exists iff some node keeps an outgoing
-    edge after sink-stripping, and the walk then never leaves such nodes.
-    """
-    nodes = reachable_supports(a, start, budget, within=fmask)
-    rels = [a.relation(k) for k in range(len(a.alphabet))]
-    succ: dict[int, list[tuple[int, int]]] = {}
-    for s in nodes:
-        steps = [(k, image(rel, s)) for k, rel in enumerate(rels)]
-        succ[s] = [(k, t) for k, t in steps if not t & ~fmask]
-    alive = set(nodes)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(alive):
-            if not any(t in alive for _, t in succ[s]):
-                alive.discard(s)
-                changed = True
-    if start not in alive:
-        return None
-    cur = start
-    index = {start: 0}
-    letters: list[int] = []
-    while True:
-        k, t = next((k, t) for k, t in succ[cur] if t in alive)
-        letters.append(k)
-        cur = t
-        if cur in index:
-            i = index[cur]
-            return tuple(letters[:i]), tuple(letters[i:])
-        index[cur] = len(letters)
+        return _positive_yes(a, [(a.acceptance_mask(), (0,))])
+    return _positive_yes(a, (
+        (comp, rho)
+        for prof, rho in iter_checked_profiles(a, budgets.monoid)
+        for comp, mn in class_minima(prof, a.full_mask)
+        if mn % 2 == 0
+    ))
 
 
 def decide_safety(a: Automaton, problem: str, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
     """Safety decisions; the limit and almost variants coincide here.
 
-    Almost: the initial support must sit inside F and some support cycle of
-    F-contained supports must be reachable through F-contained images.
-    Positive: the greatest set C that a word keeps inside F and closed, tree
-    and all, must meet a path inside F from the initial support; the safe
-    monoid is scanned as it is discovered, for the first such word.
+    Each is a _safe_lasso search over the supports inside F, bounded by
+    Budgets.subset.  Almost: the initial support must sit inside F, and the
+    search starts from it.  Positive: the search starts from the singletons
+    of the states that a path inside F reaches from the initial support's
+    states in F; the path word glued to the lasso is the witness.
     """
     acc = a.acceptance
     if acc is None or acc.kind != "safety":
@@ -254,15 +255,15 @@ def decide_safety(a: Automaton, problem: str, budgets: Budgets = DEFAULT_BUDGETS
     if problem in ("almost", "limit"):
         if alpha & ~fmask:
             return Verdict("no", reason="the initial support already leaves the safe set")
-        found = _safe_subset_walk(a, alpha, fmask, budgets.subset)
+        found = _safe_lasso(a, [alpha], fmask, budgets.subset)
         if found is None:
             return Verdict("no", reason="every word eventually pushes the support out of the safe set")
-        rho1, rho2 = found
+        _, _, rho1, rho2 = found
         return _verified_yes(a, _lasso(a, rho1, rho2), True, {})
     a0 = alpha & fmask
     if not a0:
         return Verdict("no", reason="the initial support misses the safe set")
-    return _positive_yes(a, a0, fmask, _fully_safe_sets(a, fmask, budgets.monoid))
+    return _positive_safe_yes(a, a0, fmask, budgets)
 
 
 def decide(a: Automaton, problem: str, mode: str, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:

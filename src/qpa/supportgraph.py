@@ -130,22 +130,18 @@ def _set_label(a: Automaton, mask: int) -> str:
     return "{" + ",".join(a.names(mask)) + "}"
 
 
-def reachable_supports(
-    a: Automaton, start: int, budget: int, within: int = -1
-) -> dict[int, tuple[int, ...]]:
+def reachable_supports(a: Automaton, start: int, budget: int) -> dict[int, tuple[int, ...]]:
     """Exact supports reachable from start, each with its shortest word.
 
     graphs.shortest_words over the subset construction, letters in alphabet
     order, so dict order is shortest-word-first with lexicographic
-    tie-breaking.  A step whose support leaves the mask within is not taken.
+    tie-breaking.
     """
     rels = [a.relation(k) for k in range(len(a.alphabet))]
 
     def steps(s: int):
         for k, rel in enumerate(rels):
-            t = image(rel, s)
-            if not t & ~within:
-                yield k, t
+            yield k, image(rel, s)
 
     return dict(shortest_words([(as_mask(a, start), ())], steps, budget, "subset construction"))
 
@@ -606,7 +602,6 @@ def _step_label(a: Automaton, step: Step) -> str:
 def build_extended_support_graph(
     a: Automaton,
     seeds: Iterable | None = None,
-    full: bool = False,
     budgets: Budgets = DEFAULT_BUDGETS,
     *,
     stop: Callable[[int], bool] | None = None,
@@ -618,16 +613,11 @@ def build_extended_support_graph(
     as soon as a support satisfying stop is #-reachable from it (see
     ExtendedSupportGraph).
     """
-    if full:
-        if stop is not None:
-            raise InputError("a stop predicate needs the seeded form")
-        start = range(1, 1 << a.n)
-    else:
-        seeds = list(seeds or [])
-        if stop is not None and len(seeds) > 1:
-            raise InputError("a stop predicate allows at most one seed")
-        # with stop, the origin alone: the one given seed, or Supp(alpha)
-        start = ([] if stop is not None and seeds else [a.initial_support]) + seeds
+    seeds = list(seeds or [])
+    if stop is not None and len(seeds) > 1:
+        raise InputError("a stop predicate allows at most one seed")
+    # with stop, the origin alone: the one given seed, or Supp(alpha)
+    start = ([] if stop is not None and seeds else [a.initial_support]) + seeds
     return ExtendedSupportGraph(a, budgets, start, stop=stop)
 
 
@@ -813,6 +803,16 @@ def _pumped_word(
         k, last = 2 * k, length
 
 
+def probability_text(p: Fraction) -> str:
+    """p as a witness or a message shows it: exact str(p) whenever Python
+    can render it, else _short(p).  The exact p stays recomputable by
+    replaying the witness's prefix and period."""
+    try:
+        return str(p)
+    except ValueError:
+        return _short(p)
+
+
 def _short(p: Fraction) -> str:
     """A probability for a message: exact while its terms fit in 128 bits,
     else "~" and its first 12 decimals, rounded down, in integer arithmetic
@@ -850,7 +850,7 @@ def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
     p = lasso.lasso_acceptance_probability(start, LassoWord((), period))
     if p != 1:
         raise RuntimeError(
-            f"period {' '.join(period)} accepts with probability {p}, not 1,"
+            f"period {' '.join(period)} accepts with probability {probability_text(p)}, not 1,"
             f" from the uniform distribution on {a.names(node)}"
         )
     witness = {
@@ -869,7 +869,9 @@ def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
     else:
         p = lasso.lasso_acceptance_probability(a, LassoWord(prefix, period))
         if p < 1 - bound:
-            raise RuntimeError(f"pumped lasso accepts with probability {p} < {1 - bound}")
+            raise RuntimeError(
+                f"pumped lasso accepts with probability {probability_text(p)} < {1 - bound}"
+            )
         witness["prefix"] = list(prefix)
-        witness["probability"] = str(p)
+        witness["probability"] = probability_text(p)
     return Verdict("yes", witness)

@@ -14,8 +14,6 @@ from qpa.profiles import (
     image_table,
     iter_checked_profiles,
     iter_profile_monoid,
-    iter_safe_monoid,
-    letter_safe_profile,
     normalize_priorities,
     profile_of_word,
 )
@@ -58,15 +56,6 @@ def compose_profiles(x, y):
     for layer_x, layer_y in zip(x[1:], y[1:]):
         out.append(tuple(O.oimage(y[-1], m) | O.oimage(layer_y, f) for m, f in zip(layer_x, x[-1])))
     return tuple(out)
-
-
-def compose_safe_profiles(x, y):
-    """Safe profile of the concatenated words: the rows compose as relations,
-    and a state keeps its whole tree in F iff it does under x and every state
-    x takes it to does under y."""
-    (xrows, xfull), (yrows, yfull) = x, y
-    full = sum(1 << i for i in O.obits(xfull) if xrows[i] & ~yfull == 0)
-    return O.ocompose_rows(xrows, yrows), full
 
 
 def monoid_closure(generators, compose, budget, what="monoid"):
@@ -150,11 +139,9 @@ def test_monoid_closure_words(ex1):
         assert profile_of_word(ex1, prios, word) == profile
 
 
-def test_monoid_budget(ex1, ex2):
+def test_monoid_budget(ex1):
     with pytest.raises(BudgetExceededError):
         list(iter_profile_monoid(ex1, EX1_PRIOS, budget=1))
-    with pytest.raises(BudgetExceededError):
-        list(iter_safe_monoid(ex2, ex2.mask("1 3"), budget=1))
 
 
 def test_monoid_closure_generic():
@@ -176,35 +163,22 @@ def drain(it):
 
 
 def check_lazy_closure_against_eager(rng, n, n_letters):
-    """The lazy closures against the eager one: iter_profile_monoid and
-    iter_safe_monoid yield its elements in its order with its words, and under
-    every budget below the full size they yield its prefix and raise where it
-    raises: once the letters and the budget's worth of elements are out."""
+    """The lazy closure against the eager one: iter_profile_monoid yields its
+    elements in its order with its words, and under every budget below the
+    full size it yields its prefix and raises where it raises: once the
+    letters and the budget's worth of elements are out."""
     a, prios, _ = gap_automaton(rng, n, n_letters, False)
-    safe = rng.randrange(1, 1 << n)
-    cases = [
-        (
-            lambda b: drain(iter_profile_monoid(a, prios, b)),
-            [letter_profile(a, prios, k) for k in range(n_letters)],
-            compose_profiles,
-        ),
-        (
-            lambda b: drain(iter_safe_monoid(a, safe, b)),
-            [letter_safe_profile(a, safe, k) for k in range(n_letters)],
-            compose_safe_profiles,
-        ),
-    ]
-    for under_budget, gens, compose in cases:
-        full = list(monoid_closure(gens, compose, budget=10**6).items())
-        assert under_budget(10**6) == (full, False)
-        distinct = len(set(gens))
-        for budget in range(1, len(full) + 1):
-            reached = max(budget, distinct)
-            got, raised = under_budget(budget)
-            assert raised == (reached < len(full))
-            assert got == full[:reached]
-        with pytest.raises(BudgetExceededError) if distinct < len(full) else nullcontext():
-            monoid_closure(gens, compose, budget=distinct)
+    gens = [letter_profile(a, prios, k) for k in range(n_letters)]
+    full = list(monoid_closure(gens, compose_profiles, budget=10**6).items())
+    assert drain(iter_profile_monoid(a, prios, 10**6)) == (full, False)
+    distinct = len(set(gens))
+    for budget in range(1, len(full) + 1):
+        reached = max(budget, distinct)
+        got, raised = drain(iter_profile_monoid(a, prios, budget))
+        assert raised == (reached < len(full))
+        assert got == full[:reached]
+    with pytest.raises(BudgetExceededError) if distinct < len(full) else nullcontext():
+        monoid_closure(gens, compose_profiles, budget=distinct)
 
 
 def test_lazy_closure_matches_eager_seeded():
@@ -237,60 +211,6 @@ def test_profile_matches_path_enumeration(seed, n, wlen):
                 assert p[i][j] == expected[(i, j)]
             else:
                 assert p[i][j] == INF
-
-
-def test_safe_profiles(ex2):
-    safe = ex2.mask("1 3")
-    pa = letter_safe_profile(ex2, safe, 0)
-    rows, full = pa
-    assert rows[ex2.state_index["1"]] == ex2.mask("1 3")
-    assert rows[ex2.state_index["3"]] == ex2.mask("3")
-    assert full == ex2.mask("1 3")
-    pb = letter_safe_profile(ex2, safe, 1)
-    rows_b, full_b = pb
-    assert rows_b[ex2.state_index["1"]] == 0
-    assert rows_b[ex2.state_index["3"]] == ex2.mask("1")
-    assert full_b == 0
-    pab = compose_safe_profiles(pa, pb)
-    assert pab[0][ex2.state_index["1"]] == ex2.mask("1")
-    assert pab[1] == 0
-
-
-def test_safe_monoid(ex2):
-    safe = ex2.mask("1 3")
-    monoid = dict(iter_safe_monoid(ex2, safe))
-    pa = letter_safe_profile(ex2, safe, 0)
-    assert monoid[pa] == (0,)
-    # only nonempty products
-    assert all(monoid.values())
-    for prof, word in monoid.items():
-        got = letter_safe_profile(ex2, safe, word[0])
-        for k in word[1:]:
-            got = compose_safe_profiles(got, letter_safe_profile(ex2, safe, k))
-        assert got == prof
-
-
-def test_safe_monoid_matches_oracle_seeded():
-    rng = random.Random(1107)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        a = random_automaton(rng, n, n_letters=rng.randint(1, 3))
-        safe = rng.randrange(1, 1 << n)
-        letters = [
-            tuple(r & safe if safe >> i & 1 else 0 for i, r in enumerate(rows))
-            for rows in O.oletter_rows(a)
-        ]
-        for (rows, full), w in iter_safe_monoid(a, safe):
-            expected_rows = tuple(1 << i if safe >> i & 1 else 0 for i in range(n))
-            for k in w:
-                expected_rows = O.ocompose_rows(expected_rows, letters[k])
-            expected_full = sum(
-                1 << i
-                for i in O.obits(safe)
-                if all(O.osupport(a, 1 << i, w[:t]) & ~safe == 0 for t in range(1, len(w) + 1))
-            )
-            assert rows == expected_rows
-            assert full == expected_full
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qpa.core import DEFAULT_BUDGETS, Acceptance, Automaton, Budgets, LassoWord, Verdict, bits, support_mask
 from qpa.classify import is_structurally_simple
 from qpa.errors import BudgetExceededError, InputError
+from qpa.formats import parse_automaton
 from qpa.lasso import lasso_acceptance_probability
 from qpa.qualitative import (
     MODES,
@@ -20,7 +21,7 @@ from qpa.qualitative import (
     _path_words,
 )
 from qpa.graphs import image
-from qpa.profiles import almost_period, class_minima, iter_profile_monoid, iter_safe_monoid
+from qpa.profiles import almost_period, class_minima, iter_profile_monoid
 from qpa.semantics import make_accepting_absorbing, reach_as_buchi
 from qpa.supportgraph import build_extended_support_graph
 
@@ -46,9 +47,6 @@ def test_reachable_supports(ex2):
     assert sup[ex2.mask("1 3")] == (0,)
     assert ex2.mask("1 2 4") in sup
     assert ex2.mask("4") not in sup
-    # a step whose support leaves `within` is not taken
-    inside = reachable_supports(ex2, ex2.mask("1"), 1 << 16, within=ex2.mask("1 3"))
-    assert inside == {ex2.mask("1"): (), ex2.mask("1 3"): (0,)}
 
 
 # The breadth-first loops as they were written out before graphs.shortest_words
@@ -118,12 +116,12 @@ def check_searches_against_old_loops(rng):
     a = random_automaton(rng, n, n_letters=rng.randint(1, 3))
     start = rng.randrange(1, 1 << n)
     within = rng.randrange(1 << n)
+    full = search_outcome(old_reachable_supports, a, start, 10**6)
+    assert search_outcome(reachable_supports, a, start, 10**6) == full
+    for budget in range(1, len(full) + 1):
+        want = search_outcome(old_reachable_supports, a, start, budget)
+        assert search_outcome(reachable_supports, a, start, budget) == want
     for w in (-1, within):
-        full = search_outcome(old_reachable_supports, a, start, 10**6, w)
-        assert search_outcome(reachable_supports, a, start, 10**6, w) == full
-        for budget in range(1, len(full) + 1):
-            want = search_outcome(old_reachable_supports, a, start, budget, w)
-            assert search_outcome(reachable_supports, a, start, budget, w) == want
         assert search_outcome(_path_words, a, start, w) == search_outcome(old_path_words, a, start, w)
     if n <= 4:
         g = build_extended_support_graph(a, seeds=[start])
@@ -520,34 +518,19 @@ def plain_reach(a):
 
 
 def positive_scan(a):
-    """The words of the monoid that the positive scan reads, in BFS order, with
-    the position and set of its first witness (None, None when there is none):
-    for coBuchi the safe monoid of F, each profile's greatest fully safe set
-    that it maps into itself; for Buchi and parity the profile monoid, the
-    even-minimum bottom classes of each checked profile (a letter or an
-    idempotent).  A witness set must meet a state that a plain path
-    reaches."""
+    """The words of the profile monoid that the Buchi and parity positive
+    scan reads, in BFS order, with the position and set of its first
+    witness (None, None when there is none): the even-minimum bottom
+    classes of each checked profile (a letter or an idempotent).  A witness
+    set must meet a state that a plain path reaches."""
     reached = plain_reach(a)
-    if a.acceptance.kind == "cobuchi":
-        monoid = dict(iter_safe_monoid(a, a.acceptance_mask()))
-        sets = []
-        for rows, full in monoid:
-            c = full
-            for _ in range(a.n):  # each pass drops a state or changes nothing
-                c = sum(1 << i for i in bits(c) if rows[i] & ~c == 0)
-            sets.append([c] if c else [])
-    else:
-        monoid = dict(iter_profile_monoid(a))
-        sets = [
-            [comp for comp, mn in class_minima(prof, a.full_mask) if mn % 2 == 0]
-            if ochecked_profile(prof[-1], rho)
-            else []
-            for prof, rho in monoid.items()
-        ]
+    monoid = dict(iter_profile_monoid(a))
     words = list(monoid.values())
-    for pos, candidates in enumerate(sets):
-        for c in candidates:
-            if c & reached:
+    for pos, (prof, rho) in enumerate(monoid.items()):
+        if not ochecked_profile(prof[-1], rho):
+            continue
+        for c, mn in class_minima(prof, a.full_mask):
+            if mn % 2 == 0 and c & reached:
                 return words, pos, c
     return words, None, None
 
@@ -576,13 +559,9 @@ def check_lazy_scans(rng):
         assert almost.witness["period"] == names(rho2)
         assert almost.witness["support"] == list(b.names(g))
         assert oracle.verdict(*indices(a, almost))[0]
-    if kind != "reach":
-        pwords, pos, c = positive_scan(a)
-        pletters = sum(len(w) == 1 for w in pwords)
-    # a coBuchi draw with no positive witness is refuted on the safe monoid
-    # first: "no" under every budget at which the safe monoid closes, that
-    # is, holds at most max(budget, its letters) elements
-    refuted = kind == "cobuchi" and pos is None
+    # a coBuchi draw with no positive witness is refuted by the lasso search
+    # over supports first, which no monoid budget binds: "no" under every one
+    refuted = kind == "cobuchi" and not old_positive(a)
     if refuted:
         assert not almost_at
         assert almost.reason == "no word is accepted with positive probability"
@@ -594,7 +573,7 @@ def check_lazy_scans(rng):
         seen = max(budget, letters)
         if almost_at and min(almost_at) < seen:
             assert decide_almost_simple(a, Budgets(monoid=budget)).witness == almost.witness
-        elif refuted and len(pwords) <= max(budget, pletters):
+        elif refuted:
             assert decide_almost_simple(a, Budgets(monoid=budget)).answer == "no"
         elif seen < len(words):
             with pytest.raises(BudgetExceededError):
@@ -606,14 +585,17 @@ def check_lazy_scans(rng):
     assert (positive.answer == "yes") == old_positive(a)
     if positive.answer == "yes":
         assert oracle.verdict(*indices(a, positive))[1]
-    if kind == "reach":
-        # C is F: no monoid is scanned, so no monoid budget binds
+    if kind in ("reach", "cobuchi"):
+        # C is F for reach, and coBuchi is a lasso search over supports: no
+        # monoid is scanned, so no monoid budget binds
         for budget in (1, 2):
             assert decide_positive_simple(a, Budgets(monoid=budget)).witness == positive.witness
         return False
-    # the positive scan reads its own monoid in BFS order and stops at the
-    # first witness, so under a budget it answers in full once the budget's
-    # prefix holds the witness, and raises before that
+    # the positive scan reads the profile monoid in BFS order and stops at
+    # the first witness, so under a budget it answers in full once the
+    # budget's prefix holds the witness, and raises before that
+    pwords, pos, c = positive_scan(a)
+    pletters = sum(len(w) == 1 for w in pwords)
     assert (positive.answer == "yes") == (pos is not None)
     if pos is not None:
         assert positive.witness["period"] == names(pwords[pos])
@@ -679,6 +661,92 @@ def test_positive_matches_old_criterion_seeded():
             assert LassoOracle(a).verdict(*indices(a, v))[1]
         answers[kind].add(v.answer)
     assert all(seen == {"yes", "no"} for seen in answers.values()), answers
+
+
+def eager_safe_cycle(a, start, fmask) -> bool:
+    """The almost-safety criterion as the walk before the lasso search read
+    it: among the supports reachable from start inside F, strip every
+    support with no edge to a kept one; start survives iff some cycle of
+    supports inside F is reachable from it."""
+    supports = old_reachable_supports(a, start, 1 << 16, within=fmask)
+    succ = {
+        s: {image(a.relation(k), s) for k in range(len(a.alphabet))} & set(supports)
+        for s in supports
+    }
+    alive = set(supports)
+    while True:
+        dead = {s for s in alive if not succ[s] & alive}
+        if not dead:
+            return start in alive
+        alive -= dead
+
+
+def test_safe_lasso_matches_profile_monoid_seeded():
+    # positive safety and coBuchi are one lasso search over the supports
+    # inside F, almost safety its run from the initial support; the profile
+    # monoid (old_positive) and the stripped support graph (eager_safe_cycle)
+    # must answer the same, and every "yes" goes to the oracle
+    rng = random.Random(2807)
+    answers = Counter()
+    for i in range(200):
+        kind = ("safety", "cobuchi")[i % 2]
+        n = rng.randint(2, 9)
+        # three letters on more than five states can take old_positive past
+        # a million profiles
+        a = random_automaton(rng, n, 2 if n > 5 else rng.randint(1, 3), acceptance=kind)
+        fmask = a.acceptance_mask()
+        oracle = LassoOracle(a)
+        v = decide_positive_simple(a)
+        assert v.answer == ("yes" if old_positive(a) else "no")
+        answers["positive", kind, v.answer] += 1
+        if v.answer == "yes":
+            assert oracle.verdict(*indices(a, v))[1]
+            assert a.mask(v.witness["class"]) & ~fmask == 0
+        if kind == "safety":
+            alpha = a.initial_support
+            v = decide_safety(a, "almost")
+            assert v.answer == ("yes" if not alpha & ~fmask and eager_safe_cycle(a, alpha, fmask) else "no")
+            assert decide_safety(a, "limit") == v
+            answers["almost", kind, v.answer] += 1
+            if v.answer == "yes":
+                assert oracle.verdict(*indices(a, v))[0]
+    assert len(answers) == 6, answers
+
+
+def test_safety_shaped_positive_needs_no_monoid_budget(ex2):
+    # no monoid is closed, so the monoid budget never binds; the search
+    # counts its supports against the subset budget instead
+    rng = random.Random(28)
+    for i in range(60):
+        kind = ("safety", "cobuchi")[i % 2]
+        a = random_automaton(rng, rng.randint(2, 6), rng.randint(1, 3), acceptance=kind)
+        want = decide_positive_simple(a)
+        got = decide_positive_simple(a, Budgets(monoid=1))
+        assert (got.answer, got.witness) == (want.answer, want.witness)
+    for acc in (Acceptance.safety({"1", "3"}), Acceptance.cobuchi({"1", "3"})):
+        b = ex2.with_acceptance(acc)
+        assert decide_positive_simple(b, Budgets(monoid=1)).answer == "yes"
+        with pytest.raises(BudgetExceededError, match="subset"):
+            decide_positive_simple(b, Budgets(subset=1))
+
+
+def test_safe_lasso_takes_the_loop_at_hand():
+    # a cycles q0 -> q1 -> ... -> q5 -> q0 and b sends every state to q0, all
+    # inside F: the first letter leads around the six-support cycle, but the
+    # search closes the loop b at q0 before it descends
+    text = "states: q0 q1 q2 q3 q4 q5\nalphabet: a b\ninit: q0=1\n" + "".join(
+        f"trans: q{i} a q{(i + 1) % 6} 1\ntrans: q{i} b q0 1\n" for i in range(6)
+    )
+    a = parse_automaton(text)
+    states = [f"q{i}" for i in range(6)]
+    for acc in (Acceptance.safety(states), Acceptance.cobuchi(states)):
+        b = a.with_acceptance(acc)
+        verdicts = [decide_positive_simple(b)]
+        if acc.kind == "safety":
+            verdicts.append(decide_safety(b, "almost"))
+        for v in verdicts:
+            assert v.answer == "yes"
+            assert (v.witness["prefix"], v.witness["period"]) == ([], ["b"])
 
 
 # -- the letter-and-idempotent scans against the scans of every profile ---------

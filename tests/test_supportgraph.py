@@ -192,7 +192,7 @@ def test_extended_nodes_deterministic_match_plain():
 
 
 def test_extended_ex1_all_states_funnel_to_u(ex1):
-    g = build_extended_support_graph(ex1, full=True)
+    g = ExtendedSupportGraph(ex1, DEFAULT_BUDGETS, range(1, 1 << ex1.n))
     qmask = ex1.full_mask
     umask = ex1.mask("u")
     want = (umask,) * ex1.n
@@ -267,7 +267,7 @@ def test_extended_budget_gate(hrd):
     with pytest.raises(BudgetExceededError, match="at most 6 states"):
         build_extended_support_graph(hrd)
     with pytest.raises(BudgetExceededError):
-        build_extended_support_graph(hrd, full=True)
+        ExtendedSupportGraph(hrd, DEFAULT_BUDGETS, range(1, 1 << hrd.n))
 
 
 def test_extended_edge_cap(ex2):
@@ -530,8 +530,6 @@ def _assert_stops_at_first_witness(a, seed, sat):
 
 
 def test_stop_needs_the_seeded_form_with_one_seed(ex2):
-    with pytest.raises(InputError, match="seeded form"):
-        build_extended_support_graph(ex2, full=True, stop=bool)
     with pytest.raises(InputError, match="at most one seed"):
         build_extended_support_graph(ex2, seeds=["1", "2"], stop=bool)
 
@@ -782,6 +780,50 @@ def test_pumped_word_messages_bound_a_huge_best():
         assert message.endswith(" ~0.871397070030") and len(message) < 80
         if error is BudgetExceededError:
             assert exc.value.best == want
+
+
+LONG_PUMP_TEXT = """\
+states: p q f z
+alphabet: a b
+init: p=1
+trans: p a p 999/1000
+trans: p a q 1/1000
+trans: q a q 1
+trans: f a z 1
+trans: z a z 1
+trans: p b z 1
+trans: q b f 1
+trans: f b q 1
+trans: z b z 1
+"""
+
+
+def test_witness_probability_past_the_int_digit_limit():
+    # the pumped prefix runs to about 4,100 letters, so the exact lasso
+    # probability has terms past the 4300 digits that str of an int allows;
+    # the witness falls back to _short, and replaying it gives the exact p.
+    # The limit is pinned to Python's default, which PYTHONINTMAXSTRDIGITS
+    # can change.
+    import sys
+
+    import qpa.supportgraph as sg
+    from qpa.core import LassoWord
+    from qpa.lasso import lasso_acceptance_probability
+
+    a = parse_automaton(LONG_PUMP_TEXT).with_acceptance(Acceptance.buchi(["f"]))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        v = decide(a, "limit", "struct-simple")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert v.answer == "yes"
+    w = v.witness
+    p = lasso_acceptance_probability(a, LassoWord(tuple(w["prefix"]), tuple(w["period"])))
+    assert p >= Fraction(9, 10) and p.denominator > 10**4300
+    assert w["probability"] == sg._short(p) and w["probability"].startswith("~0.9")
+    # below the limit the rendering is exact
+    assert sg.probability_text(Fraction(999, 1000) ** 100) == str(Fraction(999, 1000) ** 100)
 
 
 def test_limit_reach_decisions(ex1, ex2):
