@@ -118,8 +118,11 @@ def check_lemma5_bound(a: Automaton, q, rho) -> bool:
     """Verify the uniform entry bound on a chain-recurrent execution tree.
 
     Every positive entry of the distribution after rho from q must be at
-    least eps**(2**(2n)), with eps the smallest positive transition entry.
-    The comparison is exact; the exponent is a big integer.
+    least eps**(4**n), with eps the smallest positive transition entry.
+    After L letters every positive entry is a sum of path products, each
+    at least eps**L, and eps <= 1, so the bound holds without computing
+    the power whenever L <= 4**n.  Only a longer word takes the exact
+    comparison, where the power is no larger than the word itself.
     """
     qmask = as_mask(a, q)
     if qmask == 0 or qmask & (qmask - 1):
@@ -127,10 +130,12 @@ def check_lemma5_bound(a: Automaton, q, rho) -> bool:
     cr = is_chain_recurrent(a, qmask, rho)
     if not cr:
         raise InputError(f"execution tree is not chain recurrent: {cr.witness}")
+    if len(a.word(rho)) <= 4 ** a.n:
+        return True
     vec = [Fraction(0)] * a.n
     vec[qmask.bit_length() - 1] = Fraction(1)
     dist = propagate(a, vec, rho)
-    bound = a.epsilon() ** (2 ** (2 * a.n))
+    bound = a.epsilon() ** (4 ** a.n)
     return all(p >= bound for p in dist.values())
 
 

@@ -33,7 +33,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         with open(args.file, encoding="utf-8") as fh:
             a = parse_automaton(fh.read())
         verdict = decide(a, args.problem, args.mode)
-    except (InputError, BudgetExceededError, OSError) as exc:
+    except (InputError, BudgetExceededError, OSError, UnicodeDecodeError) as exc:
         print(f"qpa: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if args.json:

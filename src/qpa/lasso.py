@@ -85,6 +85,8 @@ class JetDecomposition:
 
     def distribution(self, n: int) -> tuple[Fraction, ...]:
         """Exact state distribution after the first n letters of the word."""
+        if n < 0:
+            raise InputError("step index must be nonnegative")
         a = self.automaton
         prefix = a.word(self.word.prefix)
         period = a.word(self.word.period)

@@ -2,7 +2,9 @@
 
 A priority profile of a word records, per state pair (q, q'), the minimum
 priority seen on any positive-probability path from q to q' reading that
-word (endpoints included), or INF when no such path exists.  Profiles
+word (endpoints included), or INF when no such path exists.  The
+priorities are the automaton's own acceptance (Automaton.priorities), so
+every profile of this module reads them and nothing else.  Profiles
 compose associatively, so the profiles of all nonempty words form a finite
 monoid generated by the letter profiles.
 
@@ -48,9 +50,9 @@ monoid: qualitative decides them by a lasso search over supports.
 """
 from __future__ import annotations
 
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Collection, Iterator
 
-from .core import Automaton, as_fraction
+from .core import Automaton
 from .errors import InputError
 from .graphs import bottom_scc_masks, image, image_table, shortest_words
 
@@ -59,33 +61,11 @@ INF = 1 << 30
 Profile = tuple[tuple[int, ...], ...]
 
 
-def normalize_priorities(a: Automaton, p: Mapping[str, int] | Sequence[int] | None) -> tuple[int, ...]:
-    """Priority vector by state index; defaults to the automaton's acceptance."""
-    if p is None:
-        return a.priorities()
-    if isinstance(p, Mapping):
-        missing = [q for q in a.states if q not in p]
-        if missing:
-            raise InputError(f"priorities missing for {missing}")
-        return tuple(_priority(p[q]) for q in a.states)
-    vec = tuple(_priority(x) for x in p)
-    if len(vec) != a.n:
-        raise InputError("priority vector length differs from state count")
-    return vec
-
-
-def _priority(x: int | str) -> int:
-    v = as_fraction(x, "priority")
-    if v.denominator != 1:
-        raise InputError(f"priority is not an integer: {x!r}")
-    return int(v)
-
-
 class _PriorityLetters:
-    """Threshold levels of one priority assignment and the letters' image tables."""
+    """Threshold levels of the automaton's priorities and the letters' image tables."""
 
-    def __init__(self, a: Automaton, priorities):
-        p = normalize_priorities(a, priorities)
+    def __init__(self, a: Automaton):
+        p = a.priorities()
         self.a = a
         self.levels = tuple(sorted(set(p)))
         # P_c for every level below the top one; the top level admits every state
@@ -112,12 +92,12 @@ class _PriorityLetters:
         return tuple(out)
 
 
-def profile_of_word(a: Automaton, priorities, word) -> Profile:
+def profile_of_word(a: Automaton, word) -> Profile:
     """Profile of a nonempty word, right-multiplying letter by letter."""
     w = a.word(word)
     if not w:
         raise InputError("the empty word has no profile")
-    letters = _PriorityLetters(a, priorities)
+    letters = _PriorityLetters(a)
     prof = letters.letter(w[0])
     for k in w[1:]:
         prof = letters.times_letter(prof, k)
@@ -142,14 +122,14 @@ def class_minima(profile: Profile, mask: int) -> list[tuple[int, int]]:
     return out
 
 
-def iter_profile_monoid(a: Automaton, priorities=None, budget: int = 1_000_000) -> Iterator[tuple[Profile, tuple[int, ...]]]:
+def iter_profile_monoid(a: Automaton, budget: int = 1_000_000) -> Iterator[tuple[Profile, tuple[int, ...]]]:
     """The profiles of all nonempty words in BFS order, each with its shortest word.
 
     graphs.shortest_words from the letter profiles, composing on the right
     with each letter in alphabet order, so words come length-lexicographic;
     a letter whose profile repeats an earlier one adds no element but still
     composes."""
-    letters = _PriorityLetters(a, priorities)
+    letters = _PriorityLetters(a)
     ks = range(len(a.alphabet))
     starts = [(letters.letter(k), (k,)) for k in ks]
     return shortest_words(
@@ -164,7 +144,7 @@ def iter_checked_profiles(a: Automaton, budget: int) -> Iterator[tuple[Profile, 
     """The profiles of iter_profile_monoid that a scan checks, in BFS order:
     the letters and those whose digraph is idempotent.  Every profile of
     the closure still counts against the budget."""
-    for prof, rho in iter_profile_monoid(a, None, budget):
+    for prof, rho in iter_profile_monoid(a, budget):
         top = prof[-1]
         if len(rho) == 1 or all(image(top, row) == row for row in top):
             yield prof, rho

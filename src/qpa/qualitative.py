@@ -1,12 +1,15 @@
 """Decision procedures for positive, almost-sure, and limit acceptance.
 
+decide is the one decision entry point: it checks the query once and
+dispatches on (problem, acceptance kind) to the private procedures below.
 The existential word quantification is replaced by finite closures, scanned
 as they are discovered.  An almost-sure "yes" is an exactly reachable
 support that a profile maps into itself and accepts from almost surely.  A
 positive "yes" is a set that a period accepts from almost surely, out of
 each of its states, and that a plain path reaches state by state from the
-initial support.  Every yes ships a lasso witness that is re-verified
-exactly before it is returned.
+initial support.  The profiles read the automaton's own acceptance
+(Automaton.priorities).  Every yes ships a lasso witness that is
+re-verified exactly before it is returned.
 
 Every safety-shaped question, almost and limit safety, positive safety
 and positive coBüchi, is one depth-first lasso search over the supports
@@ -140,12 +143,18 @@ def _safe_lasso(a: Automaton, starts, fmask: int, budget: int):
     return None
 
 
+def _safe_from_paths(a: Automaton, start: int, within: int, budget: int):
+    """The path words from start inside within (_path_words), and the
+    _safe_lasso search from the singletons of the states of F among them."""
+    fmask = a.acceptance_mask()
+    words = _path_words(a, start, within)
+    return words, _safe_lasso(a, [1 << q for q in words if fmask >> q & 1], fmask, budget)
+
+
 def _positive_safe_yes(a: Automaton, start: int, within: int, budgets: Budgets) -> Verdict:
     """Positive safety or coBüchi: the path word to the search's start, glued
     to its lasso, is the witness."""
-    fmask = a.acceptance_mask()
-    words = _path_words(a, start, within)
-    found = _safe_lasso(a, [1 << q for q in words if fmask >> q & 1], fmask, budgets.subset)
+    words, found = _safe_from_paths(a, start, within, budgets.subset)
     if found is None:
         return Verdict("no", reason="no word keeps the support of a reached state of F inside F")
     q, s, rho1, rho2 = found
@@ -153,17 +162,8 @@ def _positive_safe_yes(a: Automaton, start: int, within: int, budgets: Budgets) 
     return _verified_yes(a, w, False, {"class": list(a.names(s))})
 
 
-def _reach_as_buchi_yes(a: Automaton, budgets: Budgets) -> Verdict:
-    """Almost reach on the Buchi reduction; a "yes" is re-verified on a itself."""
-    v = decide_almost_simple(reach_as_buchi(a), budgets)
-    if v.answer != "yes":
-        return v
-    w = LassoWord(tuple(v.witness["prefix"]), tuple(v.witness["period"]))
-    return _verified_yes(a, w, True, {"support": v.witness["support"]})
-
-
-def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
-    """Is some word accepted with probability one?
+def _almost(a: Automaton, budgets: Budgets) -> Verdict:
+    """Almost Büchi, coBüchi or parity: is some word accepted with probability one?
 
     Yes iff some exactly reachable support G admits a profile P that maps G
     into G with every bottom component of P's graph on G having an even
@@ -171,29 +171,7 @@ def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
     generating word.  The scan is profiles.almost_period over the supports
     in subset BFS order; the monoid budget raises only if it trips before
     the witness profile is found, and a "no" closes the whole monoid.
-
-    A word accepted almost surely is accepted with positive probability, so
-    for coBüchi the positive criterion, a lasso search over the supports
-    inside F bounded by Budgets.subset, runs first: when it has no witness
-    the answer is "no" without the profile monoid.  When the search trips
-    the subset budget, the almost scan decides as above.
     """
-    acc = a.acceptance
-    if acc is None:
-        raise InputError("acceptance condition required")
-    if acc.kind == "safety":
-        return decide_safety(a, "almost", budgets)
-    if acc.kind == "reach":
-        return _reach_as_buchi_yes(a, budgets)
-    if acc.kind == "cobuchi":
-        fmask = a.acceptance_mask()
-        starts = [1 << q for q in _path_words(a, a.initial_support, -1) if fmask >> q & 1]
-        try:
-            refuted = _safe_lasso(a, starts, fmask, budgets.subset) is None
-        except BudgetExceededError:  # not a "no": the almost scan decides
-            refuted = False
-        if refuted:
-            return Verdict("no", reason="no word is accepted with positive probability")
     supports = reachable_supports(a, a.initial_support, budgets.subset)
     found = almost_period(a, supports, budgets.monoid)
     if found is None:
@@ -202,32 +180,44 @@ def decide_almost_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
     return _verified_yes(a, _lasso(a, supports[g], rho2), True, {"support": list(a.names(g))})
 
 
-def decide_positive_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
-    """Is some word accepted with positive probability?
+def _almost_reach(a: Automaton, budgets: Budgets) -> Verdict:
+    """Almost reach on the Buchi reduction; a "yes" is re-verified on a itself."""
+    v = _almost(reach_as_buchi(a), budgets)
+    if v.answer != "yes":
+        return v
+    w = LassoWord(tuple(v.witness["prefix"]), tuple(v.witness["period"]))
+    return _verified_yes(a, w, True, {"support": v.witness["support"]})
 
-    Yes iff some set C, which a period accepts almost surely from each of
-    its states, meets a state that a plain path reaches from the initial
-    support.  C is F for reach, and an even-minimum bottom class of a
-    profile for Büchi and parity: the class is strongly connected under the
-    period, so from any of its states the run sees the class minimum
-    infinitely often, almost surely.  Those classes are read off the
-    checked profiles only, the letters and the idempotents
-    (profiles.iter_checked_profiles): the even-minimum bottom classes of a
-    profile's idempotent power cover the same states as the profile's own,
-    so the same states are reached.  The monoid budget raises only if it
-    trips before the witness is found; a "no" closes the whole monoid.
-    Safety and coBüchi are _safe_lasso searches instead, bounded by
-    Budgets.subset and not by the monoid budget.
+
+def _almost_cobuchi(a: Automaton, budgets: Budgets) -> Verdict:
+    """Almost coBüchi: a word accepted almost surely is accepted with
+    positive probability, so when the positive coBüchi search has no lasso
+    the answer is "no" without the profile monoid; otherwise _almost.  A
+    lasso the search finds is thrown away unverified, and its subset
+    budget stop is not a "no"."""
+    try:
+        refuted = _safe_from_paths(a, a.initial_support, -1, budgets.subset)[1] is None
+    except BudgetExceededError:
+        refuted = False
+    if refuted:
+        return Verdict("no", reason="no word is accepted with positive probability")
+    return _almost(a, budgets)
+
+
+def _positive(a: Automaton, budgets: Budgets) -> Verdict:
+    """Positive Büchi or parity: is some word accepted with positive probability?
+
+    Yes iff some even-minimum bottom class C of a profile meets a state
+    that a plain path reaches from the initial support (_positive_yes): C
+    is strongly connected under the period, so from any of its states the
+    run sees the class minimum infinitely often, almost surely.  Those
+    classes are read off the checked profiles only, the letters and the
+    idempotents (profiles.iter_checked_profiles): the even-minimum bottom
+    classes of a profile's idempotent power cover the same states as the
+    profile's own, so the same states are reached.  The monoid budget
+    raises only if it trips before the witness is found; a "no" closes
+    the whole monoid.
     """
-    acc = a.acceptance
-    if acc is None:
-        raise InputError("acceptance condition required")
-    if acc.kind == "safety":
-        return decide_safety(a, "positive", budgets)
-    if acc.kind == "cobuchi":
-        return _positive_safe_yes(a, a.initial_support, -1, budgets)
-    if acc.kind == "reach":
-        return _positive_yes(a, [(a.acceptance_mask(), (0,))])
     return _positive_yes(a, (
         (comp, rho)
         for prof, rho in iter_checked_profiles(a, budgets.monoid)
@@ -236,7 +226,7 @@ def decide_positive_simple(a: Automaton, budgets: Budgets = DEFAULT_BUDGETS) -> 
     ))
 
 
-def decide_safety(a: Automaton, problem: str, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
+def _safety(a: Automaton, problem: str, budgets: Budgets) -> Verdict:
     """Safety decisions; the limit and almost variants coincide here.
 
     Each is a _safe_lasso search over the supports inside F, bounded by
@@ -245,11 +235,6 @@ def decide_safety(a: Automaton, problem: str, budgets: Budgets = DEFAULT_BUDGETS
     of the states that a path inside F reaches from the initial support's
     states in F; the path word glued to the lasso is the witness.
     """
-    acc = a.acceptance
-    if acc is None or acc.kind != "safety":
-        raise InputError("decide_safety needs a safety acceptance condition")
-    if problem not in PROBLEMS:
-        raise InputError(f"unknown problem {problem!r}")
     fmask = a.acceptance_mask()
     alpha = a.initial_support
     if problem in ("almost", "limit"):
@@ -267,10 +252,12 @@ def decide_safety(a: Automaton, problem: str, budgets: Budgets = DEFAULT_BUDGETS
 
 
 def decide(a: Automaton, problem: str, mode: str, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
-    """Dispatch a decision query to the procedure that is actually decidable.
+    """Is some word accepted positively, almost surely or in the limit?
 
-    simple and lasso modes share the simple procedures; general mode is a
-    filter in front of them that reports every corner outside safety and
+    The one decision entry point.  It checks the problem, the mode and the
+    acceptance once, then dispatches on (problem, kind) once.  simple and
+    lasso modes run the procedures as they are; general mode is a filter
+    in front of them that reports every corner outside safety and
     _GENERAL_DECIDABLE as undecidable; the struct-simple mode raises
     InputError("automaton not structurally simple") unless classify's gate
     proves the automaton structurally simple, and may then answer limit
@@ -278,7 +265,10 @@ def decide(a: Automaton, problem: str, mode: str, budgets: Budgets = DEFAULT_BUD
     The error's verdict attribute is the gate's "no", with its replayed
     witness.  The gate runs once per automaton and Budgets value (see
     classify.is_structurally_simple), so every further struct-simple
-    question on the same automaton reads its kept verdict.
+    question on the same automaton reads its kept verdict.  Positive reach
+    is a plain path into F, and positive coBüchi the safe-lasso search over
+    the supports inside F, bounded by Budgets.subset and not by the monoid
+    budget.
     """
     if problem not in PROBLEMS:
         raise InputError(f"unknown problem {problem!r}")
@@ -297,12 +287,20 @@ def decide(a: Automaton, problem: str, mode: str, budgets: Budgets = DEFAULT_BUD
             exc = InputError("automaton not structurally simple")
             exc.verdict = gate
             raise exc
-    if problem == "almost":
-        return decide_almost_simple(a, budgets)
-    if problem == "positive":
-        return decide_positive_simple(a, budgets)
     if kind == "safety":
-        return decide_safety(a, "limit", budgets)
+        return _safety(a, problem, budgets)
+    if problem == "almost":
+        if kind == "reach":
+            return _almost_reach(a, budgets)
+        if kind == "cobuchi":
+            return _almost_cobuchi(a, budgets)
+        return _almost(a, budgets)
+    if problem == "positive":
+        if kind == "reach":
+            return _positive_yes(a, [(a.acceptance_mask(), (0,))])
+        if kind == "cobuchi":
+            return _positive_safe_yes(a, a.initial_support, -1, budgets)
+        return _positive(a, budgets)
     if mode != "struct-simple":
         reason = f"the simple limit problem is undecidable for {kind} acceptance"
         return Verdict("undecidable_in_general", reason=reason)

@@ -226,7 +226,7 @@ def chain_analysis(a: Automaton, G, word) -> ChainAnalysis:
     return ChainAnalysis(mask, classes, transient, absorption)
 
 
-def chain_parity_almost(a: Automaton, G, word, priorities=None) -> tuple[bool, tuple[tuple[int, int], ...]]:
+def chain_parity_almost(a: Automaton, G, word) -> tuple[bool, tuple[tuple[int, int], ...]]:
     """Whether the chain induced by (G, word) satisfies parity almost surely.
 
     Returns the answer together with (class mask, internal minimum) per
@@ -240,7 +240,7 @@ def chain_parity_almost(a: Automaton, G, word, priorities=None) -> tuple[bool, t
         raise InputError("empty word defines no chain")
     if support_step(a, mask, w) & ~mask:
         raise InputError("G not closed under rho")
-    prof = profile_of_word(a, priorities, w)
+    prof = profile_of_word(a, w)
     minima = tuple(class_minima(prof, mask))
     return all(m % 2 == 0 for _, m in minima), minima
 

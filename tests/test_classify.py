@@ -1,6 +1,7 @@
 """Chain recurrence, structural simplicity, hierarchy, and the constructions."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from qpa.errors import BudgetExceededError, InputError
 from qpa.formats import DFA, parse_automaton, parse_dfa, serialize_automaton
 from qpa.graphs import image
 from qpa.lasso import lasso_acceptance_probability
-from qpa.qualitative import decide, decide_almost_simple
+from qpa.qualitative import decide
 from qpa.semantics import propagate, support_step
 from qpa.supportgraph import ExtendedSupportGraph, is_sharp_acyclic, reachable_supports
 import oracles as O
@@ -145,6 +146,26 @@ def test_lemma5_arithmetic_pin():
     # two states: every positive entry must clear (1/2) ** 16
     assert Fraction(1, 4) >= Fraction(1, 2) ** 16
     assert check_lemma5_bound(a, "p", "aa")
+
+
+def test_lemma5_bound_needs_no_power_up_to_four_to_the_n(monkeypatch):
+    # each state stays with 1/3 and moves on with 2/3: after L <= 4**n
+    # letters every positive entry is at least (1/3)**L, so no power of
+    # eps is computed; a word longer than 4**n takes the exact comparison
+    n = 12
+    text = f"states: {' '.join(f'q{i}' for i in range(n))}\nalphabet: a\ninit: q0=1\n" + "".join(
+        f"trans: q{i} a q{i} 1/3\ntrans: q{i} a q{(i + 1) % n} 2/3\n" for i in range(n)
+    )
+    start = time.perf_counter()
+    assert check_lemma5_bound(parse_automaton(text), "q0", "a")
+    assert time.perf_counter() - start < 0.5
+    import qpa.classify as C
+
+    calls = []
+    monkeypatch.setattr(C, "propagate", lambda *args: calls.append(args) or propagate(*args))
+    pin = parse_automaton(LEMMA5_PIN_TEXT)
+    assert check_lemma5_bound(pin, "p", "a" * 16) and calls == []
+    assert check_lemma5_bound(pin, "p", "a" * 17) and len(calls) == 1
 
 
 def test_lemma5_requires_single_start():
@@ -504,7 +525,7 @@ def test_gate_runs_once_per_automaton_and_budgets(monkeypatch, ex2):
     b = ex2.with_acceptance(Acceptance.buchi(["4"]))
     assert decide(b, "limit", "struct-simple").answer == "yes"
     assert built == [False, True]
-    assert decide(b, "almost", "struct-simple") == decide_almost_simple(b)
+    assert decide(b, "almost", "struct-simple") == decide(b, "almost", "simple")
     assert decide(b, "limit", "struct-simple").answer == "yes"
     assert is_structurally_simple(b)
     assert built == [False, True]
@@ -716,4 +737,4 @@ def test_reduction_round_trip_matches_product_emptiness():
     for _ in range(50):
         dfas = [random_dfa(rng, rng.randrange(1, 5), 2) for _ in range(2)]
         red = reduce_dfa_intersection(dfas)
-        assert bool(decide_almost_simple(red)) == O.odfa_intersection_nonempty(dfas)
+        assert bool(decide(red, "almost", "simple")) == O.odfa_intersection_nonempty(dfas)

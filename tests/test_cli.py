@@ -49,6 +49,11 @@ def test_decide_reports_input_and_budget_errors(tmp_path, capsys):
     assert err.startswith("qpa: BudgetExceededError: ") and "at most 6 states" in err
     assert main(["decide", str(tmp_path / "missing.qpa"), "--problem", "almost", "--mode", "simple"]) == 1
     assert capsys.readouterr().err.startswith("qpa: FileNotFoundError: ")
+    latin = tmp_path / "latin.qpa"
+    latin.write_bytes(b"states: s\xff\n")
+    assert main(["decide", str(latin), "--problem", "almost", "--mode", "simple"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qpa: UnicodeDecodeError: ") and err.count("\n") == 1
 
 
 def test_decide_rejects_unknown_problem(ex2_reach_file):

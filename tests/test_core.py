@@ -16,7 +16,6 @@ from qpa.classify import is_chain_recurrent, is_sharp_reduction, union_structure
 from qpa.errors import InputError
 from qpa.lasso import SupportSequence, lasso_jet_decomposition
 from qpa.linked import linked_graph_of_word, rec_from
-from qpa.profiles import normalize_priorities
 from qpa.semantics import chain_analysis, propagate, sharp_power, support_step
 from qpa.supportgraph import (
     ExtendedSupportGraph,
@@ -186,7 +185,6 @@ def test_verdict_truthiness():
         lambda a: Automaton(["q"], ["a"], [[["1/0"]]], [1]),
         lambda a: Automaton(["q"], ["a"], [[[None]]], [1]),
         lambda a: Automaton(["q"], ["a"], [[[1]]], ["x"]),
-        lambda a: normalize_priorities(a, {"1": "x", "2": 0, "3": 0, "4": 0}),
     ],
     ids=[
         "eps-text",
@@ -201,7 +199,6 @@ def test_verdict_truthiness():
         "transition-zero-denominator",
         "transition-none",
         "initial-text",
-        "priority-text",
     ],
 )
 def test_malformed_numbers_are_input_errors(ex2, call):

@@ -141,6 +141,14 @@ def test_jets_alternating(ex1):
     assert d.j0.at(0) == ex1.full_mask
 
 
+def test_jet_distribution_rejects_a_negative_step(ex2):
+    d = lasso_jet_decomposition(ex2, LassoWord(("a", "a", "b"), ("a",)))
+    assert d.distribution(0) == ex2.initial
+    for n in (-1, -7):
+        with pytest.raises(InputError, match="nonnegative"):
+            d.distribution(n)
+
+
 def test_jets_solve_no_absorption_system(monkeypatch, ex2):
     # the jets read the product chain alone
     def refused(*args):

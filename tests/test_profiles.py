@@ -5,6 +5,7 @@ from contextlib import nullcontext
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpa.core import Acceptance
 from qpa.errors import BudgetExceededError
 from qpa.graphs import image
 from qpa.profiles import (
@@ -14,7 +15,6 @@ from qpa.profiles import (
     image_table,
     iter_checked_profiles,
     iter_profile_monoid,
-    normalize_priorities,
     profile_of_word,
 )
 
@@ -24,6 +24,12 @@ from oracles import opath_profile
 
 
 EX1_PRIOS = {"s": 1, "t": 1, "u": 0}
+
+
+@pytest.fixture
+def ex1p(ex1):
+    """ex1 under the parity condition EX1_PRIOS."""
+    return ex1.with_acceptance(Acceptance.parity(EX1_PRIOS))
 
 
 def decode(profile):
@@ -40,9 +46,9 @@ def decode(profile):
     )
 
 
-def letter_profile(a, prios, k):
+def letter_profile(a, k):
     """Profile of the one-letter word k."""
-    return profile_of_word(a, prios, (k,))
+    return profile_of_word(a, (k,))
 
 
 def compose_profiles(x, y):
@@ -90,58 +96,53 @@ def as_dict(a, profile):
     }
 
 
-def test_letter_profile_ex1(ex1):
-    prios = normalize_priorities(ex1, EX1_PRIOS)
-    pa = letter_profile(ex1, prios, 0)
-    assert as_dict(ex1, pa) == {
+def test_letter_profile_ex1(ex1p):
+    pa = letter_profile(ex1p, 0)
+    assert as_dict(ex1p, pa) == {
         ("s", "s"): 1,
         ("s", "t"): 1,
         ("t", "s"): 1,
         ("t", "u"): 0,
         ("u", "t"): 0,
     }
-    pb = letter_profile(ex1, prios, 1)
-    assert as_dict(ex1, pb) == {("s", "s"): 1, ("t", "u"): 0, ("u", "t"): 0}
+    pb = letter_profile(ex1p, 1)
+    assert as_dict(ex1p, pb) == {("s", "s"): 1, ("t", "u"): 0, ("u", "t"): 0}
 
 
-def test_profile_of_word_composes(ex1):
-    prios = normalize_priorities(ex1, EX1_PRIOS)
-    pa = letter_profile(ex1, prios, 0)
-    pb = letter_profile(ex1, prios, 1)
-    assert compose_profiles(pa, pb) == profile_of_word(ex1, prios, "ab")
-    pab = profile_of_word(ex1, prios, "ab")
-    assert as_dict(ex1, pab)[("u", "u")] == 0
-    assert as_dict(ex1, pab)[("s", "u")] == 0
+def test_profile_of_word_composes(ex1p):
+    pa = letter_profile(ex1p, 0)
+    pb = letter_profile(ex1p, 1)
+    assert compose_profiles(pa, pb) == profile_of_word(ex1p, "ab")
+    pab = profile_of_word(ex1p, "ab")
+    assert as_dict(ex1p, pab)[("u", "u")] == 0
+    assert as_dict(ex1p, pab)[("s", "u")] == 0
 
 
-def test_profile_image_and_digraph(ex1):
-    prios = normalize_priorities(ex1, EX1_PRIOS)
-    p = profile_of_word(ex1, prios, "ab")
-    assert image(p[-1], ex1.mask("s")) == ex1.mask("s u")
-    assert p[-1][ex1.state_index["u"]] == ex1.mask("u")
+def test_profile_image_and_digraph(ex1p):
+    p = profile_of_word(ex1p, "ab")
+    assert image(p[-1], ex1p.mask("s")) == ex1p.mask("s u")
+    assert p[-1][ex1p.state_index["u"]] == ex1p.mask("u")
 
 
-def test_class_minima(ex1):
-    prios = normalize_priorities(ex1, EX1_PRIOS)
-    p = profile_of_word(ex1, prios, "ab")
-    assert class_minima(p, ex1.full_mask) == [(ex1.mask("u"), 0)]
-    pa = profile_of_word(ex1, prios, "a")
-    minima = dict(class_minima(pa, ex1.full_mask))
-    assert minima == {ex1.full_mask: 0}
+def test_class_minima(ex1p):
+    p = profile_of_word(ex1p, "ab")
+    assert class_minima(p, ex1p.full_mask) == [(ex1p.mask("u"), 0)]
+    pa = profile_of_word(ex1p, "a")
+    minima = dict(class_minima(pa, ex1p.full_mask))
+    assert minima == {ex1p.full_mask: 0}
 
 
-def test_monoid_closure_words(ex1):
-    prios = normalize_priorities(ex1, EX1_PRIOS)
-    monoid = dict(iter_profile_monoid(ex1, EX1_PRIOS))
-    pab = profile_of_word(ex1, prios, "ab")
+def test_monoid_closure_words(ex1p):
+    monoid = dict(iter_profile_monoid(ex1p))
+    pab = profile_of_word(ex1p, "ab")
     assert monoid[pab] == (0, 1)
     for profile, word in monoid.items():
-        assert profile_of_word(ex1, prios, word) == profile
+        assert profile_of_word(ex1p, word) == profile
 
 
-def test_monoid_budget(ex1):
+def test_monoid_budget(ex1p):
     with pytest.raises(BudgetExceededError):
-        list(iter_profile_monoid(ex1, EX1_PRIOS, budget=1))
+        list(iter_profile_monoid(ex1p, budget=1))
 
 
 def test_monoid_closure_generic():
@@ -167,14 +168,14 @@ def check_lazy_closure_against_eager(rng, n, n_letters):
     elements in its order with its words, and under every budget below the
     full size it yields its prefix and raises where it raises: once the
     letters and the budget's worth of elements are out."""
-    a, prios, _ = gap_automaton(rng, n, n_letters, False)
-    gens = [letter_profile(a, prios, k) for k in range(n_letters)]
+    a = gap_automaton(rng, n, n_letters)
+    gens = [letter_profile(a, k) for k in range(n_letters)]
     full = list(monoid_closure(gens, compose_profiles, budget=10**6).items())
-    assert drain(iter_profile_monoid(a, prios, 10**6)) == (full, False)
+    assert drain(iter_profile_monoid(a, 10**6)) == (full, False)
     distinct = len(set(gens))
     for budget in range(1, len(full) + 1):
         reached = max(budget, distinct)
-        got, raised = drain(iter_profile_monoid(a, prios, budget))
+        got, raised = drain(iter_profile_monoid(a, budget))
         assert raised == (reached < len(full))
         assert got == full[:reached]
     with pytest.raises(BudgetExceededError) if distinct < len(full) else nullcontext():
@@ -201,10 +202,9 @@ def test_lazy_closure_matches_eager(seed, n, n_letters):
 def test_profile_matches_path_enumeration(seed, n, wlen):
     rng = random.Random(seed)
     a = random_automaton(rng, n, acceptance="parity")
-    prios = normalize_priorities(a, None)
     w = tuple(rng.randrange(len(a.alphabet)) for _ in range(wlen))
-    p = decode(profile_of_word(a, prios, w))
-    expected = opath_profile(a, prios, w)
+    p = decode(profile_of_word(a, w))
+    expected = opath_profile(a, a.priorities(), w)
     for i in range(a.n):
         for j in range(a.n):
             if (i, j) in expected:
@@ -218,12 +218,11 @@ def test_profile_matches_path_enumeration(seed, n, wlen):
 def test_profile_composition_associative(seed, n, l1, l2):
     rng = random.Random(seed)
     a = random_automaton(rng, n, acceptance="parity")
-    prios = normalize_priorities(a, None)
     w1 = tuple(rng.randrange(len(a.alphabet)) for _ in range(l1))
     w2 = tuple(rng.randrange(len(a.alphabet)) for _ in range(l2))
     assert compose_profiles(
-        profile_of_word(a, prios, w1), profile_of_word(a, prios, w2)
-    ) == profile_of_word(a, prios, w1 + w2)
+        profile_of_word(a, w1), profile_of_word(a, w2)
+    ) == profile_of_word(a, w1 + w2)
 
 
 # -- layered profiles against the min-matrix form and path enumeration ----------
@@ -262,17 +261,17 @@ def matrix_closure(a, prios):
     return words
 
 
-def gap_automaton(rng, n, n_letters, by_name):
-    """A random automaton with priorities drawn from a gapped set, given as a
-    vector or as a name-keyed mapping."""
+def gap_automaton(rng, n, n_letters):
+    """A random automaton under a parity condition with priorities drawn
+    from a gapped set."""
     a = random_automaton(rng, n, n_letters=n_letters)
-    prios = tuple(rng.choice(GAP_PRIORITIES) for _ in range(n))
-    return a, prios, dict(zip(a.states, prios)) if by_name else prios
+    return a.with_acceptance(Acceptance.parity({q: rng.choice(GAP_PRIORITIES) for q in a.states}))
 
 
-def check_monoid_against_references(rng, n, n_letters, by_name):
-    a, prios, given_prios = gap_automaton(rng, n, n_letters, by_name)
-    monoid = dict(iter_profile_monoid(a, given_prios))
+def check_monoid_against_references(rng, n, n_letters):
+    a = gap_automaton(rng, n, n_letters)
+    prios = a.priorities()
+    monoid = dict(iter_profile_monoid(a))
     reference = matrix_closure(a, prios)
     assert [decode(p) for p in monoid] == list(reference)
     assert list(monoid.values()) == list(reference.values())
@@ -284,18 +283,18 @@ def check_monoid_against_references(rng, n, n_letters, by_name):
 def test_monoid_matches_references_seeded():
     rng = random.Random(1107)
     for _ in range(40):
-        check_monoid_against_references(rng, rng.randint(1, 4), rng.randint(1, 3), rng.random() < 0.5)
+        check_monoid_against_references(rng, rng.randint(1, 4), rng.randint(1, 3))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**9), st.integers(1, 4), st.integers(1, 3), st.booleans())
-def test_monoid_matches_references(seed, n, n_letters, by_name):
-    check_monoid_against_references(random.Random(seed), n, n_letters, by_name)
+@given(st.integers(0, 10**9), st.integers(1, 4), st.integers(1, 3))
+def test_monoid_matches_references(seed, n, n_letters):
+    check_monoid_against_references(random.Random(seed), n, n_letters)
 
 
-def check_class_minima_by_brute_force(rng, n, by_name):
-    a, prios, given_prios = gap_automaton(rng, n, 2, by_name)
-    for p, _ in iter_profile_monoid(a, given_prios):
+def check_class_minima_by_brute_force(rng, n):
+    a = gap_automaton(rng, n, 2)
+    for p, _ in iter_profile_monoid(a):
         m = decode(p)
         rows = [sum(1 << j for j in range(n) if m[i][j] != INF) for i in range(n)]
         for mask in range(1, 1 << n):
@@ -311,13 +310,13 @@ def check_class_minima_by_brute_force(rng, n, by_name):
 def test_class_minima_matches_brute_force_seeded():
     rng = random.Random(1107)
     for _ in range(40):
-        check_class_minima_by_brute_force(rng, rng.randint(1, 4), rng.random() < 0.5)
+        check_class_minima_by_brute_force(rng, rng.randint(1, 4))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**9), st.integers(1, 4), st.booleans())
-def test_class_minima_matches_brute_force(seed, n, by_name):
-    check_class_minima_by_brute_force(random.Random(seed), n, by_name)
+@given(st.integers(0, 10**9), st.integers(1, 4))
+def test_class_minima_matches_brute_force(seed, n):
+    check_class_minima_by_brute_force(random.Random(seed), n)
 
 
 def check_odd_mask_on_closed_sets(rng, n):
@@ -325,8 +324,8 @@ def check_odd_mask_on_closed_sets(rng, n):
     g are the whole digraph's bottom components inside g, so all of them have
     even minima iff g misses every odd-minimum bottom component of the whole
     digraph."""
-    a, prios, _ = gap_automaton(rng, n, 2, False)
-    for p, _ in iter_profile_monoid(a, prios):
+    a = gap_automaton(rng, n, 2)
+    for p, _ in iter_profile_monoid(a):
         odd = 0
         for comp, mn in class_minima(p, a.full_mask):
             if mn % 2:
@@ -413,14 +412,14 @@ def check_idempotent_power(rng, n):
     classes of both have the same union, and on every set g closed under R
     the almost check (only even-minimum bottom classes within g) reads the
     same for P and E."""
-    a, prios, _ = gap_automaton(rng, n, rng.randint(1, 3), False)
+    a = gap_automaton(rng, n, rng.randint(1, 3))
     w = tuple(rng.randrange(len(a.alphabet)) for _ in range(rng.randint(1, 4)))
-    p = profile_of_word(a, prios, w)
+    p = profile_of_word(a, w)
     k, e = 1, p
     while O.ocompose_rows(e[-1], e[-1]) != e[-1]:
         k += 1
         assert k <= 1 << n  # the idempotent power of an n-state relation comes sooner
-        e = profile_of_word(a, prios, w * k)
+        e = profile_of_word(a, w * k)
     p_classes, e_classes = class_minima(p, a.full_mask), class_minima(e, a.full_mask)
     for comp, mn in e_classes:
         assert [pm for pc, pm in p_classes if comp & ~pc == 0] == [mn]
@@ -449,7 +448,7 @@ def test_idempotent_power_lemma_seeded():
 def test_multi_chunk_tables_match_matrix_profiles(n):
     rng = random.Random(n)
     a = random_automaton(rng, n, n_letters=2, acceptance="parity")
-    prios = normalize_priorities(a, None)
+    prios = a.priorities()
     rows = a.relation(0)
     img = image_table(rows)
     for _ in range(200):
@@ -461,8 +460,8 @@ def test_multi_chunk_tables_match_matrix_profiles(n):
         expected = O._min_plus_letter(a.relation(w1[0]), prios, n)
         for k in w1[1:] + w2:
             expected = O._min_plus_compose(expected, O._min_plus_letter(a.relation(k), prios, n), n)
-        p = profile_of_word(a, prios, w1 + w2)
+        p = profile_of_word(a, w1 + w2)
         assert finite_entries(decode(p)) == finite_entries(
             [[INF if v == O.INF else v for v in row] for row in expected]
         )
-        assert compose_profiles(profile_of_word(a, prios, w1), profile_of_word(a, prios, w2)) == p
+        assert compose_profiles(profile_of_word(a, w1), profile_of_word(a, w2)) == p

@@ -14,11 +14,15 @@ from qpa.qualitative import (
     MODES,
     PROBLEMS,
     decide,
-    decide_almost_simple,
-    decide_positive_simple,
-    decide_safety,
     reachable_supports,
+    _almost,
+    _almost_cobuchi,
+    _almost_reach,
     _path_words,
+    _positive,
+    _positive_safe_yes,
+    _positive_yes,
+    _safety,
 )
 from qpa.graphs import image
 from qpa.profiles import almost_period, class_minima, iter_profile_monoid
@@ -137,107 +141,104 @@ def test_searches_match_old_loops_seeded():
 
 
 def test_almost_simple_gadget(hrd):
-    v = decide_almost_simple(hrd)
+    v = decide(hrd, "almost", "simple")
     assert v.answer == "yes"
     assert replay(hrd, v) == 1
 
 
 def test_almost_simple_parity(ex1):
     a = ex1.with_acceptance(Acceptance.parity({"s": 1, "t": 1, "u": 0}))
-    v = decide_almost_simple(a)
+    v = decide(a, "almost", "simple")
     assert v.answer == "yes"
     assert replay(a, v) == 1
 
 
 def test_almost_simple_all_odd(ex1):
     a = ex1.with_acceptance(Acceptance.parity({"s": 1, "t": 1, "u": 3}))
-    assert decide_almost_simple(a).answer == "no"
+    assert decide(a, "almost", "simple").answer == "no"
 
 
 def test_positive_simple_parity(ex1):
     a = ex1.with_acceptance(Acceptance.parity({"s": 1, "t": 1, "u": 0}))
-    v = decide_positive_simple(a)
+    v = decide(a, "positive", "simple")
     assert v.answer == "yes"
     assert replay(a, v) > 0
     b = ex1.with_acceptance(Acceptance.parity({"s": 1, "t": 3, "u": 1}))
-    assert decide_positive_simple(b).answer == "no"
+    assert decide(b, "positive", "simple").answer == "no"
 
 
 def test_positive_reach_via_supports(ex2):
     a = ex2.with_acceptance(Acceptance.reach({"4"}))
-    v = decide_positive_simple(a)
+    v = decide(a, "positive", "simple")
     assert v.answer == "yes"
     assert replay(a, v) > 0
-    assert decide_almost_simple(a).answer == "no"
+    assert decide(a, "almost", "simple").answer == "no"
 
 
 def test_almost_reach(ex2):
     a = ex2.with_acceptance(Acceptance.reach({"3"}))
-    v = decide_almost_simple(a)
+    v = decide(a, "almost", "simple")
     assert v.answer == "yes"
     assert replay(a, v) == 1
 
 
 def test_safety_almost(ex1):
     a = ex1.with_acceptance(Acceptance.safety({"s"}))
-    v = decide_safety(a, "almost")
+    v = decide(a, "almost", "simple")
     assert v.answer == "yes"
     assert replay(a, v) == 1
-    assert decide_safety(a, "limit").answer == "yes"
+    assert decide(a, "limit", "simple").answer == "yes"
     b = ex1.with_acceptance(Acceptance.safety({"t", "u"}))
-    assert decide_safety(b, "almost").answer == "no"
+    assert decide(b, "almost", "simple").answer == "no"
 
 
 def test_safety_almost_needs_contained_cycle(exlg):
     # {1} steps to {2} or {1,3} and both of those leave F = {1,3} eventually
     a = exlg.with_acceptance(Acceptance.safety({"1"}))
-    assert decide_safety(a, "almost").answer == "no"
+    assert decide(a, "almost", "simple").answer == "no"
 
 
 def test_safety_positive(ex1, ex2):
     a = ex2.with_acceptance(Acceptance.safety({"1", "3"}))
-    v = decide_safety(a, "positive")
+    v = decide(a, "positive", "simple")
     assert v.answer == "yes"
     assert v.witness["period"] == ["a"]
     assert replay(a, v) > 0
     b = ex2.with_acceptance(Acceptance.safety({"1"}))
-    assert decide_safety(b, "positive").answer == "no"
+    assert decide(b, "positive", "simple").answer == "no"
     c = ex1.with_acceptance(Acceptance.safety({"u"}))
-    assert decide_safety(c, "positive").answer == "no"
+    assert decide(c, "positive", "simple").answer == "no"
 
 
 def test_safety_full_set(ex1):
     a = ex1.with_acceptance(Acceptance.safety({"s", "t", "u"}))
     for problem in ("positive", "almost", "limit"):
-        assert decide_safety(a, problem).answer == "yes"
+        assert decide(a, problem, "simple").answer == "yes"
 
 
 def test_safety_input_checks(ex1):
     a = ex1.with_acceptance(Acceptance.safety({"s"}))
     with pytest.raises(InputError):
-        decide_safety(a, "sometimes")
-    b = ex1.with_acceptance(Acceptance.buchi({"s"}))
-    with pytest.raises(InputError):
-        decide_safety(b, "almost")
+        decide(a, "sometimes", "simple")
 
 
 def test_budget_errors(ex1):
     # the letter profile of a is already a witness, found before the monoid
     # budget trips
     a = ex1.with_acceptance(Acceptance.parity({"s": 1, "t": 1, "u": 0}))
-    v = decide_almost_simple(a, Budgets(monoid=1))
+    v = decide(a, "almost", "simple", Budgets(monoid=1))
     assert v.answer == "yes"
     assert (v.witness["prefix"], v.witness["period"]) == (["a", "a"], ["a"])
     assert LassoOracle(a).verdict(*indices(a, v)) == (True, True)
     # a "no" needs the whole monoid
     odd = ex1.with_acceptance(Acceptance.parity({"s": 1, "t": 1, "u": 3}))
     with pytest.raises(BudgetExceededError):
-        decide_almost_simple(odd, Budgets(monoid=1))
+        decide(odd, "almost", "simple", Budgets(monoid=1))
     with pytest.raises(BudgetExceededError):
-        decide_positive_simple(odd, Budgets(monoid=1))
+        decide(odd, "positive", "simple", Budgets(monoid=1))
     # the positive scan walks states, not supports, so the subset budget
     # does not bind it
-    v = decide_positive_simple(a, Budgets(subset=1))
+    v = decide(a, "positive", "simple", Budgets(subset=1))
     assert v.answer == "yes"
     assert LassoOracle(a).verdict(*indices(a, v))[1]
 
@@ -265,7 +266,8 @@ def test_decide_dispatch(hrd, ex1):
 
 def old_decide(a, problem, mode, budgets=DEFAULT_BUDGETS):
     """decide as it dispatched before general mode became a filter in front
-    of the simple procedures."""
+    of the simple procedures; almost and positive dispatch on the kind as
+    the public almost and positive procedures did."""
     from qpa.supportgraph import _limit_parity, _limit_reach
 
     if problem not in PROBLEMS:
@@ -276,24 +278,42 @@ def old_decide(a, problem, mode, budgets=DEFAULT_BUDGETS):
     if acc is None:
         raise InputError("acceptance condition required")
     kind = acc.kind
+
+    def almost():
+        if kind == "safety":
+            return _safety(a, "almost", budgets)
+        if kind == "reach":
+            return _almost_reach(a, budgets)
+        if kind == "cobuchi":
+            return _almost_cobuchi(a, budgets)
+        return _almost(a, budgets)
+
+    def positive():
+        if kind == "safety":
+            return _safety(a, "positive", budgets)
+        if kind == "cobuchi":
+            return _positive_safe_yes(a, a.initial_support, -1, budgets)
+        if kind == "reach":
+            return _positive_yes(a, [(a.acceptance_mask(), (0,))])
+        return _positive(a, budgets)
     if mode in ("simple", "lasso"):
         if problem == "almost":
-            return decide_almost_simple(a, budgets)
+            return almost()
         if problem == "positive":
-            return decide_positive_simple(a, budgets)
+            return positive()
         if kind == "safety":
-            return decide_safety(a, "limit", budgets)
+            return _safety(a, "limit", budgets)
         return Verdict(
             "undecidable_in_general",
             reason=f"the simple limit problem is undecidable for {kind} acceptance",
         )
     if mode == "general":
         if kind == "safety":
-            return decide_safety(a, problem, budgets)
+            return _safety(a, problem, budgets)
         if problem == "almost" and kind in ("reach", "buchi"):
-            return decide_almost_simple(a, budgets)
+            return almost()
         if problem == "positive" and kind in ("reach", "cobuchi"):
-            return decide_positive_simple(a, budgets)
+            return positive()
         return Verdict(
             "undecidable_in_general",
             reason=f"the {problem} problem is undecidable for {kind} acceptance on general automata",
@@ -301,11 +321,11 @@ def old_decide(a, problem, mode, budgets=DEFAULT_BUDGETS):
     if is_structurally_simple(a, budgets).answer != "yes":
         raise InputError("struct-simple mode needs a structurally simple automaton")
     if problem == "almost":
-        return decide_almost_simple(a, budgets)
+        return almost()
     if problem == "positive":
-        return decide_positive_simple(a, budgets)
+        return positive()
     if kind == "safety":
-        return decide_safety(a, "limit", budgets)
+        return _safety(a, "limit", budgets)
     if kind == "reach":
         return _limit_reach(a, budgets)
     return _limit_parity(a, budgets)
@@ -440,8 +460,8 @@ def test_bounded_completeness_random(seed):
     a = random_automaton(rng, rng.randrange(2, 5), acceptance=kind)
     oracle = LassoOracle(a)
     found = oracle.sweep(3, 4)
-    almost = decide_almost_simple(a)
-    positive = decide_positive_simple(a)
+    almost = decide(a, "almost", "simple")
+    positive = decide(a, "positive", "simple")
     if found["almost"] is not None:
         assert almost.answer == "yes"
     if found["positive"] is not None:
@@ -550,7 +570,7 @@ def check_lazy_scans(rng):
     def names(w):
         return [a.alphabet[k] for k in w]
 
-    almost = decide_almost_simple(a)
+    almost = decide(a, "almost", "simple")
     assert almost.answer == ("yes" if eager_almost(b, supports, monoid) else "no")
     assert (almost.answer == "yes") == bool(almost_at)
     if almost_at:
@@ -572,16 +592,16 @@ def check_lazy_scans(rng):
     for budget in range(1, min(len(words), 40)):
         seen = max(budget, letters)
         if almost_at and min(almost_at) < seen:
-            assert decide_almost_simple(a, Budgets(monoid=budget)).witness == almost.witness
+            assert decide(a, "almost", "simple", Budgets(monoid=budget)).witness == almost.witness
         elif refuted:
-            assert decide_almost_simple(a, Budgets(monoid=budget)).answer == "no"
+            assert decide(a, "almost", "simple", Budgets(monoid=budget)).answer == "no"
         elif seen < len(words):
             with pytest.raises(BudgetExceededError):
-                decide_almost_simple(a, Budgets(monoid=budget))
+                decide(a, "almost", "simple", Budgets(monoid=budget))
         else:
-            assert decide_almost_simple(a, Budgets(monoid=budget)).answer == "no"
+            assert decide(a, "almost", "simple", Budgets(monoid=budget)).answer == "no"
     # positive answers the old criterion; its witness is the plain path's
-    positive = decide_positive_simple(a)
+    positive = decide(a, "positive", "simple")
     assert (positive.answer == "yes") == old_positive(a)
     if positive.answer == "yes":
         assert oracle.verdict(*indices(a, positive))[1]
@@ -589,7 +609,7 @@ def check_lazy_scans(rng):
         # C is F for reach, and coBuchi is a lasso search over supports: no
         # monoid is scanned, so no monoid budget binds
         for budget in (1, 2):
-            assert decide_positive_simple(a, Budgets(monoid=budget)).witness == positive.witness
+            assert decide(a, "positive", "simple", Budgets(monoid=budget)).witness == positive.witness
         return False
     # the positive scan reads the profile monoid in BFS order and stops at
     # the first witness, so under a budget it answers in full once the
@@ -604,13 +624,13 @@ def check_lazy_scans(rng):
     for budget in range(1, min(len(pwords), 40)):
         seen = max(budget, pletters)
         if pos is not None and pos < seen:
-            assert decide_positive_simple(a, Budgets(monoid=budget)).witness == positive.witness
+            assert decide(a, "positive", "simple", Budgets(monoid=budget)).witness == positive.witness
             early |= seen < len(pwords)
         elif seen < len(pwords):
             with pytest.raises(BudgetExceededError):
-                decide_positive_simple(a, Budgets(monoid=budget))
+                decide(a, "positive", "simple", Budgets(monoid=budget))
         else:
-            assert decide_positive_simple(a, Budgets(monoid=budget)).answer == "no"
+            assert decide(a, "positive", "simple", Budgets(monoid=budget)).answer == "no"
     return early
 
 
@@ -638,10 +658,10 @@ def test_cobuchi_refutation_matches_almost_scan_seeded():
         monoid = dict(iter_profile_monoid(a))
         unrefuted = almost_period(a, supports, DEFAULT_BUDGETS.monoid)
         assert (unrefuted is None) == (eager_almost(a, supports, monoid) is None)
-        v = decide_almost_simple(a)
+        v = decide(a, "almost", "simple")
         assert v.answer == ("no" if unrefuted is None else "yes")
         refuted = v.reason == "no word is accepted with positive probability"
-        assert refuted == (decide_positive_simple(a).answer == "no")
+        assert refuted == (decide(a, "positive", "simple").answer == "no")
         if refuted:
             assert LassoOracle(a).sweep(2, 3)["positive"] is None
         outcomes[v.answer, refuted] += 1
@@ -655,7 +675,7 @@ def test_positive_matches_old_criterion_seeded():
     for i in range(150):
         kind = list(answers)[i % 5]
         a = random_automaton(rng, rng.randint(2, 5), rng.randint(1, 3), acceptance=kind)
-        v = decide_positive_simple(a)
+        v = decide(a, "positive", "simple")
         assert v.answer == ("yes" if old_positive(a) else "no")
         if v.answer == "yes":
             assert LassoOracle(a).verdict(*indices(a, v))[1]
@@ -696,7 +716,7 @@ def test_safe_lasso_matches_profile_monoid_seeded():
         a = random_automaton(rng, n, 2 if n > 5 else rng.randint(1, 3), acceptance=kind)
         fmask = a.acceptance_mask()
         oracle = LassoOracle(a)
-        v = decide_positive_simple(a)
+        v = decide(a, "positive", "simple")
         assert v.answer == ("yes" if old_positive(a) else "no")
         answers["positive", kind, v.answer] += 1
         if v.answer == "yes":
@@ -704,9 +724,9 @@ def test_safe_lasso_matches_profile_monoid_seeded():
             assert a.mask(v.witness["class"]) & ~fmask == 0
         if kind == "safety":
             alpha = a.initial_support
-            v = decide_safety(a, "almost")
+            v = decide(a, "almost", "simple")
             assert v.answer == ("yes" if not alpha & ~fmask and eager_safe_cycle(a, alpha, fmask) else "no")
-            assert decide_safety(a, "limit") == v
+            assert decide(a, "limit", "simple") == v
             answers["almost", kind, v.answer] += 1
             if v.answer == "yes":
                 assert oracle.verdict(*indices(a, v))[0]
@@ -720,14 +740,14 @@ def test_safety_shaped_positive_needs_no_monoid_budget(ex2):
     for i in range(60):
         kind = ("safety", "cobuchi")[i % 2]
         a = random_automaton(rng, rng.randint(2, 6), rng.randint(1, 3), acceptance=kind)
-        want = decide_positive_simple(a)
-        got = decide_positive_simple(a, Budgets(monoid=1))
+        want = decide(a, "positive", "simple")
+        got = decide(a, "positive", "simple", Budgets(monoid=1))
         assert (got.answer, got.witness) == (want.answer, want.witness)
     for acc in (Acceptance.safety({"1", "3"}), Acceptance.cobuchi({"1", "3"})):
         b = ex2.with_acceptance(acc)
-        assert decide_positive_simple(b, Budgets(monoid=1)).answer == "yes"
+        assert decide(b, "positive", "simple", Budgets(monoid=1)).answer == "yes"
         with pytest.raises(BudgetExceededError, match="subset"):
-            decide_positive_simple(b, Budgets(subset=1))
+            decide(b, "positive", "simple", Budgets(subset=1))
 
 
 def test_safe_lasso_takes_the_loop_at_hand():
@@ -741,9 +761,9 @@ def test_safe_lasso_takes_the_loop_at_hand():
     states = [f"q{i}" for i in range(6)]
     for acc in (Acceptance.safety(states), Acceptance.cobuchi(states)):
         b = a.with_acceptance(acc)
-        verdicts = [decide_positive_simple(b)]
+        verdicts = [decide(b, "positive", "simple")]
         if acc.kind == "safety":
-            verdicts.append(decide_safety(b, "almost"))
+            verdicts.append(decide(b, "almost", "simple"))
         for v in verdicts:
             assert v.answer == "yes"
             assert (v.witness["prefix"], v.witness["period"]) == ([], ["b"])
@@ -761,13 +781,13 @@ def check_filtered_scans(rng, kind, answers):
     oracle = LassoOracle(a)
     supports = reachable_supports(a, a.initial_support, 1 << 16)
     monoid = dict(iter_profile_monoid(a))
-    almost = decide_almost_simple(a)
+    almost = decide(a, "almost", "simple")
     assert almost.answer == ("yes" if eager_almost(a, supports, monoid) else "no")
     if almost.answer == "yes":
         assert oracle.verdict(*indices(a, almost))[0]
     answers[("almost", kind)].add(almost.answer)
     if kind != "cobuchi":
-        positive = decide_positive_simple(a)
+        positive = decide(a, "positive", "simple")
         assert positive.answer == ("yes" if old_positive(a) else "no")
         if positive.answer == "yes":
             assert oracle.verdict(*indices(a, positive))[1]

@@ -175,10 +175,12 @@ def test_solve_linear_rejects_singular_systems():
 
 
 def test_chain_parity_almost_ex1(ex1):
-    ok, minima = chain_parity_almost(ex1, "s u", "ab", {"s": 1, "t": 1, "u": 0})
+    good = ex1.with_acceptance(Acceptance.parity({"s": 1, "t": 1, "u": 0}))
+    ok, minima = chain_parity_almost(good, "s u", "ab")
     assert ok
     assert minima == ((ex1.mask("u"), 0),)
-    bad, _ = chain_parity_almost(ex1, "s u", "ab", {"s": 1, "t": 1, "u": 1})
+    odd = ex1.with_acceptance(Acceptance.parity({"s": 1, "t": 1, "u": 1}))
+    bad, _ = chain_parity_almost(odd, "s u", "ab")
     assert not bad
 
 
