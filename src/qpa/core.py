@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -23,8 +22,9 @@ class Acceptance:
 
     Set-based kinds keep their state set in `states`; parity keeps one
     priority per state in `priorities` and accepts a run iff the minimum
-    priority seen infinitely often is even.  Buchi is parity {0,1} (F maps
-    to 0), coBuchi is parity {1,2} (F maps to 2).
+    priority seen infinitely often is even; a priority is a nonnegative int
+    (not a bool), and anything else raises InputError here.  Buchi is
+    parity {0,1} (F maps to 0), coBuchi is parity {1,2} (F maps to 2).
     """
 
     kind: str
@@ -34,6 +34,11 @@ class Acceptance:
     def __post_init__(self):
         if self.kind not in ACCEPTANCE_KINDS:
             raise InputError(f"unknown acceptance kind {self.kind!r}")
+        for q, p in self.priorities:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise InputError(f"priority on state {q} is not an int: {p!r}")
+            if p < 0:
+                raise InputError(f"negative priority on state {q}")
 
     @classmethod
     def safety(cls, states: Iterable[str]) -> Acceptance:
@@ -116,11 +121,20 @@ class Automaton:
     and every row sums to 1.  State sets are bitmasks over the state
     indices throughout the library.
 
+    An Automaton is checked when it is built: the constructor converts each
+    letter matrix once, builds its integer rows over one common denominator
+    once (scaled_matrices), and checks the tables on those integers.  No
+    entry is negative, every row sums to its denominator, the initial
+    vector sums to 1 and the acceptance names only known states, with a
+    priority on every state for parity.  Any problem raises InputError with
+    validate_automaton's messages joined by "; ", so every Automaton that
+    exists is a valid one.
+
     Instances are treated as immutable, and the library relies on it: an
     instance keeps memos of what it derives from its tables (the letter
-    relations, the scaled matrices, and classify.is_structurally_simple's
-    verdict per Budgets value) and trusts them for its lifetime.  Build a new Automaton (as
-    with_acceptance does) rather than changing one.
+    relations and classify.is_structurally_simple's verdict per Budgets
+    value) and trusts them for its lifetime.  Build a new Automaton, or
+    use with_acceptance, rather than changing one.
     """
 
     def __init__(
@@ -134,9 +148,13 @@ class Automaton:
         self.states = tuple(states)
         self.alphabet = tuple(alphabet)
         self.matrices: tuple[Matrix, ...] = tuple(
-            tuple(tuple(as_fraction(p, "transition probability") for p in row) for row in mat)
+            tuple(
+                tuple([p if type(p) is Fraction else as_fraction(p, "transition probability") for p in row])
+                for row in mat
+            )
             for mat in matrices
         )
+        self.scaled_matrices: tuple[ScaledMatrix, ...] = tuple(map(scaled, self.matrices))
         self.initial = tuple(as_fraction(p, "initial probability") for p in initial)
         self.acceptance = acceptance
         self.state_index = {q: i for i, q in enumerate(self.states)}
@@ -144,6 +162,9 @@ class Automaton:
         self._relations: dict[int, tuple[int, ...]] = {}
         # classify.is_structurally_simple's verdict, or its budget-stop message
         self._gate: dict[Budgets, Verdict | str] = {}
+        problems = validate_automaton(self)
+        if problems:
+            raise InputError("; ".join(problems))
 
     # -- basic views -------------------------------------------------------
 
@@ -201,21 +222,11 @@ class Automaton:
     def relation(self, letter: int) -> tuple[int, ...]:
         """Positive-transition rows of one letter as destination bitmasks."""
         if letter not in self._relations:
-            mat = self.matrices[letter]
-            rows = []
-            for i in range(self.n):
-                m = 0
-                for j in range(self.n):
-                    if mat[i][j] > 0:
-                        m |= 1 << j
-                rows.append(m)
-            self._relations[letter] = tuple(rows)
+            rows, _ = self.scaled_matrices[letter]
+            self._relations[letter] = tuple(
+                sum(1 << j for j, x in enumerate(row) if x > 0) for row in rows
+            )
         return self._relations[letter]
-
-    @cached_property
-    def scaled_matrices(self) -> tuple[ScaledMatrix, ...]:
-        """Each letter matrix as integer rows over one common denominator."""
-        return tuple(scaled(mat) for mat in self.matrices)
 
     @property
     def initial_support(self) -> int:
@@ -258,7 +269,20 @@ class Automaton:
         raise InputError(f"{acc.kind} acceptance has no parity encoding")
 
     def with_acceptance(self, acceptance: Acceptance | None) -> Automaton:
-        return Automaton(self.states, self.alphabet, self.matrices, self.initial, acceptance)
+        """The same tables under another acceptance condition.
+
+        The tables are not converted or checked again: the result shares
+        them, their integer rows and the memos that depend on the tables
+        alone (the letter relations and the gate verdicts).  Only the new
+        acceptance is checked.
+        """
+        b = object.__new__(Automaton)
+        b.__dict__.update(self.__dict__)
+        b.acceptance = acceptance
+        problems = _acceptance_problems(b)
+        if problems:
+            raise InputError("; ".join(problems))
+        return b
 
     # -- equality (state/letter order sensitive) ----------------------------
 
@@ -278,53 +302,65 @@ class Automaton:
 
 
 def validate_automaton(a: Automaton) -> list[str]:
-    """All invariant violations of an automaton, as human-readable strings."""
+    """All invariant violations of an automaton, as human-readable strings.
+
+    This is the check the constructor runs, on the integer rows it built,
+    so it returns [] for every automaton that could be built; it is the
+    reporting view of what Automaton(...) raises InputError for.
+    """
     out: list[str] = []
     if not a.states:
         out.append("no states declared")
     if not a.alphabet:
         out.append("no letters declared")
-    if len(set(a.states)) != len(a.states):
+    if len(a.state_index) != len(a.states):
         out.append("duplicate state names")
-    if len(set(a.alphabet)) != len(a.alphabet):
+    if len(a.letter_index) != len(a.alphabet):
         out.append("duplicate letter names")
     if len(a.matrices) != len(a.alphabet):
         out.append("matrix count differs from alphabet size")
         return out
     n = a.n
-    for k, letter in enumerate(a.alphabet):
-        mat = a.matrices[k]
-        if len(mat) != n or any(len(row) != n for row in mat):
+    for letter, (rows, den) in zip(a.alphabet, a.scaled_matrices):
+        if len(rows) != n or any(len(row) != n for row in rows):
             out.append(f"matrix for letter {letter} is not {n}x{n}")
             continue
-        for i, q in enumerate(a.states):
-            if any(p < 0 for p in mat[i]):
+        for q, row in zip(a.states, rows):
+            if min(row, default=0) < 0:
                 out.append(f"negative probability for state {q}, letter {letter}")
-            if sum(mat[i]) != 1:
+            if sum(row) != den:
                 out.append(f"row sum != 1 for state {q}, letter {letter}")
     if len(a.initial) != n:
         out.append("initial distribution length differs from state count")
     else:
-        if any(p < 0 for p in a.initial):
+        (row,), den = scaled((a.initial,))
+        if min(row, default=0) < 0:
             out.append("negative initial probability")
-        if sum(a.initial) != 1:
+        if sum(row) != den:
             out.append("initial distribution does not sum to 1")
+    return out + _acceptance_problems(a)
+
+
+def _acceptance_problems(a: Automaton) -> list[str]:
+    """The states an acceptance condition names that a does not have, and
+    for parity the states it gives no priority (Acceptance checks the
+    priorities themselves)."""
     acc = a.acceptance
-    if acc is not None:
-        if acc.kind in SET_KINDS:
-            for q in sorted(acc.states):
-                if q not in a.state_index:
-                    out.append(f"acceptance refers to unknown state {q}")
-        else:
-            pm = acc.priority_map
-            for q in sorted(pm):
-                if q not in a.state_index:
-                    out.append(f"parity priority on unknown state {q}")
-                elif pm[q] < 0:
-                    out.append(f"negative priority on state {q}")
-            for q in a.states:
-                if q not in pm:
-                    out.append(f"missing parity priority for state {q}")
+    out: list[str] = []
+    if acc is None:
+        return out
+    if acc.kind in SET_KINDS:
+        for q in sorted(acc.states):
+            if q not in a.state_index:
+                out.append(f"acceptance refers to unknown state {q}")
+    else:
+        pm = acc.priority_map
+        for q in sorted(pm):
+            if q not in a.state_index:
+                out.append(f"parity priority on unknown state {q}")
+        for q in a.states:
+            if q not in pm:
+                out.append(f"missing parity priority for state {q}")
     return out
 
 
@@ -387,8 +423,8 @@ def scaled(mat: Sequence[Sequence[Fraction | int]]) -> ScaledMatrix:
     The denominator is the lcm of the entry denominators, so the rows times
     1/den give back the matrix exactly.
     """
-    den = lcm(*(v.denominator for row in mat for v in row))
-    return tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in mat), den
+    den = lcm(*{v.denominator for row in mat for v in row})
+    return tuple(tuple([v.numerator * (den // v.denominator) for v in row]) for row in mat), den
 
 
 def bits(mask: int):

@@ -10,7 +10,12 @@ Automaton format (UTF-8, line oriented, '#' starts a comment):
 
 Probabilities are exact rationals: "1/2", "1", "0.25" all parse exactly.
 The acceptance line is optional (bare tables are legal); everything else is
-required.  DFA format replaces init/acceptance/trans with:
+required.  The parser checks the syntax and the names, and parses each
+distinct probability token once per text; the Automaton constructor checks
+the tables (rows and the initial vector summing to 1, a priority on every
+state) on the integer rows it builds once.
+
+DFA format replaces init/acceptance/trans with:
 
     init: q0
     accept: q1 q2
@@ -22,145 +27,151 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Acceptance, Automaton, SET_KINDS, validate_automaton
+from .core import Acceptance, Automaton, SET_KINDS
 from .errors import FormatError, InputError
 
 _TOKEN = re.compile(r"\S+")
 _KEY = re.compile(r"^(\w+)\s*:\s*(.*)$")
 
 
-def _content_lines(text: str):
+def _split_lines(text: str, keys: tuple[str, ...]):
+    """Yield (lineno, key, body tokens, line) and reject unknown keys.
+
+    The tokens are plain strings; _column finds a token's column, which
+    only an error needs.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if line.strip():
-            yield lineno, line
+        if not line or line.isspace():
+            continue
+        head, colon, body = line.partition(":")
+        key = head.strip()
+        if not colon or key not in keys:
+            m = _KEY.match(line.strip())
+            if not m:
+                raise FormatError("expected 'key: ...'", lineno, 1)
+            raise FormatError(f"unknown section {m.group(1)!r}", lineno, 1)
+        yield lineno, key, body.split(), line
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    return [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(line)]
+def _column(line: str, j: int) -> int:
+    """The 1-based column of body token j of a line from _split_lines."""
+    return [m.start() + 1 for m in _TOKEN.finditer(line, line.index(":") + 1)][j]
 
 
-def _parse_prob(tok: str, lineno: int, col: int) -> Fraction:
-    try:
-        p = Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"bad probability {tok!r}", lineno, col)
-    if p < 0 or p > 1:
-        raise FormatError(f"probability {tok!r} outside [0,1]", lineno, col)
+def _parse_prob(
+    probs: dict[str, Fraction], tok: str, lineno: int, line: str, j: int, skip: int = 0
+) -> Fraction:
+    """tok as a probability, parsed once per text through probs.  A bad
+    token raises FormatError at body token j's column, plus skip."""
+    p = probs.get(tok)
+    if p is None:
+        try:
+            p = Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            raise FormatError(f"bad probability {tok!r}", lineno, _column(line, j) + skip)
+        if not 0 <= p.numerator <= p.denominator:
+            raise FormatError(f"probability {tok!r} outside [0,1]", lineno, _column(line, j) + skip)
+        probs[tok] = p
     return p
 
 
-def _split_lines(text: str, keys: tuple[str, ...]):
-    """Yield (lineno, key, body-tokens) and reject unknown keys."""
-    for lineno, line in _content_lines(text):
-        m = _KEY.match(line.strip())
-        if not m:
-            raise FormatError("expected 'key: ...'", lineno, 1)
-        key = m.group(1)
-        if key not in keys:
-            raise FormatError(f"unknown section {key!r}", lineno, 1)
-        body = line.split(":", 1)[1]
-        offset = line.index(":") + 1
-        toks = [(t, offset + c) for t, c in _tokens(body)]
-        yield lineno, key, toks
-
-
 def parse_automaton(text: str) -> Automaton:
-    """Parse the v1 automaton format; raises FormatError / InputError."""
-    states: list[str] = []
-    alphabet: list[str] = []
+    """Parse the v1 automaton format; raises FormatError / InputError.
+
+    The tables are checked by the Automaton constructor (see Automaton).
+    """
+    # name -> index, in declaration order
+    states: dict[str, int] = {}
+    alphabet: dict[str, int] = {}
     init: dict[str, Fraction] = {}
     acceptance: Acceptance | None = None
-    trans: dict[tuple[str, str, str], Fraction] = {}
+    trans: dict[tuple[int, int, int], Fraction] = {}
+    probs: dict[str, Fraction] = {}
     seen: set[str] = set()
 
-    for lineno, key, toks in _split_lines(text, ("states", "alphabet", "init", "acceptance", "trans")):
+    for lineno, key, toks, line in _split_lines(text, ("states", "alphabet", "init", "acceptance", "trans")):
         if key in ("states", "alphabet") and key in seen:
             raise FormatError(f"duplicate {key!r} section", lineno, 1)
         if key == "states":
-            for t, c in toks:
+            for j, t in enumerate(toks):
                 if t in states:
-                    raise FormatError(f"duplicate state {t!r}", lineno, c)
-                states.append(t)
+                    raise FormatError(f"duplicate state {t!r}", lineno, _column(line, j))
+                states[t] = len(states)
         elif key == "alphabet":
-            for t, c in toks:
+            for j, t in enumerate(toks):
                 if t in alphabet:
-                    raise FormatError(f"duplicate letter {t!r}", lineno, c)
-                alphabet.append(t)
+                    raise FormatError(f"duplicate letter {t!r}", lineno, _column(line, j))
+                alphabet[t] = len(alphabet)
         elif key == "init":
             if "init" in seen:
                 raise FormatError("duplicate 'init' section", lineno, 1)
-            for t, c in toks:
+            for j, t in enumerate(toks):
                 if "=" not in t:
-                    raise FormatError(f"expected state=prob, got {t!r}", lineno, c)
+                    raise FormatError(f"expected state=prob, got {t!r}", lineno, _column(line, j))
                 q, _, ptok = t.partition("=")
                 if q not in states:
-                    raise FormatError(f"unknown state {q!r}", lineno, c)
+                    raise FormatError(f"unknown state {q!r}", lineno, _column(line, j))
                 if q in init:
-                    raise FormatError(f"duplicate initial weight for {q!r}", lineno, c)
-                init[q] = _parse_prob(ptok, lineno, c + len(q) + 1)
+                    raise FormatError(f"duplicate initial weight for {q!r}", lineno, _column(line, j))
+                init[q] = _parse_prob(probs, ptok, lineno, line, j, len(q) + 1)
         elif key == "acceptance":
             if acceptance is not None:
                 raise FormatError("duplicate 'acceptance' section", lineno, 1)
             if not toks:
                 raise FormatError("empty acceptance line", lineno, 1)
-            kind, kcol = toks[0]
+            kind = toks[0]
             if kind in SET_KINDS:
-                for t, c in toks[1:]:
+                for j, t in enumerate(toks[1:], start=1):
                     if t not in states:
-                        raise FormatError(f"unknown state {t!r}", lineno, c)
-                acceptance = Acceptance(kind, frozenset(t for t, _ in toks[1:]))
+                        raise FormatError(f"unknown state {t!r}", lineno, _column(line, j))
+                acceptance = Acceptance(kind, frozenset(toks[1:]))
             elif kind == "parity":
                 prio: dict[str, int] = {}
-                for t, c in toks[1:]:
+                for j, t in enumerate(toks[1:], start=1):
                     if "=" not in t:
-                        raise FormatError(f"expected state=priority, got {t!r}", lineno, c)
+                        raise FormatError(f"expected state=priority, got {t!r}", lineno, _column(line, j))
                     q, _, ptok = t.partition("=")
                     if q not in states:
-                        raise FormatError(f"unknown state {q!r}", lineno, c)
+                        raise FormatError(f"unknown state {q!r}", lineno, _column(line, j))
                     if q in prio:
-                        raise FormatError(f"duplicate priority for {q!r}", lineno, c)
+                        raise FormatError(f"duplicate priority for {q!r}", lineno, _column(line, j))
                     try:
                         prio[q] = int(ptok)
                     except ValueError:
-                        raise FormatError(f"bad priority {ptok!r}", lineno, c + len(q) + 1)
+                        raise FormatError(f"bad priority {ptok!r}", lineno, _column(line, j) + len(q) + 1)
                 acceptance = Acceptance.parity(prio)
             else:
-                raise FormatError(f"unknown acceptance kind {kind!r}", lineno, kcol)
+                raise FormatError(f"unknown acceptance kind {kind!r}", lineno, _column(line, 0))
         else:  # trans
             if len(toks) != 4:
                 raise FormatError("expected 'trans: src letter dst prob'", lineno, 1)
-            (src, c1), (letter, c2), (dst, c3), (ptok, c4) = toks
-            if src not in states:
-                raise FormatError(f"unknown state {src!r}", lineno, c1)
-            if letter not in alphabet:
-                raise FormatError(f"unknown letter {letter!r}", lineno, c2)
-            if dst not in states:
-                raise FormatError(f"unknown state {dst!r}", lineno, c3)
-            if (src, letter, dst) in trans:
-                raise FormatError(f"duplicate transition {src} {letter} {dst}", lineno, c1)
-            trans[(src, letter, dst)] = _parse_prob(ptok, lineno, c4)
+            src, letter, dst, ptok = toks
+            i = states.get(src)
+            if i is None:
+                raise FormatError(f"unknown state {src!r}", lineno, _column(line, 0))
+            k = alphabet.get(letter)
+            if k is None:
+                raise FormatError(f"unknown letter {letter!r}", lineno, _column(line, 1))
+            j = states.get(dst)
+            if j is None:
+                raise FormatError(f"unknown state {dst!r}", lineno, _column(line, 2))
+            if (k, i, j) in trans:
+                raise FormatError(f"duplicate transition {src} {letter} {dst}", lineno, _column(line, 0))
+            trans[(k, i, j)] = _parse_prob(probs, ptok, lineno, line, 3)
         seen.add(key)
 
     for required in ("states", "alphabet", "init", "trans"):
         if required not in seen:
             raise InputError(f"missing '{required}:' line")
 
-    sidx = {q: i for i, q in enumerate(states)}
     n = len(states)
-    matrices = []
-    for letter in alphabet:
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        matrices.append(mat)
-    for (src, letter, dst), p in trans.items():
-        matrices[alphabet.index(letter)][sidx[src]][sidx[dst]] = p
-    initial = [init.get(q, Fraction(0)) for q in states]
-
-    a = Automaton(states, alphabet, matrices, initial, acceptance)
-    problems = validate_automaton(a)
-    if problems:
-        raise InputError("; ".join(problems))
-    return a
+    zero = Fraction(0)
+    matrices = [[[zero] * n for _ in range(n)] for _ in alphabet]
+    for (k, i, j), p in trans.items():
+        matrices[k][i][j] = p
+    initial = [init.get(q, zero) for q in states]
+    return Automaton(states, alphabet, matrices, initial, acceptance)
 
 
 def serialize_automaton(a: Automaton) -> str:
@@ -216,43 +227,44 @@ def parse_dfa(text: str) -> DFA:
     moves: dict[tuple[str, str], str] = {}
     seen: set[str] = set()
 
-    for lineno, key, toks in _split_lines(text, ("states", "alphabet", "init", "accept", "trans")):
+    for lineno, key, toks, line in _split_lines(text, ("states", "alphabet", "init", "accept", "trans")):
         if key in ("states", "alphabet", "init", "accept") and key in seen:
             raise FormatError(f"duplicate {key!r} section", lineno, 1)
         if key == "states":
-            for t, c in toks:
+            for j, t in enumerate(toks):
                 if t in states:
-                    raise FormatError(f"duplicate state {t!r}", lineno, c)
+                    raise FormatError(f"duplicate state {t!r}", lineno, _column(line, j))
                 states.append(t)
         elif key == "alphabet":
-            for t, c in toks:
+            for j, t in enumerate(toks):
                 if t in alphabet:
-                    raise FormatError(f"duplicate letter {t!r}", lineno, c)
+                    raise FormatError(f"duplicate letter {t!r}", lineno, _column(line, j))
                 alphabet.append(t)
         elif key == "init":
             if len(toks) != 1:
                 raise FormatError("expected a single initial state", lineno, 1)
-            t, c = toks[0]
-            if t not in states:
-                raise FormatError(f"unknown state {t!r}", lineno, c)
-            init = t
+            if toks[0] not in states:
+                raise FormatError(f"unknown state {toks[0]!r}", lineno, _column(line, 0))
+            init = toks[0]
         elif key == "accept":
-            for t, c in toks:
+            for j, t in enumerate(toks):
                 if t not in states:
-                    raise FormatError(f"unknown state {t!r}", lineno, c)
+                    raise FormatError(f"unknown state {t!r}", lineno, _column(line, j))
                 accepting.append(t)
         else:
             if len(toks) != 3:
                 raise FormatError("expected 'trans: src letter dst'", lineno, 1)
-            (src, c1), (letter, c2), (dst, c3) = toks
+            src, letter, dst = toks
             if src not in states:
-                raise FormatError(f"unknown state {src!r}", lineno, c1)
+                raise FormatError(f"unknown state {src!r}", lineno, _column(line, 0))
             if letter not in alphabet:
-                raise FormatError(f"unknown letter {letter!r}", lineno, c2)
+                raise FormatError(f"unknown letter {letter!r}", lineno, _column(line, 1))
             if dst not in states:
-                raise FormatError(f"unknown state {dst!r}", lineno, c3)
+                raise FormatError(f"unknown state {dst!r}", lineno, _column(line, 2))
             if (src, letter) in moves:
-                raise FormatError(f"nondeterministic move for {src!r} on {letter!r}", lineno, c1)
+                raise FormatError(
+                    f"nondeterministic move for {src!r} on {letter!r}", lineno, _column(line, 0)
+                )
             moves[(src, letter)] = dst
         seen.add(key)
 

@@ -254,7 +254,8 @@ def make_accepting_absorbing(a: Automaton, F=None) -> Automaton:
     mask = a.acceptance_mask() if F is None else as_mask(a, F)
     if mask == 0:
         return a
-    sink = [tuple(Fraction(int(i == j)) for j in range(a.n)) for i in range(a.n)]
+    zero, one = Fraction(0), Fraction(1)
+    sink = [tuple(one if i == j else zero for j in range(a.n)) for i in range(a.n)]
     mats = [[sink[i] if mask >> i & 1 else row for i, row in enumerate(mat)] for mat in a.matrices]
     return Automaton(a.states, a.alphabet, mats, a.initial, a.acceptance)
 
@@ -265,4 +266,5 @@ def reach_as_buchi(a: Automaton) -> Automaton:
     Acceptance probabilities of every word are preserved; see
     make_accepting_absorbing.
     """
-    return make_accepting_absorbing(a).with_acceptance(Acceptance.buchi(a.acceptance.states))
+    buchi = a.with_acceptance(Acceptance.buchi(a.acceptance.states))
+    return make_accepting_absorbing(buchi, a.acceptance_mask())

@@ -532,8 +532,13 @@ def test_gate_runs_once_per_automaton_and_budgets(monkeypatch, ex2):
     # another Budgets value is another question
     assert is_structurally_simple(b, Budgets(path_cap=5000))
     assert built == [False, True] * 2
-    # and another automaton, even an equal one, keeps its own verdict
-    assert is_structurally_simple(ex2.with_acceptance(Acceptance.buchi(["4"])))
+    # with_acceptance shares the tables, so it shares their verdicts too
+    assert is_structurally_simple(ex2.with_acceptance(Acceptance.cobuchi(["4"])))
+    assert decide(ex2.with_acceptance(Acceptance.buchi(["4"])), "limit", "struct-simple").answer == "yes"
+    assert built == [False, True] * 2
+    # but another automaton, even an equal one, keeps its own verdict
+    again = Automaton(ex2.states, ex2.alphabet, ex2.matrices, ex2.initial, b.acceptance)
+    assert again == b and is_structurally_simple(again)
     assert built == [False, True] * 3
 
 

@@ -16,6 +16,7 @@ from qpa.classify import is_chain_recurrent, is_sharp_reduction, union_structure
 from qpa.errors import InputError
 from qpa.lasso import SupportSequence, lasso_jet_decomposition
 from qpa.linked import linked_graph_of_word, rec_from
+from qpa.qualitative import decide
 from qpa.semantics import chain_analysis, propagate, sharp_power, support_step
 from qpa.supportgraph import (
     ExtendedSupportGraph,
@@ -113,21 +114,100 @@ def test_epsilon_and_masks(ex1, ex2):
 def test_validate_catches_bad_rows(ex1):
     mats = [list(map(list, m)) for m in ex1.matrices]
     mats[0][0][0] = Fraction(3, 4)
-    broken = Automaton(ex1.states, ex1.alphabet, mats, ex1.initial)
-    problems = validate_automaton(broken)
-    assert any("row sum" in p and "letter a" in p for p in problems)
+    with pytest.raises(InputError) as e:
+        Automaton(ex1.states, ex1.alphabet, mats, ex1.initial)
+    assert str(e.value) == "row sum != 1 for state s, letter a"
+    assert validate_automaton(ex1) == []
 
 
 def test_validate_catches_bad_initial(ex1):
-    broken = Automaton(ex1.states, ex1.alphabet, ex1.matrices, [Fraction(1, 2), 0, 0])
-    assert any("initial" in p for p in validate_automaton(broken))
+    with pytest.raises(InputError) as e:
+        Automaton(ex1.states, ex1.alphabet, ex1.matrices, [Fraction(1, 2), 0, 0])
+    assert str(e.value) == "initial distribution does not sum to 1"
 
 
 def test_validate_acceptance_states(ex1):
-    bad = ex1.with_acceptance(Acceptance.buchi({"zz"}))
-    assert any("zz" in p for p in validate_automaton(bad))
-    partial = ex1.with_acceptance(Acceptance.parity({"s": 1}))
-    assert validate_automaton(partial)
+    with pytest.raises(InputError) as e:
+        ex1.with_acceptance(Acceptance.buchi({"zz"}))
+    assert str(e.value) == "acceptance refers to unknown state zz"
+    with pytest.raises(InputError) as e:
+        ex1.with_acceptance(Acceptance.parity({"s": 1}))
+    assert str(e.value) == "missing parity priority for state t; missing parity priority for state u"
+    with pytest.raises(InputError, match="^acceptance refers to unknown state zz$"):
+        Automaton(ex1.states, ex1.alphabet, ex1.matrices, ex1.initial, Acceptance.reach({"zz"}))
+
+
+def test_construction_reports_every_problem_in_order():
+    with pytest.raises(InputError) as e:
+        Automaton(
+            ["p", "q", "p"],
+            ["a", "b"],
+            [[[-1, 2, 0], [0, 1, 0], [0, 0, Fraction(1, 3)]], [[1, 0], [0, 1]]],
+            ["1/2", "-1/2", "0"],
+            Acceptance.cobuchi({"z"}),
+        )
+    assert str(e.value).split("; ") == [
+        "duplicate state names",
+        "negative probability for state p, letter a",
+        "row sum != 1 for state p, letter a",
+        "matrix for letter b is not 3x3",
+        "negative initial probability",
+        "initial distribution does not sum to 1",
+        "acceptance refers to unknown state z",
+    ]
+
+
+# Tables that decide answered on, wrongly, while nothing checked them at
+# construction: the constructor now refuses each one.
+
+
+def test_rows_summing_to_three_quarters_are_refused():
+    # p loses a quarter of its mass on a; unchecked, positive Buchi on {q}
+    # answers "yes" with a witness of probability 1/2
+    with pytest.raises(InputError) as e:
+        Automaton(
+            "pqr",
+            "a",
+            [[[0, Fraction(1, 2), Fraction(1, 4)], [0, 1, 0], [0, 0, 1]]],
+            [1, 0, 0],
+            Acceptance.buchi({"q"}),
+        )
+    assert str(e.value) == "row sum != 1 for state p, letter a"
+
+
+@pytest.mark.parametrize("prios", [{"p": 1.5, "q": 0}, {"p": 1, "q": -2}])
+def test_fractional_and_negative_priorities_are_refused(prios):
+    # unchecked, both get an almost "yes" on this table
+    with pytest.raises(InputError, match="priority on state"):
+        Automaton(
+            "pq",
+            "a",
+            [[[Fraction(1, 2), Fraction(1, 2)], [0, 1]]],
+            [1, 0],
+            Acceptance.parity(prios),
+        )
+
+
+def test_rows_summing_to_two_are_refused():
+    # unchecked, this table makes chain_analysis raise "singular linear system"
+    with pytest.raises(InputError) as e:
+        Automaton("pq", "a", [[[1, 1], [0, 1]]], [1, 0], Acceptance.buchi({"q"}))
+    assert str(e.value) == "row sum != 1 for state p, letter a"
+
+
+@pytest.mark.parametrize("bad", ["x", 1.5, -1, True])
+def test_parity_priorities_are_nonnegative_ints(ex1, bad):
+    with pytest.raises(InputError, match="priority on state s"):
+        decide(ex1.with_acceptance(Acceptance.parity({"s": bad, "t": 1, "u": 0})), "almost", "simple")
+
+
+def test_with_acceptance_shares_the_tables(ex2):
+    assert ex2.relation(0)
+    b = ex2.with_acceptance(Acceptance.buchi(["4"]))
+    assert b == Automaton(ex2.states, ex2.alphabet, ex2.matrices, ex2.initial, b.acceptance)
+    assert b.matrices is ex2.matrices and b.scaled_matrices is ex2.scaled_matrices
+    assert b._relations is ex2._relations and b._gate is ex2._gate
+    assert ex2.acceptance is None and b.with_acceptance(None) == ex2
 
 
 def test_priorities_encoding(ex1):
