@@ -132,9 +132,10 @@ class Automaton:
 
     Instances are treated as immutable, and the library relies on it: an
     instance keeps memos of what it derives from its tables (the letter
-    relations and classify.is_structurally_simple's verdict per Budgets
-    value) and trusts them for its lifetime.  Build a new Automaton, or
-    use with_acceptance, rather than changing one.
+    relations, classify.is_structurally_simple's verdict per Budgets value
+    and supportgraph's #-closures per origin and Budgets value) and trusts
+    them for its lifetime.  Build a new Automaton, or use with_acceptance
+    or with_initial, rather than changing one.
     """
 
     def __init__(
@@ -162,6 +163,9 @@ class Automaton:
         self._relations: dict[int, tuple[int, ...]] = {}
         # classify.is_structurally_simple's verdict, or its budget-stop message
         self._gate: dict[Budgets, Verdict | str] = {}
+        # supportgraph's #-closures (ExtendedSupportGraph), per origin mask
+        # and Budgets value
+        self._searches: dict[tuple[int, Budgets], object] = {}
         problems = validate_automaton(self)
         if problems:
             raise InputError("; ".join(problems))
@@ -273,13 +277,28 @@ class Automaton:
 
         The tables are not converted or checked again: the result shares
         them, their integer rows and the memos that depend on the tables
-        alone (the letter relations and the gate verdicts).  Only the new
-        acceptance is checked.
+        alone (the letter relations, the gate verdicts and the #-closures).
+        Only the new acceptance is checked.
         """
         b = object.__new__(Automaton)
         b.__dict__.update(self.__dict__)
         b.acceptance = acceptance
         problems = _acceptance_problems(b)
+        if problems:
+            raise InputError("; ".join(problems))
+        return b
+
+    def with_initial(self, initial: Sequence[Fraction | int | str]) -> Automaton:
+        """The same tables from another initial distribution.
+
+        As with with_acceptance, the result shares the tables, their integer
+        rows and the memos; only the new vector is checked, with the
+        constructor's messages.
+        """
+        b = object.__new__(Automaton)
+        b.__dict__.update(self.__dict__)
+        b.initial = tuple(as_fraction(p, "initial probability") for p in initial)
+        problems = _initial_problems(b)
         if problems:
             raise InputError("; ".join(problems))
         return b
@@ -330,15 +349,21 @@ def validate_automaton(a: Automaton) -> list[str]:
                 out.append(f"negative probability for state {q}, letter {letter}")
             if sum(row) != den:
                 out.append(f"row sum != 1 for state {q}, letter {letter}")
-    if len(a.initial) != n:
-        out.append("initial distribution length differs from state count")
-    else:
-        (row,), den = scaled((a.initial,))
-        if min(row, default=0) < 0:
-            out.append("negative initial probability")
-        if sum(row) != den:
-            out.append("initial distribution does not sum to 1")
-    return out + _acceptance_problems(a)
+    return out + _initial_problems(a) + _acceptance_problems(a)
+
+
+def _initial_problems(a: Automaton) -> list[str]:
+    """What is wrong with the initial vector: its length, a negative entry
+    or a sum other than 1."""
+    if len(a.initial) != a.n:
+        return ["initial distribution length differs from state count"]
+    out: list[str] = []
+    (row,), den = scaled((a.initial,))
+    if min(row, default=0) < 0:
+        out.append("negative initial probability")
+    if sum(row) != den:
+        out.append("initial distribution does not sum to 1")
+    return out
 
 
 def _acceptance_problems(a: Automaton) -> list[str]:

@@ -43,14 +43,17 @@ Limit-word synthesis pumps each border segment of such a witness, doubling
 the repetition count until the exact probability passes the threshold.
 
 A "no" needs the closure's fixpoint, a "yes" only one reachable support
-that satisfies the query.  A closure can therefore be given a stop
-predicate on supports, tested on each support when it is first registered
-as a node.  Seeded at one origin alone, a closure registers only supports
-#-reachable from that origin: every edge leaves a registered node, and a
-product's right factor sits at its left factor's destination.  So a
-stopped closure ends at the first edge insertion that makes a satisfying
-support #-reachable from the origin, and its edges are a prefix of the
-origin's full closure.
+that satisfies the query.  Seeded at one origin alone, a closure
+registers only supports #-reachable from that origin: every edge leaves a
+registered node, and a product's right factor sits at its left factor's
+destination.  Its nodes and edges are registered in one order whatever is
+asked of it, so a search for the first node that satisfies a predicate
+reads a prefix of the origin's full closure, and ends at the first edge
+insertion that makes a satisfying support #-reachable from the origin.
+The closure reads only the letter relations, so every #-search resumes
+the one closure that the Automaton keeps for its origin and Budgets
+value (_kept_search): later searches read what earlier ones registered,
+and the worklist advances only past it.
 
 The limit procedures hold for structurally simple automata only, so their
 one caller is qualitative.decide, which runs the classify gate first.
@@ -58,6 +61,7 @@ one caller is qualitative.decide, which runs the classify gate first.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -222,9 +226,8 @@ Step = tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]
 # edges x atoms, and the edge cap alone leaves the atoms unbounded
 PRODUCTS_PER_EDGE = 64
 
-
-class _Stopped(Exception):
-    """Ends a closure whose stop predicate holds on a newly registered node."""
+# an edge's provenance operation: a letter, or a product of two edges
+_WORD, _COMPOSE, _BORDER = 0, 1, 2
 
 
 class ExtendedSupportGraph:
@@ -240,13 +243,6 @@ class ExtendedSupportGraph:
     Seeds, in the constructor and in grow, are read through core.as_mask,
     and an empty seed is an InputError.
 
-    With stop, a predicate on supports, each node is tested once when it
-    is registered (seeds included), before its letter edges are added, and
-    the closure ends at the first node that satisfies it: the last node,
-    and the only one that does.  Nothing else changes, so the edges are a
-    prefix of the full closure's, with the same ids and provenance, and a
-    budget stop is raised only when the budget is hit before the stop.
-
     The closure multiplies edges on the right by atoms only (see the module
     docstring).  Each edge is composed with the letter edges at its
     destination when it is popped.  A border pairs an edge e with a funnel
@@ -254,8 +250,7 @@ class ExtendedSupportGraph:
     the pair is met at e's pop or at h's, whichever loop comes first.  So a
     node costs (letters + distinct funnels) products per incoming edge,
     where a pairwise closure pays in-degree times out-degree.  products
-    counts the compositions and borders attempted, and stopped is True when
-    the stop predicate ended the closure.  Edges are capped at
+    counts the compositions and borders attempted.  Edges are capped at
     budgets.path_cap and products at PRODUCTS_PER_EDGE times that, so a
     closure that keeps adding atoms on few nodes stops in bounded work.
 
@@ -269,9 +264,34 @@ class ExtendedSupportGraph:
     through the atom's funnel key, and the set of funnel keys at a node is
     fixed by that node's own segment edges.  The out_at/in_at pair
     bookkeeping is by ids and counts, so it holds across resumed runs.
-    Ids, and so first derivations, follow the growth order.  A closure
-    with a stop predicate is not grown.
+    Ids, and so first derivations, follow the growth order.
+
+    search(want), with want a predicate on supports, returns the first
+    registered node that satisfies it, and works through the queued seeds
+    and edges only until one does; None at the fixpoint.  Nodes and edges
+    are registered in the same order whatever drives the closure, so the
+    node a search finds has seen exactly the edges with ids below
+    registered_at(node), a prefix of the full closure with the same ids and
+    provenance.  A budget stop inside search is kept as its message: every
+    search from then on scans the nodes registered before the stop and
+    raises BudgetExceededError with that message when none satisfies want,
+    just where a fresh closure driven by want would stop.  A search that
+    ends the closure, at its fixpoint or at a budget stop, settles it: the
+    graph drops what only further closure work and the label views read,
+    and keeps what search, out_edges, reachable_with_steps and
+    witness_steps read.  A settled graph is not grown.
     """
+
+    # an Automaton keeps one graph per origin and Budgets value for its
+    # lifetime, so a graph holds no per-instance dict
+    __slots__ = (
+        "automaton", "budgets", "track_plain", "products", "_max_products",
+        "_keys", "_label", "_plain", "_src", "_dst", "_op", "_left", "_right",
+        "_letter_image", "_letters_at", "_funnels_at", "_funnel_image",
+        "_plain_image", "_tables", "_funnel_of", "_out_at", "_in_at", "_by_src",
+        "_by_dst", "_nodes", "_node_at", "_seeds", "_pending", "_steps_memo",
+        "_plain_derived", "_stop", "_settled",
+    )
 
     def __init__(
         self,
@@ -279,7 +299,6 @@ class ExtendedSupportGraph:
         budgets: Budgets,
         seeds: Sequence[int],
         track_plain: bool = False,
-        stop: Callable[[int], bool] | None = None,
     ):
         if a.n > budgets.extended_states:
             raise BudgetExceededError(
@@ -296,12 +315,16 @@ class ExtendedSupportGraph:
         self._plain: list[Rows | None] = []
         self._src: list[int] = []
         self._dst: list[int] = []
-        self._prov: list[tuple] = []
+        # provenance columns: the operation, and its letter or its two edges
+        self._op = array("b")
+        self._left = array("i")
+        self._right = array("i")
         # right factors at each node: its letter edges, one per distinct key,
-        # each with its letter's image table (shared by all nodes), and its
-        # funnel atoms, the first edge from it with each distinct funnel key
+        # each applied through its letter's image table (shared by all
+        # nodes), and its funnel atoms, the first edge from it with each
+        # distinct funnel key (a node without atoms has no entry)
         self._letter_image = [image_table(a.relation(k)) for k in range(len(a.alphabet))]
-        self._letters_at: dict[int, list[tuple[int, Image]]] = {}
+        self._letters_at: dict[int, list[int]] = {}
         self._funnels_at: dict[int, dict[Rows | tuple[Rows, Rows], int]] = {}
         # image tables of a funnel atom's funnel and, when tracked, its plain,
         # shared through _table; a border segment's funnel, by label
@@ -313,69 +336,64 @@ class ExtendedSupportGraph:
         # atom's incoming loop started; 0 until the edge is popped
         self._out_at: list[int] = []
         self._in_at: list[int] = []
-        self._by_src: dict[int, list[int]] = {}
+        self._by_src: dict[int, array] = {}
         self._by_dst: dict[int, list[int]] = {}
         self._nodes: list[int] = []
-        self._node_set: set[int] = set()
+        # edge count when each node was registered
+        self._node_at: dict[int, int] = {}
+        self._seeds: list[int] = []
         self._pending: deque[int] = deque()
         self._steps_memo: dict[int, Step] = {}
         # a label-keyed graph derives the _plain of its edges past this count
         # at each edge_plain call
         self._plain_derived = 0
-        self._stop = stop
-        # compositions and borders attempted, and whether stop ended the closure
+        # compositions and borders attempted
         self.products = 0
         self._max_products = PRODUCTS_PER_EDGE * budgets.path_cap
-        self.stopped = False
-        try:
-            self._close(seeds)
-        except _Stopped:
-            self.stopped = True
+        # the message of the budget stop that ended a search's closure, and
+        # whether a search has ended it
+        self._stop: str | None = None
+        self._settled = False
+        self.grow(seeds)
 
     # -- construction ------------------------------------------------------
 
     def grow(self, seeds: Iterable[int]) -> None:
         """Register more seeds and close the graph to its fixpoint again."""
-        if self._stop is not None:
-            raise InputError("a closure with a stop predicate is not grown")
-        self._close(seeds)
+        if self._settled:
+            raise InputError("a settled closure is not grown")
+        self._queue(seeds)
+        self._run()
 
-    def _close(self, seeds: Iterable) -> None:
+    def _queue(self, seeds: Iterable) -> None:
         masks = [as_mask(self.automaton, s) for s in seeds]
         if 0 in masks:
             raise InputError("empty seed support")
-        for s in masks:
-            self._add_node(s)
-        self._run()
+        self._seeds.extend(masks)
 
     def _key(self, label: Rows, plain: Rows | None) -> Rows | tuple[Rows, Rows]:
         return (label, plain) if self.track_plain else label
 
     def _add_node(self, s: int) -> None:
-        # s is registered, then tested against stop (which may end the
-        # closure), and only then given its letter edges.
-        if s in self._node_set:
+        # s is registered before its letter edges are added
+        if s in self._node_at:
             return
-        self._node_set.add(s)
+        self._node_at[s] = len(self._label)
         self._nodes.append(s)
-        self._by_src[s] = []
+        self._by_src[s] = array("i")
         self._by_dst[s] = []
-        self._letters_at[s] = []
-        self._funnels_at[s] = {}
-        if self._stop is not None and self._stop(s):
-            raise _Stopped
         a = self.automaton
-        letters = self._letters_at[s]
+        letters = self._letters_at[s] = []
         for k in range(len(a.alphabet)):
             plain = a.relation(k)
             label = restrict(plain, s)
-            self._add(label, plain, ("word", k))
+            self._add(label, plain, _WORD, k, -1)
             # two letters may share a restricted label: keep one edge
             eid = self._keys[self._key(label, plain)]
-            if all(eid != f for f, _ in letters):
-                letters.append((eid, self._letter_image[k]))
+            if eid not in letters:
+                letters.append(eid)
 
-    def _add(self, label: Rows, plain: Rows | None, prov: tuple) -> None:
+    def _add(self, label: Rows, plain: Rows | None, op: int, left: int, right: int) -> None:
         key = self._key(label, plain)
         if key in self._keys:
             return
@@ -401,14 +419,16 @@ class ExtendedSupportGraph:
             fun = self._funnel_of.get(label)
             if fun is None:
                 fun = self._funnel_of[label] = funnel(label, src)
-            atoms = self._funnels_at[src]
+            atoms = self._funnels_at.setdefault(src, {})
             fkey = self._key(fun, plain)
             if fkey not in atoms:
                 atoms[fkey] = eid
                 self._funnel_image[eid] = self._table(fun)
                 if self.track_plain:
                     self._plain_image[eid] = self._table(plain)
-        self._prov.append(prov)
+        self._op.append(op)
+        self._left.append(left)
+        self._right.append(right)
         self._out_at.append(0)
         self._in_at.append(0)
         # src is an older node, so the letter edges _add_node(dst) may add
@@ -424,39 +444,55 @@ class ExtendedSupportGraph:
             img = self._tables[rows] = image_table(rows)
         return img
 
-    def _run(self) -> None:
-        # A popped edge is composed with every letter edge at its destination
-        # and bordered through every funnel atom there; a popped funnel atom
-        # is also bordered with the edges into its source.  A pair (edge,
-        # atom) is met at whichever of the two loops comes first.  Pops do
-        # not follow edge ids (_add_node queues letter edges ahead of the
-        # edge that created the node), so "first" is read from the loop
-        # start counts, never from ids.
+    def _run(self, want: Callable[[int], bool] | None = None) -> int | None:
+        # Registers the queued seeds, then pops edges.  A popped edge is
+        # composed with every letter edge at its destination and bordered
+        # through every funnel atom there; a popped funnel atom is also
+        # bordered with the edges into its source.  A pair (edge, atom) is
+        # met at whichever of the two loops comes first.  Pops do not follow
+        # edge ids (_add_node queues letter edges ahead of the edge that
+        # created the node), so "first" is read from the loop start counts,
+        # never from ids.  With want, the nodes registered since the last
+        # check are tested in order after each seed and pop, and the first
+        # that satisfies it is returned; None at the fixpoint.
         out_at, in_at = self._out_at, self._in_at
         funnel_image, plain_image = self._funnel_image, self._plain_image
-        product = self._product
-        while self._pending:
-            eid = self._pending.popleft()
+        product, letter_image, letter = self._product, self._letter_image, self._left
+        nodes, seeds, pending = self._nodes, self._seeds, self._pending
+        seen = len(nodes)
+        while True:
+            if want is not None:
+                while seen < len(nodes):
+                    seen += 1
+                    if want(nodes[seen - 1]):
+                        return nodes[seen - 1]
+            if seeds:
+                self._add_node(seeds.pop(0))
+                continue
+            if not pending:
+                return None
+            eid = pending.popleft()
             dst = self._dst[eid]
-            atoms = list(self._funnels_at[dst].values())
+            atoms = list(self._funnels_at.get(dst, {}).values())
             out_at[eid] = len(self._label)
-            for f, img in self._letters_at[dst]:
-                product(eid, f, img, img, "compose")
+            for f in self._letters_at[dst]:
+                img = letter_image[letter[f]]
+                product(eid, f, img, img, _COMPOSE)
             # Funnelled destinations are closed under the segment relation,
             # so reading the bordered graph at the border's start or at its
             # end yields the same relation; one edge covers both boundaries.
             for h in atoms:
                 if eid >= in_at[h]:
-                    product(eid, h, funnel_image[h], plain_image.get(h), "border")
+                    product(eid, h, funnel_image[h], plain_image.get(h), _BORDER)
             img = funnel_image.get(eid)
             if img is not None:
                 plain_img = plain_image.get(eid)
                 in_at[eid] = len(self._label)
                 for e in list(self._by_dst[self._src[eid]]):
                     if e != eid and eid >= out_at[e]:
-                        product(e, eid, img, plain_img, "border")
+                        product(e, eid, img, plain_img, _BORDER)
 
-    def _product(self, e: int, f: int, img: Image, plain_img: Image | None, kind: str) -> None:
+    def _product(self, e: int, f: int, img: Image, plain_img: Image | None, op: int) -> None:
         # e's label (and plain relation) times a right factor f, given by the
         # image tables of what it applies; most results are edges already
         # present, recognised here without building a provenance
@@ -472,7 +508,43 @@ class ExtendedSupportGraph:
             plain = tuple(map(plain_img, self._plain[e]))
             key = label, plain
         if key not in self._keys:
-            self._add(label, plain, (kind, e, f))
+            self._add(label, plain, op, e, f)
+
+    # -- search ----------------------------------------------------------------
+
+    def search(self, want: Callable[[int], bool]) -> int | None:
+        """The first registered node that satisfies want, closing the graph
+        only as far as that takes; None at the fixpoint (see the class
+        docstring, also for budget stops and settling)."""
+        for s in self._nodes:
+            if want(s):
+                return s
+        if self._stop is not None:
+            raise BudgetExceededError(self._stop)
+        if self._settled or not (self._seeds or self._pending):
+            return None
+        try:
+            found = self._run(want)
+        except BudgetExceededError as exc:
+            self._stop = str(exc)
+            self._settle()
+            # a node registered before the stop may satisfy want
+            return self.search(want)
+        if found is None:
+            self._settle()
+        return found
+
+    def registered_at(self, s: int) -> int:
+        """Edge count when node s was registered: the edges a search that
+        returns s has seen."""
+        return self._node_at[s]
+
+    def _settle(self) -> None:
+        # keep the nodes, destinations, out-edges and provenance columns
+        self._settled = True
+        del self._seeds, self._pending, self._keys, self._label, self._plain, self._src, self._by_dst
+        del self._letter_image, self._letters_at, self._funnels_at, self._funnel_of
+        del self._funnel_image, self._plain_image, self._tables, self._out_at, self._in_at
 
     # -- views -------------------------------------------------------------
 
@@ -489,7 +561,7 @@ class ExtendedSupportGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._label)
+        return len(self._dst)
 
     def out_edges(self, s: int) -> tuple[int, ...]:
         """Ids of the edges from node s, in id order."""
@@ -511,19 +583,18 @@ class ExtendedSupportGraph:
         atom, so that plain relation is a product of letter relations and
         atoms' plains.
         """
-        if not self.track_plain and self._plain_derived < len(self._prov):
-            plain, provs = self._plain, self._prov
+        if not self.track_plain and self._plain_derived < len(self._op):
+            plain, op, left, right = self._plain, self._op, self._left, self._right
             # few distinct operand pairs recur across many edges
             composed: dict[tuple[Rows, Rows], Rows] = {}
-            for e in range(self._plain_derived, len(provs)):
-                prov = provs[e]
-                if prov[0] == "word":
+            for e in range(self._plain_derived, len(op)):
+                if op[e] == _WORD:
                     continue
-                pair = plain[prov[1]], plain[prov[2]]
+                pair = plain[left[e]], plain[right[e]]
                 if pair not in composed:
                     composed[pair] = compose(*pair)
                 plain[e] = composed[pair]
-            self._plain_derived = len(provs)
+            self._plain_derived = len(op)
         return self._plain[eid]
 
     # -- witness flattening --------------------------------------------------
@@ -531,45 +602,50 @@ class ExtendedSupportGraph:
     def witness_steps(self, eid: int) -> list[Step]:
         """Replay steps for an edge: one bordered graph, read at its last
         boundary, whose destination there is the edge's destination."""
-        memo = self._steps_memo
+        memo, op, left, right = self._steps_memo, self._op, self._left, self._right
         stack = [eid]
         while stack:
             e = stack[-1]
             if e in memo:
                 stack.pop()
                 continue
-            prov = self._prov[e]
-            if prov[0] == "word":
-                memo[e] = ((prov[1],), (), 1)
+            if op[e] == _WORD:
+                memo[e] = ((left[e],), (), 1)
                 stack.pop()
                 continue
-            missing = [x for x in prov[1:3] if x not in memo]
+            missing = [x for x in (left[e], right[e]) if x not in memo]
             if missing:
                 stack.extend(missing)
                 continue
             stack.pop()
-            (w1, b1, _), (w2, b2, c2) = memo[prov[1]], memo[prov[2]]
+            (w1, b1, _), (w2, b2, c2) = memo[left[e]], memo[right[e]]
             off = len(w1)
             borders = b1 + tuple((x + off, y + off) for x, y in b2)
-            if prov[0] == "border":
+            if op[e] == _BORDER:
                 borders += ((off, off + c2),)
             memo[e] = (w1 + w2, borders, off + c2)
         return [memo[eid]]
 
     # -- reachability ---------------------------------------------------------
 
-    def reachable_with_steps(self, start: int) -> dict[int, list[Step]]:
-        """Nodes #-reachable from start, each with the replay steps of a
-        shortest path to it, in breadth-first order: graphs.shortest_words
-        over edge ids, each path turned into steps at the end."""
+    def reachable_with_steps(self, start: int, limit: int | None = None) -> dict[int, list[Step]]:
+        """Nodes #-reachable from start over the edges with ids below limit
+        (all edges when None), each with the replay steps of a shortest path
+        to it, in breadth-first order: graphs.shortest_words over edge ids,
+        each path turned into steps at the end."""
         by_src, dst_of = self._by_src, self._dst
-        paths = shortest_words([(start, ())], lambda s: ((e, dst_of[e]) for e in by_src.get(s, ())))
+        if limit is None:
+            limit = len(dst_of)
+        paths = shortest_words(
+            [(start, ())],
+            lambda s: ((e, dst_of[e]) for e in by_src.get(s, ()) if e < limit),
+        )
         return {t: [self.witness_steps(e)[0] for e in path] for t, path in paths}
 
     def dot(self) -> str:
         a = self.automaton
         lines = ["digraph extended {", "  rankdir=LR;"]
-        for s in sorted(self._node_set):
+        for s in sorted(self._nodes):
             lines.append(f'  "{_set_label(a, s)}";')
         rendered = []
         for eid in range(len(self._label)):
@@ -603,22 +679,13 @@ def build_extended_support_graph(
     a: Automaton,
     seeds: Iterable | None = None,
     budgets: Budgets = DEFAULT_BUDGETS,
-    *,
-    stop: Callable[[int], bool] | None = None,
 ) -> ExtendedSupportGraph:
-    """Close the graph from Supp(alpha) and the given seeds to its fixpoint.
+    """Close a new graph from Supp(alpha) and the given seeds to its fixpoint.
 
-    With stop, a predicate on supports, the closure is seeded at its origin
-    alone, the one given seed or Supp(alpha) when none is given, and ends
-    as soon as a support satisfying stop is #-reachable from it (see
-    ExtendedSupportGraph).
+    The #-searches do not build graphs here: they resume the closures the
+    Automaton keeps (_kept_search).
     """
-    seeds = list(seeds or [])
-    if stop is not None and len(seeds) > 1:
-        raise InputError("a stop predicate allows at most one seed")
-    # with stop, the origin alone: the one given seed, or Supp(alpha)
-    start = ([] if stop is not None and seeds else [a.initial_support]) + seeds
-    return ExtendedSupportGraph(a, budgets, start, stop=stop)
+    return ExtendedSupportGraph(a, budgets, [a.initial_support, *(seeds or [])])
 
 
 def replay_steps(a: Automaton, start, steps: Sequence[Step]) -> int:
@@ -651,22 +718,46 @@ def _steps_payload(a: Automaton, steps: Sequence[Step]) -> list[dict]:
     ]
 
 
+def _kept_search(
+    a: Automaton, origin: int, want: Callable[[int], bool], budgets: Budgets
+) -> tuple[ExtendedSupportGraph, int | None]:
+    """The closure from origin that a keeps for budgets, and its search for
+    want (ExtendedSupportGraph.search).
+
+    The closure reads only the letter relations, so one per origin and
+    Budgets value serves every #-search on a, and on what with_acceptance
+    and with_initial derive from it, for as long as a lives.  Anything but
+    a budget stop that escapes the search drops the closure: an edge popped
+    but not fully multiplied must never yield a later "no".
+    """
+    key = origin, budgets
+    graph = a._searches.get(key)
+    if graph is None:
+        graph = a._searches[key] = ExtendedSupportGraph(a, budgets, ())
+        graph._queue([origin])
+    try:
+        return graph, graph.search(want)
+    except BudgetExceededError:
+        raise
+    except BaseException:
+        del a._searches[key]
+        raise
+
+
 def _sharp_search(
     a: Automaton, start: int, want: Callable[[int], bool], budgets: Budgets
 ) -> tuple[int, list[Step]] | None:
-    """A support #-reachable from start that satisfies want, with the
-    steps of a shortest path to it; None when there is none.  The graph
-    seeded at start alone registers only supports #-reachable from it and
-    stops at the first that satisfies want, its last node, so a find costs
-    a prefix of the closure and a None the whole of it.  The steps are
-    replayed before being returned; a mismatch would be an internal error,
-    never a wrong answer.
+    """The first support #-reachable from start that satisfies want, with
+    the steps of a shortest path to it over the edges registered before it;
+    None when there is none.  The closure from start registers only
+    supports #-reachable from it, so a find reads a prefix of it and a None
+    the whole of it.  The steps are replayed before being returned; a
+    mismatch would be an internal error, never a wrong answer.
     """
-    graph = build_extended_support_graph(a, seeds=[start], budgets=budgets, stop=want)
-    if not graph.stopped:
+    graph, t = _kept_search(a, start, want, budgets)
+    if t is None:
         return None
-    t = graph.nodes[-1]
-    steps = graph.reachable_with_steps(start)[t]
+    steps = graph.reachable_with_steps(start, graph.registered_at(t))[t]
     _check_replay(a, start, steps, t)
     return t, steps
 
@@ -675,7 +766,9 @@ def sharp_reachable(a: Automaton, C, D, budgets: Budgets = DEFAULT_BUDGETS) -> V
     """Is D #-reachable from C?  Yes-verdicts carry replayed witness steps.
 
     C -> C holds by the trivial path convention (empty step list).  The
-    witness steps are _sharp_search's, one per edge of a shortest path.
+    witness steps are _sharp_search's, one per edge of a shortest path over
+    the edges of C's closure registered before D; the closure is the one
+    the Automaton keeps for C and budgets, resumed only as far as D.
     """
     cmask, dmask = as_mask(a, C), as_mask(a, D)
     if cmask == 0 or dmask == 0:
@@ -749,9 +842,10 @@ def synthesize_limit_word(
 ) -> tuple[str, ...]:
     """A word pushing at least 1 - eps of the mass into the target set, exactly.
 
-    The witness is _sharp_search's subset of the target #-reachable from
-    Supp(alpha), with its replayed steps; Supp(alpha) inside the target
-    gives no steps and the empty word.  Each border segment of the
+    The witness is _sharp_search's first subset of the target #-reachable
+    from Supp(alpha), read from the closure the Automaton keeps for
+    Supp(alpha) and budgets, with its replayed steps; Supp(alpha) inside
+    the target gives no steps and the empty word.  Each border segment of the
     witness is repeated k times; k doubles until the exactly computed
     probability passes the threshold or budgets.word_cap trips.  InputError
     when no subset of the target is #-reachable, which the full closure shows.
@@ -832,8 +926,10 @@ def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
     is rechecked to be 1; a failed recheck raises RuntimeError.  The witness
     has A, the period and a pumped prefix whose lasso accepts with
     probability at least 9/10, or, when synthesis stops on a budget, prefix
-    and probability None and prefix_error saying why."""
-    graph = build_extended_support_graph(a, budgets=budgets)
+    and probability None and prefix_error saying why.  The #-reachable
+    supports are those of the closure the Automaton keeps for Supp(alpha)
+    and budgets, read to its fixpoint."""
+    graph, _ = _kept_search(a, a.initial_support, lambda s: False, budgets)
     reach = graph.reachable_with_steps(a.initial_support)
     found = almost_period(a, reach, budgets.monoid)
     if found is None:
@@ -846,8 +942,7 @@ def _limit_parity(a: Automaton, budgets: Budgets) -> Verdict:
     # recheck the period without the monoid: from the uniform
     # distribution on the stable support it accepts almost surely
     uniform = [Fraction(node >> i & 1, node.bit_count()) for i in range(a.n)]
-    start = Automaton(a.states, a.alphabet, a.matrices, uniform, a.acceptance)
-    p = lasso.lasso_acceptance_probability(start, LassoWord((), period))
+    p = lasso.lasso_acceptance_probability(a.with_initial(uniform), LassoWord((), period))
     if p != 1:
         raise RuntimeError(
             f"period {' '.join(period)} accepts with probability {probability_text(p)}, not 1,"

@@ -207,7 +207,26 @@ def test_with_acceptance_shares_the_tables(ex2):
     assert b == Automaton(ex2.states, ex2.alphabet, ex2.matrices, ex2.initial, b.acceptance)
     assert b.matrices is ex2.matrices and b.scaled_matrices is ex2.scaled_matrices
     assert b._relations is ex2._relations and b._gate is ex2._gate
+    assert b._searches is ex2._searches
     assert ex2.acceptance is None and b.with_acceptance(None) == ex2
+
+
+def test_with_initial_shares_the_tables(ex2):
+    b = ex2.with_initial(["0", "1/2", "1/2", 0])
+    assert b == Automaton(ex2.states, ex2.alphabet, ex2.matrices, b.initial, ex2.acceptance)
+    assert b.initial_support == ex2.mask("2 3") and ex2.initial_support == ex2.mask("1")
+    assert b.matrices is ex2.matrices and b.scaled_matrices is ex2.scaled_matrices
+    assert b._relations is ex2._relations and b._gate is ex2._gate
+    assert b._searches is ex2._searches
+    with pytest.raises(InputError, match="^initial distribution does not sum to 1$"):
+        ex2.with_initial([Fraction(3, 4), 0, 0, 0])
+    # only the vector is checked, with the constructor's messages
+    for bad in ([Fraction(3, 4), 0, 0, 0], [1, 0, 0], [2, -1, 0, 0], ["x", 1, 0, 0]):
+        with pytest.raises(InputError) as want:
+            Automaton(ex2.states, ex2.alphabet, ex2.matrices, bad, ex2.acceptance)
+        with pytest.raises(InputError) as got:
+            ex2.with_initial(bad)
+        assert str(got.value) == str(want.value)
 
 
 def test_priorities_encoding(ex1):

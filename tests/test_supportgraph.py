@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_automaton
-from qpa.core import DEFAULT_BUDGETS, Acceptance, Budgets
+from qpa.core import DEFAULT_BUDGETS, Acceptance, Automaton, Budgets
 from qpa.errors import BudgetExceededError, InputError
 from qpa.formats import parse_automaton
 from qpa.graphs import compose, image, restrict
@@ -399,7 +399,6 @@ def test_extended_products_are_per_edge_and_atom(ex2):
     # destination once, far fewer products than chained pairs
     seeds = list(range(1, 1 << ex2.n))
     g = ExtendedSupportGraph(ex2, DEFAULT_BUDGETS, seeds, track_plain=True)
-    assert not g.stopped
     funnels = {s: set() for s in g.nodes}
     for eid in range(g.edge_count):
         src, label, dst = g.edge_parts(eid)
@@ -459,9 +458,17 @@ def test_grown_graph_matches_the_one_shot_build():
 
 
 def test_a_stopped_closure_is_not_grown(ex2):
-    g = build_extended_support_graph(ex2, seeds=["1"], stop=bool)
-    with pytest.raises(InputError, match="not grown"):
-        g.grow([ex2.mask("2")])
+    # a search that ends the closure, at its fixpoint or at a budget stop,
+    # settles it
+    import qpa.supportgraph as sg
+
+    one = ex2.mask("1")
+    assert sg._kept_search(ex2, one, lambda s: False, DEFAULT_BUDGETS)[1] is None
+    with pytest.raises(BudgetExceededError, match="exceeded 3 edges"):
+        sg._kept_search(ex2, one, lambda s: False, Budgets(path_cap=3))
+    for budgets in (DEFAULT_BUDGETS, Budgets(path_cap=3)):
+        with pytest.raises(InputError, match="not grown"):
+            ex2._searches[one, budgets].grow([ex2.mask("2")])
 
 
 def test_extended_edge_cap_matches_reference(ex2):
@@ -505,37 +512,68 @@ def _first_hit(g, origin, sat):
     return lo
 
 
+def _fresh(a):
+    """A new Automaton with a's tables, and so with no closures kept."""
+    return Automaton(a.states, a.alphabet, a.matrices, a.initial, a.acceptance)
+
+
+def _provenance(g, k):
+    return g._op[:k].tolist(), g._left[:k].tolist(), g._right[:k].tolist()
+
+
 def _assert_stops_at_first_witness(a, seed, sat):
-    # a stopped closure is seeded at its origin alone, so it is compared
-    # with the origin's own full closure
-    seeds = [] if seed is None else [seed]
+    # a search reads the closure seeded at its origin alone, so it is
+    # compared with the origin's own full closure
+    import qpa.supportgraph as sg
+
     origin = a.initial_support if seed is None else seed
     full = ExtendedSupportGraph(a, DEFAULT_BUDGETS, [origin])
-    g = build_extended_support_graph(a, seeds=seeds, stop=sat)
-    k = g.edge_count
-    assert g.edges == full.edges[:k]
-    assert g._prov == full._prov[:k]
+    g, t = sg._kept_search(_fresh(a), origin, sat, DEFAULT_BUDGETS)
+    # what the search registered is a prefix of the full closure
+    m = g.edge_count
+    assert g._dst == full._dst[:m] and _provenance(g, m) == _provenance(full, m)
+    assert list(g.nodes) == list(full.nodes[: len(g.nodes)])
     want = _first_hit(full, origin, sat)
+    k = full.edge_count if t is None else g.registered_at(t)
     assert k == (full.edge_count if want is None else want)
-    assert g.stopped == (want is not None) and not full.stopped
-    reach = g.reachable_with_steps(origin)
-    hits = [t for t in reach if sat(t)]
-    # the satisfying support is the last node, and the only one
-    assert hits == ([g.nodes[-1]] if want is not None else [])
-    for t in hits:
-        assert _oracle_replay(a, origin, reach[t]) == t
-    capped = build_extended_support_graph(a, seeds=seeds, budgets=Budgets(path_cap=k), stop=sat)
-    assert capped.edges == g.edges
+    reach = g.reachable_with_steps(origin, k)
+    hits = [s for s in reach if sat(s)]
+    # the satisfying support is the first registered one, and the only one
+    # the edges below its registration count reach
+    assert hits == ([] if t is None else [t])
+    assert not any(sat(s) for s in g.nodes[: g.nodes.index(t) if hits else None])
+    for s in hits:
+        assert _oracle_replay(a, origin, reach[s]) == s
+    # k edges are budget enough for the search, k - 1 are not
+    assert sg._kept_search(_fresh(a), origin, sat, Budgets(path_cap=k))[1] == t
+    # and a search after a budget stop raises it again
+    if k:
+        capped, messages = _fresh(a), []
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError) as exc:
+                sg._kept_search(capped, origin, sat, Budgets(path_cap=k - 1))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
     return hits
 
 
 def test_stop_needs_the_seeded_form_with_one_seed(ex2):
-    with pytest.raises(InputError, match="at most one seed"):
-        build_extended_support_graph(ex2, seeds=["1", "2"], stop=bool)
+    # every origin has a closure of its own, seeded at it alone, that
+    # registers only the supports #-reachable from it
+    import qpa.supportgraph as sg
+
+    origins = [ex2.mask("1"), ex2.mask("2"), ex2.mask("1")]
+    graphs = [sg._kept_search(ex2, c, lambda s: False, DEFAULT_BUDGETS)[0] for c in origins]
+    assert graphs[0] is graphs[2] and graphs[0] is not graphs[1]
+    assert set(ex2._searches) == {(c, DEFAULT_BUDGETS) for c in origins}
+    for c, g in zip(origins, graphs):
+        assert g.nodes[0] == c
+        assert set(g.nodes) == set(g.reachable_with_steps(c))
+        assert set(g.nodes) == set(ExtendedSupportGraph(ex2, DEFAULT_BUDGETS, [c]).nodes)
 
 
 def test_stopped_closure_is_a_prefix_of_the_full_closure():
-    # the three stop predicates the callers use: node == D from a seed C
+    # the three search predicates the callers use: node == D from a seed C
     # (sharp_reachable), and node within a target from Supp(alpha)
     # (synthesize_limit_word and limit reach); about half of the targets
     # are drawn among the reachable supports
@@ -601,6 +639,77 @@ def test_seeded_search_closes_only_its_seed_graph():
     assert d not in own.reachable_with_steps(c)
     v = sharp_reachable(a, c, d, Budgets(path_cap=own.edge_count))
     assert v.answer == "no"
+
+
+def _search_outcome(a, call):
+    """What one #-search call on a returns, or the error it raises."""
+    import qpa.supportgraph as sg
+
+    kind, c, d, budgets = call
+    try:
+        if kind == "sharp":
+            v = sharp_reachable(a, c, d, budgets)
+        elif kind == "reach":
+            v = sg._limit_reach(a.with_acceptance(Acceptance.reach(a.names(d))), budgets)
+        else:
+            return synthesize_limit_word(a, d, Fraction(1, 10), budgets)
+    except (BudgetExceededError, InputError) as exc:
+        return type(exc), str(exc)
+    return v.answer, v.witness
+
+
+def test_shared_closure_answers_as_fresh_copies():
+    # a shuffled run of #-searches on one automaton, from several origins
+    # and under several budgets, answers each call as a new copy of the
+    # automaton answers it alone
+    rng = random.Random(3211)
+    for _ in range(40):
+        a = random_automaton(rng, rng.randrange(2, 6), 2)
+        top = 1 << a.n
+        budgets = [Budgets(word_cap=3000), Budgets(path_cap=rng.randrange(1, 40), word_cap=3000)]
+        origins = [a.initial_support, rng.randrange(1, top)]
+        calls = []
+        for _ in range(12):
+            b = rng.choice(budgets)
+            kind = rng.choice(("sharp", "sharp", "reach", "synth"))
+            c = rng.choice(origins) if kind == "sharp" else a.initial_support
+            calls.append((kind, c, rng.randrange(1, top), b))
+        outcomes = [_search_outcome(a, call) for call in calls]
+        for call, got in zip(calls, outcomes):
+            assert got == _search_outcome(_fresh(a), call)
+            kind, c, d, b = call
+            if kind == "sharp" and got[0] == "yes" and b is budgets[0]:
+                full = ExtendedSupportGraph(a, DEFAULT_BUDGETS, [c])
+                assert a._searches[c, b].registered_at(d) == _first_hit(full, c, d.__eq__)
+        # a repeated search does no products
+        products = {key: g.products for key, g in a._searches.items()}
+        assert [_search_outcome(a, call) for call in calls] == outcomes
+        assert {key: g.products for key, g in a._searches.items()} == products
+
+
+def test_an_interrupted_closure_is_never_read(monkeypatch, ex2):
+    # an error out of a product, midway through a search that ends in "no",
+    # drops the closure: a later search that resumed it would miss the rest
+    # of the popped edge's products
+    one, none = ex2.mask("1"), ex2.mask("1 2")
+    assert sharp_reachable(ex2, one, none).answer == "no"
+    total = ex2._searches[one, DEFAULT_BUDGETS].products
+    want = [sharp_reachable(ex2, one, d) for d in range(1, 1 << ex2.n)]
+    real = ExtendedSupportGraph._product
+    for m in range(1, total + 1, 3):
+        a, count = _fresh(ex2), iter(range(1, total + 1))
+
+        def interrupted(self, *args):
+            if next(count) == m:
+                raise RuntimeError("interrupted")
+            return real(self, *args)
+
+        monkeypatch.setattr(ExtendedSupportGraph, "_product", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            sharp_reachable(a, one, none)
+        assert (one, DEFAULT_BUDGETS) not in a._searches
+        monkeypatch.setattr(ExtendedSupportGraph, "_product", real)
+        assert [sharp_reachable(a, one, d) for d in range(1, 1 << ex2.n)] == want
 
 
 # -- #-reachability -------------------------------------------------------------
@@ -733,8 +842,8 @@ def test_pumping_cut_zero_steps_stops_growing(monkeypatch, ex2):
 
     real = ExtendedSupportGraph.reachable_with_steps
 
-    def cut_zero(self, start):
-        return {t: [(w, b, 0) for w, b, _ in sts] for t, sts in real(self, start).items()}
+    def cut_zero(self, start, limit=None):
+        return {t: [(w, b, 0) for w, b, _ in sts] for t, sts in real(self, start, limit).items()}
 
     graph = build_extended_support_graph(ex2)
     steps = cut_zero(graph, ex2.initial_support)[ex2.mask("4")]
@@ -859,26 +968,48 @@ def test_limit_parity_reports_why_synthesis_failed(ex2):
     assert "prefix_error" not in decide(b, "limit", "struct-simple").witness
 
 
-def test_limit_parity_builds_the_seeded_graph_once(monkeypatch, ex2):
-    import qpa.supportgraph as sg
-
-    real = sg.build_extended_support_graph
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sg, "build_extended_support_graph", counting)
-    v = decide(ex2.with_acceptance(Acceptance.buchi(["4"])), "limit", "struct-simple")
-    assert len(calls) == 1
+def test_one_closure_per_automaton_origin_and_budgets(ex2):
+    b = ex2.with_acceptance(Acceptance.buchi(["4"]))
+    v = decide(b, "limit", "struct-simple")
+    one = ex2.mask("1")
+    assert list(ex2._searches) == [(one, DEFAULT_BUDGETS)]
+    g = ex2._searches[one, DEFAULT_BUDGETS]
+    products = g.products
+    # limit reach, synthesis and #-reachability from Supp(alpha) read the
+    # closure limit parity ran to its fixpoint, and do no products
+    assert decide(ex2.with_acceptance(Acceptance.reach(["4"])), "limit", "struct-simple")
+    assert synthesize_limit_word(b, "4", Fraction(1, 10))
+    assert sharp_reachable(ex2, "1", "4") and not sharp_reachable(ex2, "1", "1 2")
+    assert list(ex2._searches) == [(one, DEFAULT_BUDGETS)] and g.products == products
+    # another origin or another Budgets value has a closure of its own
+    sharp_reachable(ex2, "3", "4")
+    sharp_reachable(ex2, "1", "4", Budgets(word_cap=7))
+    assert set(ex2._searches) == {
+        (one, DEFAULT_BUDGETS),
+        (ex2.mask("3"), DEFAULT_BUDGETS),
+        (one, Budgets(word_cap=7)),
+    }
     # the same witness as when synthesis built a second graph of its own
-    assert v.witness == {
+    assert v.witness == decide(b, "limit", "struct-simple").witness == {
         "support": ["4"],
         "period": ["a"],
         "prefix": (["a"] * 6 + ["b"]) * 6,
         "probability": "4202122300929/4398046511104",
     }
+
+
+def test_limit_parity_recheck_builds_no_automaton(monkeypatch, ex2):
+    b = ex2.with_acceptance(Acceptance.buchi(["4"]))
+    real = Automaton.__init__
+    calls = []
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Automaton, "__init__", spy)
+    assert decide(b, "limit", "struct-simple").answer == "yes"
+    assert calls == []
 
 
 @pytest.mark.parametrize(
